@@ -61,6 +61,8 @@ def load_scene(path: str) -> tuple[SceneSegment, ...]:
                 x1, y1, x2, y2 = (float(p) for p in parts)
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: malformed coordinate") from None
+            if not all(math.isfinite(c) for c in (x1, y1, x2, y2)):
+                raise ValueError(f"{path}:{lineno}: non-finite coordinate")
             if (x1, y1) == (x2, y2):
                 raise ValueError(f"{path}:{lineno}: degenerate segment")
             segments.append(SceneSegment((x1, y1), (x2, y2), len(segments)))
@@ -282,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--rules", choices=["axis", "hyperplane", "surface2"], default="axis")
             p.add_argument("--k", type=int, default=1)
             p.add_argument("--rules-file", default=None, help="explicit point-defined rules")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="write the serialized tree here")
 
     p_fit = sub.add_parser("fit", help="fit an optimal classification tree")

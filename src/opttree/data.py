@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from typing import Iterable, NamedTuple, Sequence
 
 Point = tuple[float, ...]
@@ -65,10 +66,13 @@ def load_csv(path: str, require_label: bool = True) -> Dataset:
             if len(row) != len(header):
                 raise ValueError(f"{path}:{lineno}: expected {len(header)} columns")
             try:
-                points.append(tuple(float(c) for c in row[:d]))
+                point = tuple(float(c) for c in row[:d])
                 labels.append(int(row[d]) if has_label else 0)
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: malformed numeric value") from None
+            if not all(math.isfinite(c) for c in point):
+                raise ValueError(f"{path}:{lineno}: non-finite value")
+            points.append(point)
     if not points:
         raise ValueError(f"{path}: no data rows")
     return make_dataset(points, labels)

@@ -1,24 +1,31 @@
 """Objectives and the exact tree optimizers.
 
-The core recursion solves the fixed-rule-set problem: with the candidate
-roots supplied by the ancestry matrix, it recursively optimizes the left and
-right side on the matching data partition and keeps the cheapest combination.
-Because every shipped objective combines child costs monotonically, taking
-the minimum inside the recursion is exact. The outer optimizer repeats this
-for every k-combination of the rule table.
+Every optimizer is one recursion, :func:`_optimize`, over a front end's
+splits strategy: a state is either a leaf or yields (left state, rule, right
+state) triples; both sides are solved, combined, and the cheapest combination
+is kept. Because every shipped objective combines child costs monotonically,
+taking the minimum inside the recursion is exact. A dominance preorder
+(``thinning``) may replace the minimum by a list of undominated candidates.
 
-No subproblem results are cached: distinct roots over the same index set need
-distinct optimal subtrees, so a cache would have to key on (indices, root)
-pairs whose count makes it useless in practice. A :class:`SolveStats` counter
-records how often (indices, root) subproblems repeat so the overlap is
-observable without storing solutions.
+The rule-set front end solves the fixed-rule-set problem: the ancestry matrix
+supplies the candidate roots and each side is solved on the matching data
+partition. :func:`solve` repeats this for every k-combination of the rule
+table. It is not memoized, so :class:`SolveStats` counts the logical
+recursion, whose size is independent of the data and follows the worst-case
+recurrence; sharing subproblems across combinations would need a
+combination-free recursion instead.
+
+The bsp, mcmp and kd front ends memoize by state (fragment set, sub-chain,
+point subset and depth): the optimum of a state does not depend on how the
+recursion reached it, and these states recur many times. With the sub-chain
+as state, the matrix-chain solver is the classic cubic program.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
 from .data import Dataset
@@ -64,22 +71,13 @@ class Objective:
 class SolveConstraints:
     min_leaf: int = 0
     max_depth: int | None = None
-    thinning: Callable | None = None
 
 
 @dataclass
 class SolveStats:
-    """Instrumentation: recursion size and repeated-subproblem tallies."""
+    """Instrumentation: the number of recursion nodes a solve visited."""
 
     nodes: int = 0
-    subproblems: Counter = field(default_factory=Counter)
-
-    def record(self, indices: tuple[int, ...], root: int) -> None:
-        self.subproblems[(indices, root)] += 1
-
-    @property
-    def repeated(self) -> int:
-        return sum(c - 1 for c in self.subproblems.values() if c > 1)
 
 
 def majority_label(data: Dataset) -> int | None:
@@ -151,76 +149,6 @@ def min_by(candidates: Iterable[DecisionTree], objective: Objective) -> Decision
     return best
 
 
-class _Partitioner:
-    """Row-index views of one dataset with per-rule sign vectors cached.
-
-    Predicate evaluations are shared across the whole solve; the recursion
-    passes row-index tuples around and only materializes samples at leaves.
-    """
-
-    def __init__(self, rules: Sequence[Rule], data: Dataset):
-        self.rules = rules
-        self.data = tuple(data)
-        self.all_rows = tuple(range(len(self.data)))
-        self._signs: dict[int, tuple[int, ...]] = {}
-
-    def signs(self, rid: int) -> tuple[int, ...]:
-        cached = self._signs.get(rid)
-        if cached is None:
-            rule = self.rules[rid]
-            cached = tuple(classify(rule, s.point) for s in self.data)
-            self._signs[rid] = cached
-        return cached
-
-    def split(self, rid: int, rows: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        signs = self.signs(rid)
-        pos = tuple(i for i in rows if signs[i] > 0)
-        neg = tuple(i for i in rows if signs[i] < 0)
-        return pos, neg
-
-    def materialize(self, rows: tuple[int, ...]) -> Dataset:
-        return tuple(self.data[i] for i in rows)
-
-
-def _solve_rows(
-    idx: tuple[int, ...],
-    rows: tuple[int, ...],
-    budget: int | None,
-    ctx: _Partitioner,
-    matrix: AncestryMatrix,
-    objective: Objective,
-    cons: SolveConstraints,
-    stats: SolveStats | None,
-) -> tuple[DecisionTree, CostValue] | None:
-    if stats is not None:
-        stats.nodes += 1
-    if not idx:
-        if len(rows) < cons.min_leaf:
-            return None
-        leaf_data = ctx.materialize(rows)
-        return DLeaf(leaf_data), objective.leaf_cost(leaf_data)
-    if budget is not None and budget <= 0:
-        return None
-    sub_budget = None if budget is None else budget - 1
-    best = None
-    best_score = None
-    for left, rid, right in splits_generic(idx, matrix):
-        if stats is not None:
-            stats.record(idx, rid)
-        pos, neg = ctx.split(rid, rows)
-        u = _solve_rows(left, pos, sub_budget, ctx, matrix, objective, cons, stats)
-        if u is None:
-            continue
-        v = _solve_rows(right, neg, sub_budget, ctx, matrix, objective, cons, stats)
-        if v is None:
-            continue
-        cost = objective.combine(u[1], v[1], rid)
-        s = objective.score(cost)
-        if best is None or s < best_score:
-            best, best_score = (DNode(u[0], rid, v[0]), cost), s
-    return best
-
-
 def _thin(candidates: list, dominates: Callable) -> list:
     kept: list = []
     for cand in candidates:
@@ -231,41 +159,131 @@ def _thin(candidates: list, dominates: Callable) -> list:
     return kept
 
 
-def _solve_rows_thinned(
-    idx: tuple[int, ...],
-    rows: tuple[int, ...],
-    budget: int | None,
-    ctx: _Partitioner,
-    matrix: AncestryMatrix,
+def _optimize(
+    root: Any,
+    splits: Callable[[Any], list | None],
+    leaf: Callable[[Any], tuple[DecisionTree, CostValue] | None],
     objective: Objective,
-    cons: SolveConstraints,
-    dominates: Callable,
-) -> list[tuple[DecisionTree, CostValue]]:
-    if not idx:
-        if len(rows) < cons.min_leaf:
-            return []
-        leaf_data = ctx.materialize(rows)
-        return [(DLeaf(leaf_data), objective.leaf_cost(leaf_data))]
-    if budget is not None and budget <= 0:
-        return []
-    sub_budget = None if budget is None else budget - 1
-    out: list[tuple[DecisionTree, CostValue]] = []
-    for left, rid, right in splits_generic(idx, matrix):
-        pos, neg = ctx.split(rid, rows)
-        for u in _solve_rows_thinned(left, pos, sub_budget, ctx, matrix, objective, cons, dominates):
-            for v in _solve_rows_thinned(right, neg, sub_budget, ctx, matrix, objective, cons, dominates):
-                out.append((DNode(u[0], rid, v[0]), objective.combine(u[1], v[1], rid)))
-    return _thin(out, dominates)
+    memoize: bool = False,
+    thinning: Callable | None = None,
+    stats: SolveStats | None = None,
+) -> tuple[DecisionTree, CostValue] | None:
+    """Cheapest (tree, cost) for the ``root`` state, or None if none is feasible.
+
+    ``splits(state)`` returns None for a leaf state, otherwise the
+    (left state, rule, right state) triples to try, in tie-break order.
+    ``leaf(state)`` costs a leaf state and returns None when it is infeasible.
+    With ``memoize`` every distinct (hashable) state is solved once. Without
+    ``thinning`` each state keeps its first cheapest candidate and builds a
+    node only for it. With a ``thinning`` preorder each state keeps every
+    candidate no kept candidate dominates, and the first cheapest survivor
+    at the root wins. Ties go to the earliest candidate.
+    """
+    combine, score = objective.combine, objective.score
+    memo: dict = {}
+
+    def rec(state):
+        # the winner (or None); with thinning, the list of undominated candidates
+        if stats is not None:
+            stats.nodes += 1
+        if memoize and state in memo:
+            return memo[state]
+        triples = splits(state)
+        if triples is None:
+            result = leaf(state)
+            if thinning is not None:
+                result = [] if result is None else [result]
+        else:
+            kept = []
+            best = None
+            for left, rule, right in triples:
+                u = rec(left)
+                if not u:
+                    continue
+                v = rec(right)
+                if not v:
+                    continue
+                if thinning is not None:
+                    kept += [
+                        (DNode(ut, rule, vt), combine(uc, vc, rule)) for ut, uc in u for vt, vc in v
+                    ]
+                    continue
+                cost = combine(u[1], v[1], rule)
+                s = score(cost)
+                if best is None or s < best[0]:
+                    best = (s, u[0], rule, v[0], cost)
+            if thinning is not None:
+                result = _thin(kept, thinning)
+            else:
+                result = None if best is None else (DNode(best[1], best[2], best[3]), best[4])
+        if memoize:
+            memo[state] = result
+        return result
+
+    if thinning is None:
+        return rec(root)
+    return min(rec(root), key=lambda cand: score(cand[1]), default=None)
 
 
-def _pick_best(candidates, objective):
-    best = None
-    best_score = None
-    for cand in candidates:
-        s = objective.score(cand[1])
-        if best is None or s < best_score:
-            best, best_score = cand, s
-    return best
+class _RuleSet:
+    """Rule-set front end: states are (rule indices, row indices, depth budget).
+
+    Predicate evaluations are cached per rule and shared across the whole
+    solve; states carry row-index tuples and samples are materialized only at
+    leaves. States are not memoized, so ``SolveStats.nodes`` counts the
+    logical recursion.
+    """
+
+    def __init__(
+        self,
+        rules: Sequence[Rule],
+        data: Dataset,
+        matrix: AncestryMatrix,
+        objective: Objective,
+        constraints: SolveConstraints,
+    ):
+        self.rules = rules
+        self.data = tuple(data)
+        self.matrix = matrix
+        self.objective = objective
+        self.constraints = constraints
+        self._signs: dict[int, tuple[int, ...]] = {}
+
+    def signs(self, rid: int) -> tuple[int, ...]:
+        cached = self._signs.get(rid)
+        if cached is None:
+            rule = self.rules[rid]
+            cached = tuple(classify(rule, s.point) for s in self.data)
+            self._signs[rid] = cached
+        return cached
+
+    def splits(self, state: tuple) -> list | None:
+        idx, rows, budget = state
+        if not idx:
+            return None
+        if budget is not None and budget <= 0:
+            return []  # rules left but no depth: infeasible
+        sub_budget = None if budget is None else budget - 1
+        out = []
+        for left, rid, right in splits_generic(idx, self.matrix):
+            signs = self.signs(rid)
+            pos = tuple(i for i in rows if signs[i] > 0)
+            neg = tuple(i for i in rows if signs[i] < 0)
+            out.append(((left, pos, sub_budget), rid, (right, neg, sub_budget)))
+        return out
+
+    def leaf(self, state: tuple) -> tuple[DecisionTree, CostValue] | None:
+        rows = state[1]
+        if len(rows) < self.constraints.min_leaf:
+            return None
+        leaf_data = tuple(self.data[i] for i in rows)
+        return DLeaf(leaf_data), self.objective.leaf_cost(leaf_data)
+
+    def solve(
+        self, idx: tuple[int, ...], stats: SolveStats | None = None, thinning: Callable | None = None
+    ) -> tuple[DecisionTree, CostValue] | None:
+        root = (idx, tuple(range(len(self.data))), self.constraints.max_depth)
+        return _optimize(root, self.splits, self.leaf, self.objective, thinning=thinning, stats=stats)
 
 
 def solve_ruleset(
@@ -276,6 +294,7 @@ def solve_ruleset(
     objective: Objective,
     constraints: SolveConstraints | None = None,
     stats: SolveStats | None = None,
+    thinning: Callable | None = None,
 ) -> DecisionTree | None:
     """Optimal tree using exactly the given rule indices, or None.
 
@@ -284,37 +303,16 @@ def solve_ruleset(
     partition, and the cheapest combination wins (ties keep the earliest
     root). None means the constraints eliminated every candidate or no tree
     over these indices is consistent with the matrix.
-    """
-    cons = constraints or SolveConstraints()
-    ctx = _Partitioner(rules, data)
-    idx = tuple(sorted(indices))
-    if cons.thinning is not None:
-        cands = _solve_rows_thinned(idx, ctx.all_rows, cons.max_depth, ctx, matrix, objective, cons, cons.thinning)
-        best = _pick_best(cands, objective)
-    else:
-        best = _solve_rows(idx, ctx.all_rows, cons.max_depth, ctx, matrix, objective, cons, stats)
-    return None if best is None else best[0]
 
-
-def solve_ruleset_thinned(
-    indices: Iterable[int],
-    matrix: AncestryMatrix,
-    rules: Sequence[Rule],
-    data: Dataset,
-    objective: Objective,
-    preorder: Callable,
-    constraints: SolveConstraints | None = None,
-) -> DecisionTree | None:
-    """Like :func:`solve_ruleset`, keeping a dominance-thinned candidate list.
-
-    ``preorder(a, b)`` must be reflexive, transitive and consistent with the
+    ``thinning(a, b)`` is an optional dominance preorder on (tree, cost)
+    candidates. It must be reflexive, transitive and consistent with the
     objective's combine: whenever it declares ``a`` at least as good as ``b``,
     extending ``a`` can never score worse than extending ``b``. The winner's
     score then matches the unthinned solve.
     """
-    cons = constraints or SolveConstraints()
-    cons = SolveConstraints(cons.min_leaf, cons.max_depth, preorder)
-    return solve_ruleset(indices, matrix, rules, data, objective, cons)
+    problem = _RuleSet(rules, data, matrix, objective, constraints or SolveConstraints())
+    best = problem.solve(tuple(sorted(indices)), stats, thinning)
+    return None if best is None else best[0]
 
 
 def never_dominates(a, b) -> bool:
@@ -369,19 +367,12 @@ def solve(
     """
     if k > len(rules):
         raise ValueError(f"cannot choose {k} of {len(rules)} rules")
-    cons = constraints or SolveConstraints()
     matrix = ancestry_matrix(rules) if k > 0 else AncestryMatrix(())
-    ctx = _Partitioner(rules, data)
+    problem = _RuleSet(rules, data, matrix, objective, constraints or SolveConstraints())
     best = None
     best_score = None
     for combo in itertools.combinations(range(len(rules)), k):
-        if cons.thinning is not None:
-            res = _pick_best(
-                _solve_rows_thinned(combo, ctx.all_rows, cons.max_depth, ctx, matrix, objective, cons, cons.thinning),
-                objective,
-            )
-        else:
-            res = _solve_rows(combo, ctx.all_rows, cons.max_depth, ctx, matrix, objective, cons, stats)
+        res = problem.solve(combo, stats)
         if res is None:
             continue
         s = objective.score(res[1])
@@ -400,20 +391,13 @@ def solve_bsp(segments: Sequence[SceneSegment]) -> DecisionTree:
     if not segments:
         raise ValueError("scene has no segments")
 
-    def rec(frags: tuple[SceneSegment, ...]) -> tuple[DecisionTree, CostValue]:
-        if not frags:
-            return DLeaf(()), TREE_SIZE.leaf_cost(())
-        best = None
-        best_score = None
-        for pos, root, neg in splits_bsp(frags):
-            u = rec(pos)
-            v = rec(neg)
-            cost = TREE_SIZE.combine(u[1], v[1], root)
-            if best is None or cost.cost < best_score:
-                best, best_score = (DNode(u[0], root, v[0]), cost), cost.cost
-        return best
+    def splits(frags: tuple[SceneSegment, ...]) -> list | None:
+        return splits_bsp(frags) if frags else None
 
-    return rec(tuple(segments))[0]
+    def leaf(frags: tuple[SceneSegment, ...]) -> tuple[DecisionTree, CostValue]:
+        return DLeaf(()), TREE_SIZE.leaf_cost(())
+
+    return _optimize(tuple(segments), splits, leaf, TREE_SIZE, memoize=True)[0]
 
 
 def bsp_tree_from_order(segments: Sequence[SceneSegment], order: Sequence[int]) -> DecisionTree:
@@ -446,20 +430,16 @@ def solve_mcmp(dims: Sequence[MatrixDim]) -> DecisionTree:
         if a.cols != b.rows:
             raise ValueError(f"adjacent matrices do not conform: {a} x {b}")
 
-    def rec(items: tuple[MatrixDim, ...]) -> tuple[DecisionTree, CostValue]:
+    def splits(items: tuple[MatrixDim, ...]) -> list | None:
         if len(items) == 1:
-            return DLeaf(items[0]), CHAIN_COST.leaf_cost(items[0])
-        best = None
-        best_score = None
-        for prefix, _, suffix in splits_mcmp(items):
-            u = rec(prefix)
-            v = rec(suffix)
-            cost = CHAIN_COST.combine(u[1], v[1], None)
-            if best is None or cost.cost < best_score:
-                best, best_score = (DNode(u[0], None, v[0]), cost), cost.cost
-        return best
+            return None
+        # chain nodes carry no rule: the tree shape alone is the association
+        return [(prefix, None, suffix) for prefix, _, suffix in splits_mcmp(items)]
 
-    return rec(seq)[0]
+    def leaf(items: tuple[MatrixDim, ...]) -> tuple[DecisionTree, CostValue]:
+        return DLeaf(items[0]), CHAIN_COST.leaf_cost(items[0])
+
+    return _optimize(seq, splits, leaf, CHAIN_COST, memoize=True)[0]
 
 
 def parenthesization(tree: DecisionTree) -> str:
@@ -492,19 +472,17 @@ def solve_kd(data: Dataset, max_depth: int, objective: Objective | None = None) 
         return DLeaf(())
     ndims = len(seq[0].point)
 
-    def rec(items: Dataset, depth: int) -> tuple[DecisionTree, CostValue]:
+    def splits(state: tuple[Dataset, int]) -> list | None:
+        items, depth = state
         if not items or depth >= max_depth:
-            return DLeaf(items), obj.leaf_cost(items)
+            return None
         d = depth % ndims
-        best = None
-        best_score = None
-        for left, pivot, right in splits_kd(depth, items):
-            u = rec(left, depth + 1)
-            v = rec(right, depth + 1)
-            cost = obj.combine(u[1], v[1], (pivot.point, d))
-            s = obj.score(cost)
-            if best is None or s < best_score:
-                best, best_score = (DNode(u[0], (pivot.point, d), v[0]), cost), s
-        return best
+        return [
+            ((left, depth + 1), (pivot.point, d), (right, depth + 1))
+            for left, pivot, right in splits_kd(depth, items)
+        ]
 
-    return rec(seq, 0)[0]
+    def leaf(state: tuple[Dataset, int]) -> tuple[DecisionTree, CostValue]:
+        return DLeaf(state[0]), obj.leaf_cost(state[0])
+
+    return _optimize((seq, 0), splits, leaf, obj, memoize=True)[0]

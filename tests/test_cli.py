@@ -96,6 +96,10 @@ def test_fit_malformed_csv_exits_2(tmp_path, capsys):
     csv = tmp_path / "bad.csv"
     csv.write_text("a,b\n1,2\n")
     assert run(capsys, "fit", csv)[0] == 2
+    for value in ("nan", "inf", "-inf"):
+        csv.write_text(f"f0,f1,label\n1,2,0\n{value},3,1\n")
+        assert main(["fit", str(csv), "--k", "1"]) == 2
+        assert f"{csv}:3:" in capsys.readouterr().err
 
 
 def test_fit_infeasible_exits_3(tmp_path, capsys):
@@ -109,8 +113,8 @@ def test_fit_deterministic_outputs(tmp_path, capsys):
     csv = tmp_path / "d.csv"
     seeded_csv(csv, 77)
     f1, f2 = tmp_path / "a.txt", tmp_path / "b.txt"
-    c1, out1 = run(capsys, "fit", csv, "--k", "2", "--seed", "0", "--out", f1)
-    c2, out2 = run(capsys, "fit", csv, "--k", "2", "--seed", "0", "--out", f2)
+    c1, out1 = run(capsys, "fit", csv, "--k", "2", "--out", f1)
+    c2, out2 = run(capsys, "fit", csv, "--k", "2", "--out", f2)
     assert c1 == c2 == 0
     assert out1 == out2
     assert f1.read_bytes() == f2.read_bytes()
@@ -177,6 +181,9 @@ def test_bsp_malformed_scene(tmp_path, capsys):
     scene = tmp_path / "scene.txt"
     scene.write_text("0 0 1\n")
     assert run(capsys, "bsp", scene)[0] == 2
+    scene.write_text("1 1 2 2\n0 0 1 nan\n")
+    assert main(["bsp", str(scene)]) == 2
+    assert f"{scene}:2:" in capsys.readouterr().err
 
 
 def test_mcmp_command(capsys):

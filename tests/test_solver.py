@@ -44,7 +44,6 @@ from opttree import (
     solve_kd,
     solve_mcmp,
     solve_ruleset,
-    solve_ruleset_thinned,
     splits_kd,
     tree_cost,
 )
@@ -208,6 +207,17 @@ def test_solve_is_deterministic():
         assert first == second
 
 
+def test_solve_ties_pick_earliest_root_then_smallest_combination():
+    # every label is equal, so every tree over every combination scores 0;
+    # rule j lies on the positive side of every rule i < j, so all roots are
+    # feasible and the winner is combination (0, 1, 2) with root 0, then
+    # root 1 over {1, 2}, both later rules on the positive side
+    data = make_dataset([(float(i), 0.0) for i in range(5)], [1] * 5)
+    tree = solve(chain_rules(4), 3, data, MISCLASSIFICATION)
+    assert tree.rule_id == 0 and tree.left.rule_id == 1 and tree.left.left.rule_id == 2
+    assert isinstance(tree.right, DLeaf) and isinstance(tree.left.right, DLeaf)
+
+
 def chain_matrix(k):
     return AncestryMatrix(tuple(tuple(0 if i == j else 1 for j in range(k)) for i in range(k)))
 
@@ -241,14 +251,6 @@ def test_recursion_nodes_independent_of_data_size():
     assert counts[0] == counts[1]
 
 
-def test_repeated_subproblems_are_observed():
-    # with every ordering admissible the same (indices, root) pair recurs
-    stats = SolveStats()
-    data = random_instance(2, n_min=4, n_max=5)
-    solve_ruleset(range(4), chain_matrix(4), chain_rules(4), data, MISCLASSIFICATION, stats=stats)
-    assert stats.repeated > 0
-
-
 def test_thinning_trivial_preorder_matches_plain_solve():
     for seed in (0, 4):
         data = random_instance(seed, n_min=5, n_max=8)
@@ -256,7 +258,7 @@ def test_thinning_trivial_preorder_matches_plain_solve():
         matrix = ancestry_matrix(rules)
         idx = tuple(range(len(rules)))
         plain = solve_ruleset(idx, matrix, rules, data, MISCLASSIFICATION)
-        thinned = solve_ruleset_thinned(idx, matrix, rules, data, MISCLASSIFICATION, never_dominates)
+        thinned = solve_ruleset(idx, matrix, rules, data, MISCLASSIFICATION, thinning=never_dominates)
         assert thinned == plain
 
 
@@ -268,8 +270,8 @@ def test_thinning_preorders_preserve_winning_score(preorder_factory):
         matrix = ancestry_matrix(rules)
         idx = tuple(range(len(rules)))
         plain = solve_ruleset(idx, matrix, rules, data, MISCLASSIFICATION)
-        thinned = solve_ruleset_thinned(
-            idx, matrix, rules, data, MISCLASSIFICATION, preorder_factory(MISCLASSIFICATION)
+        thinned = solve_ruleset(
+            idx, matrix, rules, data, MISCLASSIFICATION, thinning=preorder_factory(MISCLASSIFICATION)
         )
         assert (thinned is None) == (plain is None)
         if plain is not None:
@@ -346,8 +348,9 @@ def _classic_chain_dp(values):
 
 def test_solve_mcmp_matches_cubic_dp():
     rng = random.Random(12)
-    for _ in range(10):
-        values = [rng.randint(1, 12) for _ in range(rng.randint(2, 7))]
+    chains = [[rng.randint(1, 12) for _ in range(rng.randint(2, 7))] for _ in range(10)]
+    chains.append([rng.randint(1, 12) for _ in range(41)])  # a 40-matrix chain
+    for values in chains:
         dims = [MatrixDim(a, b) for a, b in zip(values, values[1:])]
         assert tree_cost(solve_mcmp(dims), CHAIN_COST).cost == _classic_chain_dp(values)
 
