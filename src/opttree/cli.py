@@ -88,6 +88,8 @@ def load_rules_file(path: str, ndims: int) -> list[Rule]:
                 nums = [float(v) for v in vals]
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: malformed number") from None
+            if not all(math.isfinite(v) for v in nums):
+                raise ValueError(f"{path}:{lineno}: non-finite value")
             if tag == "axis":
                 if len(nums) != 1 + ndims:
                     raise ValueError(f"{path}:{lineno}: axis needs a dimension and one point")

@@ -7,13 +7,18 @@ is kept. Because every shipped objective combines child costs monotonically,
 taking the minimum inside the recursion is exact. A dominance preorder
 (``thinning``) may replace the minimum by a list of undominated candidates.
 
-The rule-set front end solves the fixed-rule-set problem: the ancestry matrix
-supplies the candidate roots and each side is solved on the matching data
-partition. :func:`solve` repeats this for every k-combination of the rule
-table. It is not memoized, so :class:`SolveStats` counts the logical
-recursion, whose size is independent of the data and follows the worst-case
-recurrence; sharing subproblems across combinations would need a
-combination-free recursion instead.
+The rule-set front end works on bitmasks: a state is (allowed rules, rows,
+rules still to place, depth budget, ancestor side-set), a root's ancestry row
+supplies the rules allowed on each side and its sign pattern the rows.
+:func:`solve` covers every k-combination in one recursion memoized by
+ancestor side-set: a subproblem shared by many combinations is solved once,
+and :class:`SolveStats` counts recursion calls (memo hits included), a number
+that depends on the rule table and k but not on the data. Ties compare the
+rule combination (the lexicographically smallest wins), then the root (the
+earliest wins), which is the tree that solving every combination on its own
+would give. :func:`solve_ruleset` fixes
+the combination and is not memoized, so its :class:`SolveStats` counts the
+logical recursion, whose size follows the worst-case recurrence.
 
 The bsp, mcmp and kd front ends memoize by state (fragment set, sub-chain,
 point subset and depth): the optimum of a state does not depend on how the
@@ -23,7 +28,6 @@ as state, the matrix-chain solver is the classic cubic program.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
@@ -35,7 +39,6 @@ from .rule_systems import (
     SceneSegment,
     split_segments,
     splits_bsp,
-    splits_generic,
     splits_kd,
     splits_mcmp,
 )
@@ -220,70 +223,123 @@ def _optimize(
             memo[state] = result
         return result
 
-    if thinning is None:
-        return rec(root)
-    return min(rec(root), key=lambda cand: score(cand[1]), default=None)
+    try:
+        if thinning is None:
+            return rec(root)
+        return min(rec(root), key=lambda cand: score(cand[1]), default=None)
+    finally:
+        # rec reaches itself through its closure; emptying the cell frees the
+        # memo on return instead of at the next cyclic collection
+        del rec
 
 
-class _RuleSet:
-    """Rule-set front end: states are (rule indices, row indices, depth budget).
+class _RuleMasks:
+    """Rule-set front end on bitmasks.
 
-    Predicate evaluations are cached per rule and shared across the whole
-    solve; states carry row-index tuples and samples are materialized only at
-    leaves. States are not memoized, so ``SolveStats.nodes`` counts the
-    logical recursion.
+    A state is (allowed rules, rows, rules still to place, depth budget,
+    ancestor side-set). Rule i of a table of K rules is bit K-1-i of a rule
+    mask, so of two combinations of equal size the lexicographically smaller
+    one is the larger integer; row r is bit r of a row mask; the side-set has
+    bit 2i for "left of rule i" and bit 2i+1 for "right of rule i". Roots are
+    tried in ascending order. A root i splits the remaining rules into its
+    left and right sets (the +1 and -1 entries of its ancestry row) and the
+    rows into its positive and negative sides, and every division of the
+    rules still to place that fits on both sides is a candidate. A state with
+    no rules to place is a leaf, costed once per distinct row mask.
+
+    The allowed rules, the rows and the depth budget are functions of the
+    side-set, so a memo keyed on the state shares a subproblem exactly
+    between paths with the same ancestors on the same sides, whatever the
+    combination they belong to, and the number of states does not depend on
+    the data. (A key of allowed rules and rows alone would share more, but
+    which states coincide would then depend on the data.)
     """
 
     def __init__(
         self,
         rules: Sequence[Rule],
         data: Dataset,
-        matrix: AncestryMatrix,
-        objective: Objective,
+        matrix: AncestryMatrix | None,
+        allowed: Iterable[int],
+        count: int,
+        leaf_cost: Callable[[Dataset], Any],
         constraints: SolveConstraints,
     ):
-        self.rules = rules
         self.data = tuple(data)
-        self.matrix = matrix
-        self.objective = objective
-        self.constraints = constraints
-        self._signs: dict[int, tuple[int, ...]] = {}
+        self.size = len(rules)
+        self.leaf_cost = leaf_cost
+        self.min_leaf = constraints.min_leaf
+        every_row = (1 << len(self.data)) - 1
+        allowed = set(allowed)
+        self.left = [0] * self.size
+        self.right = [0] * self.size
+        self.pos = [0] * self.size
+        self.neg = [0] * self.size
+        for i in allowed:
+            signs = (classify(rules[i], s.point) for s in self.data)
+            self.pos[i] = sum(1 << r for r, sign in enumerate(signs) if sign > 0)
+            self.neg[i] = every_row ^ self.pos[i]
+            if matrix is not None:
+                row = matrix.entries[i]
+                self.left[i] = sum(self.bit(j) for j in allowed if row[j] > 0)
+                self.right[i] = sum(self.bit(j) for j in allowed if row[j] < 0)
+        rule_mask = sum(self.bit(i) for i in allowed)
+        self.root = (rule_mask, every_row, count, constraints.max_depth, 0)
+        self._leaves: dict[int, tuple[DecisionTree, Any] | None] = {}
 
-    def signs(self, rid: int) -> tuple[int, ...]:
-        cached = self._signs.get(rid)
-        if cached is None:
-            rule = self.rules[rid]
-            cached = tuple(classify(rule, s.point) for s in self.data)
-            self._signs[rid] = cached
-        return cached
+    def bit(self, i: int) -> int:
+        return 1 << (self.size - 1 - i)
 
     def splits(self, state: tuple) -> list | None:
-        idx, rows, budget = state
-        if not idx:
+        allowed, rows, count, budget, sides = state
+        if not count:
             return None
         if budget is not None and budget <= 0:
             return []  # rules left but no depth: infeasible
         sub_budget = None if budget is None else budget - 1
+        rest = count - 1
         out = []
-        for left, rid, right in splits_generic(idx, self.matrix):
-            signs = self.signs(rid)
-            pos = tuple(i for i in rows if signs[i] > 0)
-            neg = tuple(i for i in rows if signs[i] < 0)
-            out.append(((left, pos, sub_budget), rid, (right, neg, sub_budget)))
+        todo = allowed
+        while todo:
+            top = todo.bit_length() - 1
+            todo ^= 1 << top
+            i = self.size - 1 - top
+            left, right = allowed & self.left[i], allowed & self.right[i]
+            n_right = right.bit_count()
+            pos, neg = rows & self.pos[i], rows & self.neg[i]
+            left_sides, right_sides = sides | 1 << 2 * i, sides | 1 << 2 * i + 1
+            for n in range(max(0, rest - n_right), min(rest, left.bit_count()) + 1):
+                left_state = (left, pos, n, sub_budget, left_sides)
+                out.append((left_state, i, (right, neg, rest - n, sub_budget, right_sides)))
         return out
 
-    def leaf(self, state: tuple) -> tuple[DecisionTree, CostValue] | None:
+    def leaf(self, state: tuple) -> tuple[DecisionTree, Any] | None:
         rows = state[1]
-        if len(rows) < self.constraints.min_leaf:
-            return None
-        leaf_data = tuple(self.data[i] for i in rows)
-        return DLeaf(leaf_data), self.objective.leaf_cost(leaf_data)
+        if rows in self._leaves:
+            return self._leaves[rows]
+        result = None
+        if rows.bit_count() >= self.min_leaf:
+            leaf_data = tuple(self.data[r] for r, b in enumerate(bin(rows)[:1:-1]) if b == "1")
+            result = DLeaf(leaf_data), self.leaf_cost(leaf_data)
+        self._leaves[rows] = result
+        return result
 
-    def solve(
-        self, idx: tuple[int, ...], stats: SolveStats | None = None, thinning: Callable | None = None
-    ) -> tuple[DecisionTree, CostValue] | None:
-        root = (idx, tuple(range(len(self.data))), self.constraints.max_depth)
-        return _optimize(root, self.splits, self.leaf, self.objective, thinning=thinning, stats=stats)
+
+def _combination_tie_break(objective: Objective, size: int) -> Objective:
+    """The objective on (cost, combination mask) pairs, for :func:`solve`.
+
+    Scores compare as (score, combination), the lexicographically smaller
+    combination first: it is the larger mask, with rule i at bit size-1-i.
+    """
+    combine, score = objective.combine, objective.score
+
+    def leaf_cost(data: Dataset) -> tuple[CostValue, int]:
+        return objective.leaf_cost(data), 0
+
+    def combine_masks(a: tuple, b: tuple, rule: int) -> tuple[CostValue, int]:
+        return combine(a[0], b[0], rule), a[1] | b[1] | 1 << (size - 1 - rule)
+
+    return Objective(leaf_cost, combine_masks, lambda value: (score(value[0]), -value[1]))
 
 
 def solve_ruleset(
@@ -302,7 +358,9 @@ def solve_ruleset(
     feasible root is tried, the two sides are solved on the matching data
     partition, and the cheapest combination wins (ties keep the earliest
     root). None means the constraints eliminated every candidate or no tree
-    over these indices is consistent with the matrix.
+    over these indices is consistent with the matrix. The recursion is not
+    memoized, so a ``stats`` object counts the logical recursion, whose size
+    depends only on the matrix and follows the worst-case recurrence.
 
     ``thinning(a, b)`` is an optional dominance preorder on (tree, cost)
     candidates. It must be reflexive, transitive and consistent with the
@@ -310,8 +368,12 @@ def solve_ruleset(
     extending ``a`` can never score worse than extending ``b``. The winner's
     score then matches the unthinned solve.
     """
-    problem = _RuleSet(rules, data, matrix, objective, constraints or SolveConstraints())
-    best = problem.solve(tuple(sorted(indices)), stats, thinning)
+    idx = set(indices)
+    cons = constraints or SolveConstraints()
+    front = _RuleMasks(rules, data, matrix, idx, len(idx), objective.leaf_cost, cons)
+    best = _optimize(
+        front.root, front.splits, front.leaf, objective, thinning=thinning, stats=stats
+    )
     return None if best is None else best[0]
 
 
@@ -361,23 +423,23 @@ def solve(
 ) -> DecisionTree | None:
     """Optimal tree with exactly k rules drawn from the table, or None.
 
-    Every k-combination is solved independently on its slice of the pairwise
-    ancestry matrix; combination winners are compared by score with ties going
-    to the lexicographically smallest combination.
+    One memoized recursion covers every k-combination at once: a state is
+    solved once per ancestor side-set and reused by every combination that
+    reaches it. Candidates compare by score, then by rule combination (the
+    lexicographically smallest wins), then by root (the earliest wins), so the
+    result is the tree that solving each combination separately with
+    :func:`solve_ruleset` and keeping the first strictly better score would
+    return. ``stats.nodes`` counts the recursion calls, memo hits included; it
+    depends on the rule table and k but not on the data.
     """
-    if k > len(rules):
+    if not 0 <= k <= len(rules):
         raise ValueError(f"cannot choose {k} of {len(rules)} rules")
-    matrix = ancestry_matrix(rules) if k > 0 else AncestryMatrix(())
-    problem = _RuleSet(rules, data, matrix, objective, constraints or SolveConstraints())
-    best = None
-    best_score = None
-    for combo in itertools.combinations(range(len(rules)), k):
-        res = problem.solve(combo, stats)
-        if res is None:
-            continue
-        s = objective.score(res[1])
-        if best is None or s < best_score:
-            best, best_score = res, s
+    # a tree with fewer than two rules places no rule below another
+    matrix = ancestry_matrix(rules) if k >= 2 else None
+    ranked = _combination_tie_break(objective, len(rules))
+    cons = constraints or SolveConstraints()
+    front = _RuleMasks(rules, data, matrix, range(len(rules)), k, ranked.leaf_cost, cons)
+    best = _optimize(front.root, front.splits, front.leaf, ranked, memoize=True, stats=stats)
     return None if best is None else best[0]
 
 

@@ -102,6 +102,16 @@ def test_fit_malformed_csv_exits_2(tmp_path, capsys):
         assert f"{csv}:3:" in capsys.readouterr().err
 
 
+def test_fit_rules_file_non_finite_exits_2(tmp_path, capsys):
+    csv = tmp_path / "d.csv"
+    write_csv(csv, [(0.0, 0.0), (1.0, 1.0), (2.0, 0.5)], [0, 1, 0])
+    rules = tmp_path / "r.txt"
+    for line in ("axis 0 nan 0", "hyp 0 0 inf 1"):
+        rules.write_text(f"axis 1 0 0\n{line}\n")
+        assert main(["fit", str(csv), "--k", "1", "--rules-file", str(rules)]) == 2
+        assert f"{rules}:2: non-finite value" in capsys.readouterr().err
+
+
 def test_fit_infeasible_exits_3(tmp_path, capsys):
     csv = tmp_path / "d.csv"
     write_csv(csv, [(0.0, 0.0), (1.0, 1.0), (2.0, 0.5)], [0, 1, 0])

@@ -1,5 +1,6 @@
 """Objectives, the fused-minimum recursion, thinning, and the applications."""
 
+import gc
 import itertools
 import random
 
@@ -11,6 +12,7 @@ from opttree import (
     MISCLASSIFICATION,
     TREE_SIZE,
     AncestryMatrix,
+    AxisParallel,
     CostValue,
     DLeaf,
     DNode,
@@ -28,7 +30,9 @@ from opttree import (
     enumerate_axis_rules,
     enumerate_hyperplane_rules,
     enumerate_permutation_trees,
+    enumerate_surface2_rules,
     hyperplane,
+    lift_dataset,
     majority_label,
     make_dataset,
     min_by,
@@ -216,6 +220,94 @@ def test_solve_ties_pick_earliest_root_then_smallest_combination():
     tree = solve(chain_rules(4), 3, data, MISCLASSIFICATION)
     assert tree.rule_id == 0 and tree.left.rule_id == 1 and tree.left.left.rule_id == 2
     assert isinstance(tree.right, DLeaf) and isinstance(tree.left.right, DLeaf)
+
+
+def _per_combination_reference(rules, k, data, objective, constraints):
+    # each combination solved on its own; only a strictly better score
+    # replaces the incumbent, so the lexicographically smallest combination
+    # wins among equal scores
+    matrix = ancestry_matrix(rules)
+    best = best_score = None
+    for combo in itertools.combinations(range(len(rules)), k):
+        tree = solve_ruleset(combo, matrix, rules, data, objective, constraints)
+        if tree is None:
+            continue
+        score = objective.score(tree_cost(tree, objective))
+        if best is None or score < best_score:
+            best, best_score = tree, score
+    return best
+
+
+@pytest.mark.parametrize("kind", ["axis", "hyperplane", "surface2"])
+def test_solve_equals_per_combination_reference(kind):
+    # the memoized combination-free solve must return the very tree the
+    # per-combination loop returns, not just one with the same score
+    constraint_sets = [
+        None,
+        SolveConstraints(min_leaf=2),
+        SolveConstraints(min_leaf=1, max_depth=2),
+        SolveConstraints(max_depth=0),
+    ]
+    for seed in (3, 11, 19):
+        data = random_instance(seed, n_min=6, n_max=8)
+        if kind == "axis":
+            rules, space = enumerate_axis_rules(data), data
+        elif kind == "hyperplane":
+            rules, space = enumerate_hyperplane_rules(data), data
+        else:
+            rules, space = enumerate_surface2_rules(data), lift_dataset(data)
+        rules = rules[:8]
+        for k in range(4):
+            for cons in constraint_sets:
+                for objective in (MISCLASSIFICATION, TREE_SIZE, LEAF_BALANCE):
+                    want = _per_combination_reference(rules, k, space, objective, cons)
+                    assert solve(rules, k, space, objective, cons) == want
+
+
+def grid_axis_rules():
+    rules = []
+    for dim in range(2):
+        for t in (2.5, 5.0, 7.5):
+            point = (t, 0.0) if dim == 0 else (0.0, t)
+            rules.append(Rule(len(rules), AxisParallel(dim, t), (point,)))
+    return rules
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_solve_nodes_independent_of_data_and_below_per_combination_sum(k):
+    rules = grid_axis_rules()
+    matrix = ancestry_matrix(rules)
+    counts = []
+    for n in (20, 200):
+        rng = random.Random(n)
+        data = make_dataset(
+            [(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(n)],
+            [rng.randint(0, 1) for _ in range(n)],
+        )
+        stats = SolveStats()
+        assert solve(rules, k, data, MISCLASSIFICATION, stats=stats) is not None
+        counts.append(stats.nodes)
+    assert counts[0] == counts[1]
+    per_combination = 0
+    for combo in itertools.combinations(range(len(rules)), k):
+        stats = SolveStats()
+        solve_ruleset(combo, matrix, rules, data, MISCLASSIFICATION, stats=stats)
+        per_combination += stats.nodes
+    assert counts[0] < per_combination
+
+
+def test_solvers_leave_no_cyclic_garbage():
+    # every memo and winner is freed on return, without the cyclic collector
+    data = random_instance(2, n_min=8, n_max=8)
+    gc.collect()
+    gc.disable()
+    try:
+        solve(enumerate_axis_rules(data), 2, data, MISCLASSIFICATION)
+        solve_mcmp([MatrixDim(a, b) for a, b in ((3, 5), (5, 2), (2, 7), (7, 4))])
+        solve_kd(data, 3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def chain_matrix(k):
