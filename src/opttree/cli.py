@@ -13,8 +13,8 @@ import sys
 from typing import Sequence
 
 from .data import Dataset, dimension, load_csv
-from .generator import all_tree_shapes, enumerate_permutation_trees, shape_to_tree
-from .rules import AxisParallel, Rule, ancestry_matrix, hyperplane_from_points
+from .generator import all_tree_shapes, complete_shapes, enumerate_permutation_trees
+from .rules import AncestryMatrix, AxisParallel, Rule, ancestry_matrix, hyperplane_from_points
 from .rule_systems import (
     SceneSegment,
     MatrixDim,
@@ -39,7 +39,7 @@ from .solver import (
     tree_cost,
 )
 from .treefmt import serialize
-from .trees import DecisionTree, DLeaf, DNode, downward_accumulate
+from .trees import DecisionTree, DLeaf, DNode
 
 OBJECTIVES = {"misclassification": MISCLASSIFICATION}
 
@@ -154,7 +154,14 @@ def _write_out(args, text: str) -> None:
             fh.write(text + "\n")
 
 
+def _require_non_negative(option: str, value: int | None) -> None:
+    if value is not None and value < 0:
+        raise ValueError(f"{option} must be non-negative, got {value}")
+
+
 def _cmd_fit(args) -> int:
+    _require_non_negative("--min-leaf", args.min_leaf)
+    _require_non_negative("--max-depth", args.max_depth)
     data = load_csv(args.csv)
     rules, space = _build_rules(args, data)
     objective = OBJECTIVES.get(args.objective)
@@ -192,15 +199,22 @@ def _cmd_check(args) -> int:
     tree = solve(rules, args.k, space, objective)
     solver_score = None if tree is None else tree_cost(tree, objective).cost
 
-    pairs = enumerate_permutation_trees(rules, args.k)
-    completed = [downward_accumulate(shape_to_tree(shape, space), rules) for _, shape in pairs]
+    # one matrix for the whole table; a combination's matrix is its slice
+    matrix = ancestry_matrix(rules)
+    position = {rule: i for i, rule in enumerate(rules)}
+
+    def submatrix(chosen: Sequence[Rule]) -> AncestryMatrix:
+        at = [position[rule] for rule in chosen]
+        return AncestryMatrix(tuple(tuple(matrix.entries[i][j] for j in at) for i in at))
+
+    pairs = enumerate_permutation_trees(rules, args.k, matrix_fn=submatrix)
+    completed = complete_shapes((shape for _, shape in pairs), rules, space)
     oracle_score = None
     if completed:
         oracle_score = tree_cost(min_by(completed, objective), objective).cost
 
     n_combos = math.comb(len(rules), args.k)
     n_perms = n_combos * math.factorial(args.k)
-    matrix = ancestry_matrix(rules)
     n_trees = sum(
         len(all_tree_shapes(combo, matrix))
         for combo in itertools.combinations(range(len(rules)), args.k)
@@ -268,6 +282,7 @@ def _cmd_kd(args) -> int:
     data = load_csv(args.csv, require_label=False)
     if args.max_depth is None:
         raise ValueError("kd requires --max-depth")
+    _require_non_negative("--max-depth", args.max_depth)
     tree = solve_kd(data, args.max_depth)
     text = serialize(tree)
     print(f"tree: {text}")

@@ -12,7 +12,7 @@ import itertools
 from typing import Callable, Iterable, Sequence
 
 from .data import Dataset
-from .rules import AncestryMatrix, Rule, ancestry_matrix, split_dataset
+from .rules import AncestryMatrix, Rule, ancestry_matrix, classify, split_dataset
 from .rule_systems import MatrixDim, splits_generic, splits_mcmp
 from .trees import (
     LEAF,
@@ -23,7 +23,6 @@ from .trees import (
     Leaf,
     Node,
     Permutation,
-    downward_accumulate,
     relabel,
     tree_from_permutation,
 )
@@ -54,14 +53,45 @@ def shape_to_tree(shape: BTree, data: Dataset) -> DecisionTree:
     return DNode(shape_to_tree(shape.left, data), shape.rule_id, shape_to_tree(shape.right, data))
 
 
+def complete_shapes(
+    shapes: Iterable[BTree], rules: Sequence[Rule], data: Dataset
+) -> list[DecisionTree]:
+    """Give every shape the data reaching each of its leaves.
+
+    Equal, tree for tree, to ``downward_accumulate(shape_to_tree(shape, data),
+    rules)``, which stays the specification. Sample positions are routed from
+    the root down as bitmasks, so each leaf keeps the data order; a rule's
+    sign over the data is computed the first time a shape uses it, so each
+    (rule, sample) pair is classified at most once per call, and leaves with
+    the same samples share one value. An unknown rule id raises ValueError.
+    """
+    samples = tuple(data)
+    positive: dict[int, int] = {}
+    leaves: dict[int, DLeaf] = {}
+
+    def route(shape: BTree, rows: int) -> DecisionTree:
+        if isinstance(shape, Leaf):
+            if rows not in leaves:
+                leaves[rows] = DLeaf(tuple(s for r, s in enumerate(samples) if rows >> r & 1))
+            return leaves[rows]
+        rid = shape.rule_id
+        if not isinstance(rid, int) or not 0 <= rid < len(rules):
+            raise ValueError(f"path references unknown rule id {rid!r}")
+        if rid not in positive:
+            signs = (classify(rules[rid], s.point) for s in samples)
+            positive[rid] = sum(1 << r for r, sign in enumerate(signs) if sign > 0)
+        pos = positive[rid]
+        return DNode(route(shape.left, rows & pos), rid, route(shape.right, rows & ~pos))
+
+    every = (1 << len(samples)) - 1
+    return [route(shape, every) for shape in shapes]
+
+
 def all_trees(
     indices: Iterable[int], matrix: AncestryMatrix, rules: Sequence[Rule], data: Dataset
 ) -> list[DecisionTree]:
     """Every admissible tree, completed so each leaf holds the data reaching it."""
-    return [
-        downward_accumulate(shape_to_tree(shape, data), rules)
-        for shape in all_tree_shapes(indices, matrix)
-    ]
+    return complete_shapes(all_tree_shapes(indices, matrix), rules, data)
 
 
 def all_trees_constrained(

@@ -21,9 +21,11 @@ the combination and is not memoized, so its :class:`SolveStats` counts the
 logical recursion, whose size follows the worst-case recurrence.
 
 The bsp, mcmp and kd front ends memoize by state (fragment set, sub-chain,
-point subset and depth): the optimum of a state does not depend on how the
+point mask and depth): the optimum of a state does not depend on how the
 recursion reached it, and these states recur many times. With the sub-chain
-as state, the matrix-chain solver is the classic cubic program.
+as state, the matrix-chain solver is the classic cubic program; the kd
+front end reads a pivot's sides off a per-dimension table of point masks
+built once per call.
 """
 
 from __future__ import annotations
@@ -34,14 +36,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 from .data import Dataset
 from .rules import AncestryMatrix, Rule, ancestry_matrix, classify
-from .rule_systems import (
-    MatrixDim,
-    SceneSegment,
-    split_segments,
-    splits_bsp,
-    splits_kd,
-    splits_mcmp,
-)
+from .rule_systems import MatrixDim, SceneSegment, split_segments, splits_bsp, splits_mcmp
 from .trees import DecisionTree, DLeaf, DNode
 
 
@@ -96,8 +91,8 @@ def misclassification_cost(data: Dataset) -> CostValue:
     """Points whose label differs from the leaf majority."""
     if not data:
         return CostValue(0.0)
-    m = majority_label(data)
-    return CostValue(float(sum(1 for s in data if s.label != m)))
+    counts = Counter(s.label for s in data)
+    return CostValue(float(len(data) - max(counts.values())))
 
 
 def _add(a: CostValue, b: CostValue, ctx: Any) -> CostValue:
@@ -150,6 +145,11 @@ def min_by(candidates: Iterable[DecisionTree], objective: Objective) -> Decision
     if best is None:
         raise ValueError("cannot minimize over an empty candidate list")
     return best
+
+
+def _members(data: Dataset, mask: int) -> Dataset:
+    """The samples whose positions are set in ``mask``, in data order."""
+    return tuple(data[r] for r, b in enumerate(bin(mask)[:1:-1]) if b == "1")
 
 
 def _thin(candidates: list, dominates: Callable) -> list:
@@ -319,7 +319,7 @@ class _RuleMasks:
             return self._leaves[rows]
         result = None
         if rows.bit_count() >= self.min_leaf:
-            leaf_data = tuple(self.data[r] for r, b in enumerate(bin(rows)[:1:-1]) if b == "1")
+            leaf_data = _members(self.data, rows)
             result = DLeaf(leaf_data), self.leaf_cost(leaf_data)
         self._leaves[rows] = result
         return result
@@ -527,24 +527,41 @@ def solve_kd(data: Dataset, max_depth: int, objective: Objective | None = None) 
     level share a dimension. Regions split while points remain and the depth
     budget allows; the branch payload is (pivot point, dimension). The default
     objective sums squared leaf sizes.
+
+    The recursion memoizes on (point mask, depth), point i at bit i. The table
+    ``at_most[d][i]``, the points whose coordinate d is at most point i's, is
+    built once, so a pivot's sides are two mask operations. Pivots are tried
+    in data order and points tied with the pivot go left, as in
+    :func:`~opttree.rule_systems.splits_kd`.
     """
     obj = objective or LEAF_BALANCE
     seq = tuple(data)
     if not seq:
         return DLeaf(())
     ndims = len(seq[0].point)
+    at_most = [
+        [sum(1 << j for j, s in enumerate(seq) if s.point[d] <= p.point[d]) for p in seq]
+        for d in range(ndims)
+    ]
 
-    def splits(state: tuple[Dataset, int]) -> list | None:
-        items, depth = state
-        if not items or depth >= max_depth:
+    def splits(state: tuple[int, int]) -> list | None:
+        mask, depth = state
+        if not mask or depth >= max_depth:
             return None
         d = depth % ndims
-        return [
-            ((left, depth + 1), (pivot.point, d), (right, depth + 1))
-            for left, pivot, right in splits_kd(depth, items)
-        ]
+        out = []
+        todo = mask
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            i = low.bit_length() - 1
+            rest = mask ^ low
+            left = rest & at_most[d][i]
+            out.append(((left, depth + 1), (seq[i].point, d), (rest ^ left, depth + 1)))
+        return out
 
-    def leaf(state: tuple[Dataset, int]) -> tuple[DecisionTree, CostValue]:
-        return DLeaf(state[0]), obj.leaf_cost(state[0])
+    def leaf(state: tuple[int, int]) -> tuple[DecisionTree, CostValue]:
+        items = _members(seq, state[0])
+        return DLeaf(items), obj.leaf_cost(items)
 
-    return _optimize((seq, 0), splits, leaf, obj, memoize=True)[0]
+    return _optimize(((1 << len(seq)) - 1, 0), splits, leaf, obj, memoize=True)[0]

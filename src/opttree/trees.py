@@ -154,7 +154,8 @@ def downward_accumulate(tree: DecisionTree, rules: Sequence[Rule]) -> DecisionTr
 
     Composes :func:`leaf_paths` with a leaf-wise :func:`reduce_path`, so each
     leaf ends up holding its payload intersected with the half-spaces along
-    its own path.
+    its own path. This is the specification of
+    :func:`opttree.generator.complete_shapes`, which routes the data once.
     """
     pathed = leaf_paths(tree)
 

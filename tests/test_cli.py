@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 
 from opttree.cli import main
 
@@ -112,6 +113,19 @@ def test_fit_rules_file_non_finite_exits_2(tmp_path, capsys):
         assert f"{rules}:2: non-finite value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command,option,value",
+    [("fit", "--min-leaf", "-3"), ("fit", "--max-depth", "-1"), ("kd", "--max-depth", "-1")],
+)
+def test_negative_constraint_exits_2(tmp_path, capsys, command, option, value):
+    csv = tmp_path / "d.csv"
+    write_csv(csv, [(0.0, 0.0), (1.0, 1.0), (2.0, 0.5)], [0, 1, 0])
+    assert main([command, str(csv), option, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {option} must be non-negative" in captured.err
+
+
 def test_fit_infeasible_exits_3(tmp_path, capsys):
     csv = tmp_path / "d.csv"
     write_csv(csv, [(0.0, 0.0), (1.0, 1.0), (2.0, 0.5)], [0, 1, 0])
@@ -166,6 +180,40 @@ def test_check_three_tree_configuration(tmp_path, capsys):
     assert grab(out, "valid permutations") == "3"
     assert grab(out, "trees generated") == "3"
     assert grab(out, "result") == "PASS"
+
+
+# Every line `check` prints for two seeded inputs. The counts and the oracle
+# score come from the permutation pipeline alone, so these pin the oracle
+# itself, not only its agreement with the solver.
+CHECK_OUTPUTS = {
+    ("axis", 21, 10): [
+        "combinations: 1140",
+        "permutations: 6840",
+        "valid permutations: 5700",
+        "trees generated: 5700",
+        "solver score: 1",
+        "oracle score: 1",
+        "result: PASS",
+    ],
+    ("hyperplane", 13, 8): [
+        "combinations: 1540",
+        "permutations: 9240",
+        "valid permutations: 1417",
+        "trees generated: 1417",
+        "solver score: 1",
+        "oracle score: 1",
+        "result: PASS",
+    ],
+}
+
+
+@pytest.mark.parametrize("rules,seed,n", list(CHECK_OUTPUTS))
+def test_check_output_is_pinned(tmp_path, capsys, rules, seed, n):
+    csv = tmp_path / "d.csv"
+    seeded_csv(csv, seed, n=n)
+    code, out = run(capsys, "check", csv, "--rules", rules, "--k", "3")
+    assert code == 0
+    assert out.splitlines() == CHECK_OUTPUTS[rules, seed, n]
 
 
 def test_check_guardrails(tmp_path, capsys):

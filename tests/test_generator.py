@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import Counter
 
 import pytest
 
@@ -9,20 +10,27 @@ from opttree import (
     LEAF,
     AncestryMatrix,
     DLeaf,
+    Node,
     Rule,
     all_tree_shapes,
     all_trees,
     all_trees_constrained,
     ancestry_matrix,
+    complete_shapes,
     depth,
+    downward_accumulate,
     enumerate_axis_rules,
+    enumerate_hyperplane_rules,
     enumerate_permutation_trees,
+    enumerate_surface2_rules,
     hyperplane_from_points,
     level_order,
+    lift_dataset,
     make_dataset,
     shape_to_tree,
     tree_from_permutation,
 )
+import opttree.generator
 from helpers import leaf_payloads, random_instance, route_leaf_contents
 
 
@@ -114,6 +122,49 @@ def test_all_trees_leaf_contents_match_point_routing():
     assert trees
     for tree in trees:
         assert [list(leaf) for leaf in leaf_payloads(tree)] == route_leaf_contents(tree, rules, data)
+
+
+@pytest.mark.parametrize("kind", ["axis", "hyperplane", "surface2"])
+def test_complete_shapes_equals_downward_accumulate(kind, monkeypatch):
+    # the oracle's completion must give every tree the specification gives,
+    # classifying each (rule, point) pair at most once per call
+    calls = Counter()
+    classify = opttree.generator.classify
+
+    def counted(rule, point):
+        calls[rule.id, point] += 1
+        return classify(rule, point)
+
+    monkeypatch.setattr(opttree.generator, "classify", counted)
+    compared = Counter()
+    for seed in (3, 11):
+        data = random_instance(seed, n_min=6, n_max=7)
+        if kind == "axis":
+            rules, space = enumerate_axis_rules(data), data
+        elif kind == "hyperplane":
+            rules, space = enumerate_hyperplane_rules(data), data
+        else:
+            rules, space = enumerate_surface2_rules(data), lift_dataset(data)
+        for k in range(4):
+            shapes = [shape for _, shape in enumerate_permutation_trees(rules, k)]
+            calls.clear()
+            completed = complete_shapes(shapes, rules, space)
+            assert max(calls.values(), default=1) == 1
+            assert completed == [downward_accumulate(shape_to_tree(s, space), rules) for s in shapes]
+            compared[k] += len(shapes)
+    assert all(compared[k] for k in range(4))
+
+
+def test_complete_shapes_rejects_unknown_rule_id():
+    data = random_instance(5, n_min=4, n_max=5)
+    rules = enumerate_axis_rules(data)
+    for rid in (len(rules), -1, "0"):
+        shape = Node(Node(LEAF, 0, LEAF), 1, Node(LEAF, rid, LEAF))
+        with pytest.raises(ValueError) as want:
+            downward_accumulate(shape_to_tree(shape, data), rules)
+        with pytest.raises(ValueError) as got:
+            complete_shapes([shape], rules, data)
+        assert str(got.value) == str(want.value)
 
 
 def test_all_trees_empty_and_single():

@@ -51,6 +51,7 @@ from opttree import (
     splits_kd,
     tree_cost,
 )
+from opttree.solver import _optimize
 from helpers import leaf_payloads, random_instance
 
 
@@ -500,6 +501,44 @@ def test_solve_kd_matches_exhaustive(seed):
     for max_depth in (1, 2):
         tree = solve_kd(data, max_depth)
         assert tree_cost(tree, LEAF_BALANCE).cost == _kd_oracle(data, max_depth)
+
+
+def _kd_reference(data, max_depth, objective):
+    """The k-d recursion on (point tuple, depth) states over :func:`splits_kd`."""
+    seq = tuple(data)
+    if not seq:
+        return DLeaf(())
+    ndims = len(seq[0].point)
+
+    def splits(state):
+        items, level = state
+        if not items or level >= max_depth:
+            return None
+        d = level % ndims
+        return [
+            ((left, level + 1), (pivot.point, d), (right, level + 1))
+            for left, pivot, right in splits_kd(level, items)
+        ]
+
+    def leaf(state):
+        return DLeaf(state[0]), objective.leaf_cost(state[0])
+
+    return _optimize((seq, 0), splits, leaf, objective, memoize=True)[0]
+
+
+def test_solve_kd_equals_tuple_state_reference():
+    # the mask states must give the very tree the tuple states give, ties
+    # included: coordinates on a small grid tie often, and duplicates occur
+    for seed in range(30):
+        rng = random.Random(seed)
+        n = rng.randint(0, 8)
+        points = [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(n)]
+        points += points[:2]
+        data = make_dataset(points, [rng.randint(0, 1) for _ in points])
+        for max_depth in range(4):
+            assert solve_kd(data, max_depth) == _kd_reference(data, max_depth, LEAF_BALANCE)
+            got = solve_kd(data, max_depth, objective=MISCLASSIFICATION)
+            assert got == _kd_reference(data, max_depth, MISCLASSIFICATION)
 
 
 def test_monotone_combine_for_all_objectives():
