@@ -13,8 +13,8 @@ import sys
 from typing import Sequence
 
 from .data import Dataset, dimension, load_csv
-from .generator import all_tree_shapes, complete_shapes, enumerate_permutation_trees
-from .rules import AncestryMatrix, AxisParallel, Rule, ancestry_matrix, hyperplane_from_points
+from .generator import count_tree_shapes, enumerate_permutation_trees, shape_costs
+from .rules import AxisParallel, Rule, ancestry_matrix, hyperplane_from_points
 from .rule_systems import (
     SceneSegment,
     MatrixDim,
@@ -30,7 +30,6 @@ from .solver import (
     TREE_SIZE,
     SolveConstraints,
     majority_label,
-    min_by,
     parenthesization,
     solve,
     solve_bsp,
@@ -93,7 +92,10 @@ def load_rules_file(path: str, ndims: int) -> list[Rule]:
             if tag == "axis":
                 if len(nums) != 1 + ndims:
                     raise ValueError(f"{path}:{lineno}: axis needs a dimension and one point")
-                dim = int(nums[0])
+                try:
+                    dim = int(vals[0])
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: dimension must be an integer") from None
                 point = tuple(nums[1:])
                 if not 0 <= dim < ndims:
                     raise ValueError(f"{path}:{lineno}: dimension out of range")
@@ -199,26 +201,15 @@ def _cmd_check(args) -> int:
     tree = solve(rules, args.k, space, objective)
     solver_score = None if tree is None else tree_cost(tree, objective).cost
 
-    # one matrix for the whole table; a combination's matrix is its slice
+    # one matrix for the whole table, read by global rule ids
     matrix = ancestry_matrix(rules)
-    position = {rule: i for i, rule in enumerate(rules)}
-
-    def submatrix(chosen: Sequence[Rule]) -> AncestryMatrix:
-        at = [position[rule] for rule in chosen]
-        return AncestryMatrix(tuple(tuple(matrix.entries[i][j] for j in at) for i in at))
-
-    pairs = enumerate_permutation_trees(rules, args.k, matrix_fn=submatrix)
-    completed = complete_shapes((shape for _, shape in pairs), rules, space)
-    oracle_score = None
-    if completed:
-        oracle_score = tree_cost(min_by(completed, objective), objective).cost
+    pairs = enumerate_permutation_trees(rules, args.k, matrix)
+    costs = shape_costs((shape for _, shape in pairs), rules, space, objective)
+    oracle_score = min(costs, key=objective.score).cost if costs else None
 
     n_combos = math.comb(len(rules), args.k)
     n_perms = n_combos * math.factorial(args.k)
-    n_trees = sum(
-        len(all_tree_shapes(combo, matrix))
-        for combo in itertools.combinations(range(len(rules)), args.k)
-    )
+    n_trees = count_tree_shapes(itertools.combinations(range(len(rules)), args.k), matrix)
 
     ok = solver_score == oracle_score
     print(f"combinations: {n_combos}")

@@ -4,12 +4,20 @@ These generators are the reference semantics the solver is checked against:
 they materialize every admissible tree instead of fusing the minimum into the
 recursion. Output order is deterministic (root index ascending, left subtree
 choices before right), so generated lists are reproducible and comparable.
+
+The permutation pipeline runs every ordering of every k-combination of global
+rule ids through :func:`tree_from_permutation` against one ancestry matrix of
+the whole table. Its shapes are completed (:func:`complete_shapes`) or scored
+(:func:`shape_costs`) by routing sample-position bitmasks from the root
+against a sign table filled lazily, one rule at a time; :func:`count_tree_shapes`
+counts what :func:`all_tree_shapes` would build without building it. Nothing
+here imports the solver.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .data import Dataset
 from .rules import AncestryMatrix, Rule, ancestry_matrix, classify, split_dataset
@@ -23,7 +31,6 @@ from .trees import (
     Leaf,
     Node,
     Permutation,
-    relabel,
     tree_from_permutation,
 )
 
@@ -46,6 +53,23 @@ def all_tree_shapes(indices: Iterable[int], matrix: AncestryMatrix) -> list[BTre
     return out
 
 
+def count_tree_shapes(index_sets: Iterable[Iterable[int]], matrix: AncestryMatrix) -> int:
+    """``sum(len(all_tree_shapes(s, matrix)) for s in index_sets)``, no tree built.
+
+    A set's count is the sum over its feasible roots of the left count times
+    the right count. Counts are memoized on the sorted index tuple and shared
+    by every set of the call.
+    """
+    counts: dict[tuple[int, ...], int] = {(): 1}
+
+    def count(idx: tuple[int, ...]) -> int:
+        if idx not in counts:
+            counts[idx] = sum(count(left) * count(right) for left, _, right in splits_generic(idx, matrix))
+        return counts[idx]
+
+    return sum(count(tuple(sorted(s))) for s in index_sets)
+
+
 def shape_to_tree(shape: BTree, data: Dataset) -> DecisionTree:
     """Give a structure-only tree dataset leaves, all carrying ``data``."""
     if isinstance(shape, Leaf):
@@ -53,26 +77,30 @@ def shape_to_tree(shape: BTree, data: Dataset) -> DecisionTree:
     return DNode(shape_to_tree(shape.left, data), shape.rule_id, shape_to_tree(shape.right, data))
 
 
-def complete_shapes(
-    shapes: Iterable[BTree], rules: Sequence[Rule], data: Dataset
-) -> list[DecisionTree]:
-    """Give every shape the data reaching each of its leaves.
+def _route_fold(
+    shapes: Iterable[BTree],
+    rules: Sequence[Rule],
+    data: Dataset,
+    leaf: Callable[[Dataset], Any],
+    node: Callable[[Any, int, Any], Any],
+) -> list:
+    """Fold every shape bottom up, each leaf given the data reaching it.
 
-    Equal, tree for tree, to ``downward_accumulate(shape_to_tree(shape, data),
-    rules)``, which stays the specification. Sample positions are routed from
-    the root down as bitmasks, so each leaf keeps the data order; a rule's
-    sign over the data is computed the first time a shape uses it, so each
-    (rule, sample) pair is classified at most once per call, and leaves with
-    the same samples share one value. An unknown rule id raises ValueError.
+    Sample positions are routed from the root down as bitmasks, so a leaf's
+    samples keep the data order. A rule's signs over the data are computed
+    the first time a shape uses it, so each (rule, sample) pair is classified
+    at most once per call, and ``leaf`` runs once per distinct row mask, its
+    value shared by every leaf with those samples. An unknown rule id raises
+    the ValueError :func:`reduce_path` raises.
     """
     samples = tuple(data)
     positive: dict[int, int] = {}
-    leaves: dict[int, DLeaf] = {}
+    leaves: dict[int, Any] = {}
 
-    def route(shape: BTree, rows: int) -> DecisionTree:
+    def fold(shape: BTree, rows: int) -> Any:
         if isinstance(shape, Leaf):
             if rows not in leaves:
-                leaves[rows] = DLeaf(tuple(s for r, s in enumerate(samples) if rows >> r & 1))
+                leaves[rows] = leaf(tuple(s for r, s in enumerate(samples) if rows >> r & 1))
             return leaves[rows]
         rid = shape.rule_id
         if not isinstance(rid, int) or not 0 <= rid < len(rules):
@@ -81,10 +109,34 @@ def complete_shapes(
             signs = (classify(rules[rid], s.point) for s in samples)
             positive[rid] = sum(1 << r for r, sign in enumerate(signs) if sign > 0)
         pos = positive[rid]
-        return DNode(route(shape.left, rows & pos), rid, route(shape.right, rows & ~pos))
+        return node(fold(shape.left, rows & pos), rid, fold(shape.right, rows & ~pos))
 
     every = (1 << len(samples)) - 1
-    return [route(shape, every) for shape in shapes]
+    return [fold(shape, every) for shape in shapes]
+
+
+def complete_shapes(
+    shapes: Iterable[BTree], rules: Sequence[Rule], data: Dataset
+) -> list[DecisionTree]:
+    """Give every shape the data reaching each of its leaves.
+
+    Equal, tree for tree, to ``downward_accumulate(shape_to_tree(shape, data),
+    rules)``, which stays the specification. Leaves with the same samples
+    share one value; an unknown rule id raises ValueError.
+    """
+    return _route_fold(shapes, rules, data, DLeaf, DNode)
+
+
+def shape_costs(shapes: Iterable[BTree], rules: Sequence[Rule], data: Dataset, objective: Any) -> list:
+    """The objective's cost of every shape, completed with ``data``.
+
+    Equal, shape for shape, to ``tree_cost(complete_shapes([shape], rules,
+    data)[0], objective)``: the same fold of ``objective.combine`` over the
+    same leaves, but no tree is built, and ``objective.leaf_cost`` runs once
+    per distinct set of samples reaching a leaf.
+    """
+    combine = objective.combine
+    return _route_fold(shapes, rules, data, objective.leaf_cost, lambda u, rid, v: combine(u, v, rid))
 
 
 def all_trees(
@@ -128,26 +180,28 @@ def all_trees_constrained(
 
 
 def enumerate_permutation_trees(
-    rules: Sequence[Rule],
-    k: int,
-    matrix_fn: Callable[[Sequence[Rule]], AncestryMatrix] = ancestry_matrix,
+    rules: Sequence[Rule], k: int, matrix: AncestryMatrix | None = None
 ) -> list[tuple[Permutation, BTree]]:
     """Brute-force reference: try all orderings of every k-subset of rules.
 
-    For each k-combination the pairwise matrix is built (``matrix_fn``
-    normally derives it from defining points) and all k! orderings are run
-    through :func:`tree_from_permutation`; the survivors are returned as
-    (ordering, tree) pairs with rule ids mapped back into the full table.
+    Every ordering of every k-combination of global rule ids is run through
+    :func:`tree_from_permutation` against ``matrix``, the ancestry matrix of
+    the whole table (built from the defining points when not given); a
+    matrix entry depends only on its two rules, so this is the tree each
+    combination's own matrix gives. The survivors are returned as (ordering,
+    tree) pairs, combinations in lexicographic order and orderings in
+    :func:`itertools.permutations` order within each.
     """
     if k > len(rules):
         raise ValueError(f"cannot choose {k} of {len(rules)} rules")
+    if matrix is None:
+        matrix = ancestry_matrix(rules)
     results: list[tuple[Permutation, BTree]] = []
     for combo in itertools.combinations(range(len(rules)), k):
-        local = matrix_fn([rules[i] for i in combo])
-        for perm in itertools.permutations(range(k)):
-            tree = tree_from_permutation(perm, local)
+        for perm in itertools.permutations(combo):
+            tree = tree_from_permutation(perm, matrix)
             if tree is not None:
-                results.append((tuple(combo[p] for p in perm), relabel(tree, combo)))
+                results.append((perm, tree))
     return results
 
 

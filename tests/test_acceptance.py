@@ -84,14 +84,6 @@ def sign_table(rules, data):
     return [tuple(classify(r, s.point) for s in data) for r in rules]
 
 
-def matrix_slicer(global_matrix):
-    def fn(sub_rules):
-        ids = [r.id for r in sub_rules]
-        return AncestryMatrix(tuple(tuple(global_matrix.entry(i, j) for j in ids) for i in ids))
-
-    return fn
-
-
 def route_rows(shape, signs, rows):
     """Leaf row-index tuples of a structure tree, routed from the root."""
     if isinstance(shape, Leaf):
@@ -128,7 +120,7 @@ def test_criterion_1_oracle_optimality():
             tree = solve(rules, k, data, MISCLASSIFICATION)
             solver_score = None if tree is None else tree_cost(tree, MISCLASSIFICATION).cost
             best = None
-            for _, shape in enumerate_permutation_trees(rules, k, matrix_slicer(matrix)):
+            for _, shape in enumerate_permutation_trees(rules, k, matrix):
                 s = route_score(shape, signs, labels, all_rows)
                 if best is None or s < best:
                     best = s
@@ -157,7 +149,7 @@ def test_criterion_2_generator_matches_oracle_sets():
                 continue
             matrix = ancestry_matrix(rules)
             by_combo: dict = {}
-            for perm, _ in enumerate_permutation_trees(rules, k, matrix_slicer(matrix)):
+            for perm, _ in enumerate_permutation_trees(rules, k, matrix):
                 by_combo.setdefault(tuple(sorted(perm)), set()).add(perm)
             for combo in itertools.combinations(range(len(rules)), k):
                 generated = {level_order(t) for t in all_tree_shapes(combo, matrix)}
@@ -255,7 +247,7 @@ def test_criterion_6_leaf_invariant():
                 continue
             signs = sign_table(rules, data)
             matrix = ancestry_matrix(rules)
-            for perm, shape in enumerate_permutation_trees(rules, k, matrix_slicer(matrix)):
+            for perm, shape in enumerate_permutation_trees(rules, k, matrix):
                 completed = downward_accumulate(shape_to_tree(shape, data), rules)
                 got = [tuple(leaf) for leaf in leaves(completed)]
                 want = [

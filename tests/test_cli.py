@@ -113,6 +113,17 @@ def test_fit_rules_file_non_finite_exits_2(tmp_path, capsys):
         assert f"{rules}:2: non-finite value" in capsys.readouterr().err
 
 
+def test_fit_rules_file_fractional_dimension_exits_2(tmp_path, capsys):
+    # a fractional dimension token must not be truncated to dimension 0
+    csv = tmp_path / "d.csv"
+    write_csv(csv, [(0.0, 0.0), (1.0, 1.0), (2.0, 0.5)], [0, 1, 0])
+    rules = tmp_path / "r.txt"
+    for line in ("axis 0.9 1 0.5", "axis -0.5 1 0.5"):
+        rules.write_text(f"axis 1 0 0\n{line}\n")
+        assert main(["fit", str(csv), "--k", "1", "--rules-file", str(rules)]) == 2
+        assert f"{rules}:2: dimension must be an integer" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "command,option,value",
     [("fit", "--min-leaf", "-3"), ("fit", "--max-depth", "-1"), ("kd", "--max-depth", "-1")],
@@ -182,11 +193,11 @@ def test_check_three_tree_configuration(tmp_path, capsys):
     assert grab(out, "result") == "PASS"
 
 
-# Every line `check` prints for two seeded inputs. The counts and the oracle
+# Every line `check` prints for four seeded inputs. The counts and the oracle
 # score come from the permutation pipeline alone, so these pin the oracle
-# itself, not only its agreement with the solver.
+# itself, not only its agreement with the solver. Keys: rules, seed, n, k.
 CHECK_OUTPUTS = {
-    ("axis", 21, 10): [
+    ("axis", 21, 10, 3): [
         "combinations: 1140",
         "permutations: 6840",
         "valid permutations: 5700",
@@ -195,7 +206,7 @@ CHECK_OUTPUTS = {
         "oracle score: 1",
         "result: PASS",
     ],
-    ("hyperplane", 13, 8): [
+    ("hyperplane", 13, 8, 3): [
         "combinations: 1540",
         "permutations: 9240",
         "valid permutations: 1417",
@@ -204,16 +215,38 @@ CHECK_OUTPUTS = {
         "oracle score: 1",
         "result: PASS",
     ],
+    ("surface2", 31, 9, 2): [
+        "combinations: 2485",
+        "permutations: 4970",
+        "valid permutations: 599",
+        "trees generated: 599",
+        "solver score: 1",
+        "oracle score: 1",
+        "result: PASS",
+    ],
+    ("axis", 31, 7, 4): [
+        "combinations: 715",
+        "permutations: 17160",
+        "valid permutations: 9838",
+        "trees generated: 9838",
+        "solver score: 0",
+        "oracle score: 0",
+        "result: PASS",
+    ],
 }
 
 
-@pytest.mark.parametrize("rules,seed,n", list(CHECK_OUTPUTS))
-def test_check_output_is_pinned(tmp_path, capsys, rules, seed, n):
+@pytest.mark.parametrize(
+    "rules,seed,n,k",
+    list(CHECK_OUTPUTS),
+    ids=[f"{r}-{s}-{n}" + ("" if k == 3 else f"-k{k}") for r, s, n, k in CHECK_OUTPUTS],
+)
+def test_check_output_is_pinned(tmp_path, capsys, rules, seed, n, k):
     csv = tmp_path / "d.csv"
     seeded_csv(csv, seed, n=n)
-    code, out = run(capsys, "check", csv, "--rules", rules, "--k", "3")
+    code, out = run(capsys, "check", csv, "--rules", rules, "--k", str(k))
     assert code == 0
-    assert out.splitlines() == CHECK_OUTPUTS[rules, seed, n]
+    assert out.splitlines() == CHECK_OUTPUTS[rules, seed, n, k]
 
 
 def test_check_guardrails(tmp_path, capsys):

@@ -17,6 +17,8 @@ from opttree import (
     all_trees_constrained,
     ancestry_matrix,
     complete_shapes,
+    count_tree_shapes,
+    CostValue,
     depth,
     downward_accumulate,
     enumerate_axis_rules,
@@ -27,7 +29,13 @@ from opttree import (
     level_order,
     lift_dataset,
     make_dataset,
+    misclassification_cost,
+    MISCLASSIFICATION,
+    Objective,
+    relabel,
+    shape_costs,
     shape_to_tree,
+    tree_cost,
     tree_from_permutation,
 )
 import opttree.generator
@@ -124,10 +132,17 @@ def test_all_trees_leaf_contents_match_point_routing():
         assert [list(leaf) for leaf in leaf_payloads(tree)] == route_leaf_contents(tree, rules, data)
 
 
-@pytest.mark.parametrize("kind", ["axis", "hyperplane", "surface2"])
-def test_complete_shapes_equals_downward_accumulate(kind, monkeypatch):
-    # the oracle's completion must give every tree the specification gives,
-    # classifying each (rule, point) pair at most once per call
+def rule_table(kind, data):
+    """The rule table of one kind and the dataset in the space it classifies."""
+    if kind == "axis":
+        return enumerate_axis_rules(data), data
+    if kind == "hyperplane":
+        return enumerate_hyperplane_rules(data), data
+    return enumerate_surface2_rules(data), lift_dataset(data)
+
+
+def counted_classify(monkeypatch):
+    """Route the generator's classify through a per-(rule, point) counter."""
     calls = Counter()
     classify = opttree.generator.classify
 
@@ -136,15 +151,17 @@ def test_complete_shapes_equals_downward_accumulate(kind, monkeypatch):
         return classify(rule, point)
 
     monkeypatch.setattr(opttree.generator, "classify", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["axis", "hyperplane", "surface2"])
+def test_complete_shapes_equals_downward_accumulate(kind, monkeypatch):
+    # the oracle's completion must give every tree the specification gives,
+    # classifying each (rule, point) pair at most once per call
+    calls = counted_classify(monkeypatch)
     compared = Counter()
     for seed in (3, 11):
-        data = random_instance(seed, n_min=6, n_max=7)
-        if kind == "axis":
-            rules, space = enumerate_axis_rules(data), data
-        elif kind == "hyperplane":
-            rules, space = enumerate_hyperplane_rules(data), data
-        else:
-            rules, space = enumerate_surface2_rules(data), lift_dataset(data)
+        rules, space = rule_table(kind, random_instance(seed, n_min=6, n_max=7))
         for k in range(4):
             shapes = [shape for _, shape in enumerate_permutation_trees(rules, k)]
             calls.clear()
@@ -165,6 +182,109 @@ def test_complete_shapes_rejects_unknown_rule_id():
         with pytest.raises(ValueError) as got:
             complete_shapes([shape], rules, data)
         assert str(got.value) == str(want.value)
+        with pytest.raises(ValueError) as scored:
+            shape_costs([shape], rules, data, MISCLASSIFICATION)
+        assert str(scored.value) == str(want.value)
+
+
+@pytest.mark.parametrize("kind", ["axis", "hyperplane", "surface2"])
+def test_shape_costs_equals_tree_cost_of_completed_shapes(kind, monkeypatch):
+    # an order- and rule-sensitive combine, so swapped sides or a dropped
+    # branch payload show; leaf costs are counted per leaf dataset
+    leaf_calls = Counter()
+
+    def leaf_cost(data):
+        leaf_calls[data] += 1
+        return CostValue(misclassification_cost(data).cost + 0.25 * len(data))
+
+    def combine(a, b, rule_id):
+        return CostValue(2 * a.cost + 3 * b.cost + rule_id)
+
+    objective = Objective(leaf_cost, combine)
+    calls = counted_classify(monkeypatch)
+    compared = Counter()
+    for seed in (3, 11):
+        rules, space = rule_table(kind, random_instance(seed, n_min=6, n_max=7))
+        for k in range(4):
+            shapes = [shape for _, shape in enumerate_permutation_trees(rules, k)]
+            calls.clear()
+            leaf_calls.clear()
+            got = shape_costs(shapes, rules, space, objective)
+            assert max(calls.values(), default=1) == 1
+            assert max(leaf_calls.values(), default=1) == 1
+            costed = set(leaf_calls)
+            want = [tree_cost(complete_shapes([s], rules, space)[0], objective) for s in shapes]
+            assert got == want
+            completed = complete_shapes(shapes, rules, space)
+            assert costed == {leaf for tree in completed for leaf in leaf_payloads(tree)}
+            compared[k] += len(shapes)
+    assert all(compared[k] for k in range(4))
+
+
+@pytest.mark.parametrize("kind", ["axis", "hyperplane", "surface2"])
+def test_count_tree_shapes_equals_generated_trees(kind, monkeypatch):
+    seen = Counter()
+    splits = opttree.generator.splits_generic
+
+    def counted(indices, matrix):
+        seen[tuple(indices)] += 1
+        return splits(indices, matrix)
+
+    for seed in (3, 11):
+        rules, _ = rule_table(kind, random_instance(seed, n_min=6, n_max=7))
+        matrix = ancestry_matrix(rules)
+        for k in range(4):
+            combos = list(itertools.combinations(range(len(rules)), k))
+            want = sum(len(all_tree_shapes(c, matrix)) for c in combos)
+            seen.clear()
+            with monkeypatch.context() as patched:
+                patched.setattr(opttree.generator, "splits_generic", counted)
+                assert count_tree_shapes(combos, matrix) == want
+            # one memo for the whole call: every index set is split once
+            assert max(seen.values(), default=1) == 1
+
+
+def test_count_tree_shapes_catalan_and_factorial():
+    # 1D thresholds order every pair (the smaller threshold goes left), so
+    # the trees over k of them are the binary search trees: Catalan(k)
+    for k in range(8):
+        data = make_dataset([(float(x),) for x in range(k)], [0] * k)
+        rules = enumerate_axis_rules(data) if k else []
+        matrix = ancestry_matrix(rules)
+        assert all(matrix.entry(i, j) == (1 if j < i else -1) for i in range(k) for j in range(k) if i != j)
+        assert count_tree_shapes([range(k)], matrix) == math.comb(2 * k, k) // (k + 1)
+    # every entry +1: any rule roots and all others go left, k! chains
+    for k in range(6):
+        assert count_tree_shapes([range(k)], chain_matrix(k)) == math.factorial(k)
+    assert count_tree_shapes([], chain_matrix(2)) == 0
+
+
+@pytest.mark.parametrize("kind", ["axis", "hyperplane", "surface2"])
+def test_permutation_trees_equal_sliced_and_relabeled_reference(kind):
+    # the per-combination pipeline: each combination's own matrix (equal to
+    # its slice of the table's matrix), local orderings, ids mapped back
+    def reference(rules, k, matrix):
+        out = []
+        for combo in itertools.combinations(range(len(rules)), k):
+            local = ancestry_matrix([rules[i] for i in combo])
+            sliced = AncestryMatrix(tuple(tuple(matrix.entry(i, j) for j in combo) for i in combo))
+            assert local == sliced
+            for perm in itertools.permutations(range(k)):
+                tree = tree_from_permutation(perm, local)
+                if tree is not None:
+                    out.append((tuple(combo[p] for p in perm), relabel(tree, combo)))
+        return out
+
+    compared = Counter()
+    for seed in (3, 11):
+        rules, _ = rule_table(kind, random_instance(seed, n_min=6, n_max=7))
+        matrix = ancestry_matrix(rules)
+        for k in range(4):
+            want = reference(rules, k, matrix)
+            assert enumerate_permutation_trees(rules, k) == want
+            assert enumerate_permutation_trees(rules, k, matrix) == want
+            compared[k] += len(want)
+    assert all(compared[k] for k in range(4))
 
 
 def test_all_trees_empty_and_single():
