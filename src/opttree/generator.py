@@ -57,7 +57,7 @@ def count_tree_shapes(index_sets: Iterable[Iterable[int]], matrix: AncestryMatri
     """``sum(len(all_tree_shapes(s, matrix)) for s in index_sets)``, no tree built.
 
     A set's count is the sum over its feasible roots of the left count times
-    the right count. Counts are memoized on the sorted index tuple and shared
+    the right count. Counts are cached on the sorted index tuple and shared
     by every set of the call.
     """
     counts: dict[tuple[int, ...], int] = {(): 1}

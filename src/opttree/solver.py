@@ -1,26 +1,25 @@
 """Objectives and the exact tree optimizers.
 
-Every optimizer is one recursion, :func:`_optimize`, over a front end's
-splits strategy: a state is either a leaf or yields (left state, rule, right
-state) triples; both sides are solved, combined, and the cheapest combination
-is kept. Because every shipped objective combines child costs monotonically,
-taking the minimum inside the recursion is exact. A dominance preorder
-(``thinning``) may replace the minimum by a list of undominated candidates.
+Every optimizer is one recursion with a memo, :func:`_optimize`, over a
+front end's splits strategy: a state is either a leaf or yields (left state,
+rule, right state) triples; both sides are solved, combined, and the
+cheapest combination is kept. Because every shipped objective combines child
+costs monotonically, taking the minimum inside the recursion is exact, and
+each state keeps a single candidate.
 
 The rule-set front end works on bitmasks: a state is (allowed rules, rows,
 rules still to place, depth budget, ancestor side-set), a root's ancestry row
 supplies the rules allowed on each side and its sign pattern the rows.
-:func:`solve` covers every k-combination in one recursion memoized by
-ancestor side-set: a subproblem shared by many combinations is solved once,
+:func:`solve` covers every k-combination in one recursion whose memo is keyed
+by ancestor side-set: a subproblem shared by many combinations is solved once,
 and :class:`SolveStats` counts recursion calls (memo hits included), a number
 that depends on the rule table and k but not on the data. Ties compare the
 rule combination (the lexicographically smallest wins), then the root (the
-earliest wins), which is the tree that solving every combination on its own
-would give. :func:`solve_ruleset` fixes
-the combination and is not memoized, so its :class:`SolveStats` counts the
-logical recursion, whose size follows the worst-case recurrence.
+earliest wins). That is the brute-force answer: the first strictly better
+score over the combinations in lexicographic order, each combination's trees
+generated root-first.
 
-The bsp, mcmp and kd front ends memoize by state (fragment set, sub-chain,
+The bsp, mcmp and kd front ends key the memo by state (fragment set, sub-chain,
 point mask and depth): the optimum of a state does not depend on how the
 recursion reached it, and these states recur many times. With the sub-chain
 as state, the matrix-chain solver is the classic cubic program; the kd
@@ -32,7 +31,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 from .data import Dataset
 from .rules import AncestryMatrix, Rule, ancestry_matrix, classify
@@ -134,32 +133,9 @@ def tree_cost(tree: DecisionTree, objective: Objective) -> CostValue:
     return objective.combine(u, v, tree.rule_id)
 
 
-def min_by(candidates: Iterable[DecisionTree], objective: Objective) -> DecisionTree:
-    """Candidate with minimal score; ties keep the earliest candidate."""
-    best = None
-    best_score = None
-    for tree in candidates:
-        s = objective.score(tree_cost(tree, objective))
-        if best is None or s < best_score:
-            best, best_score = tree, s
-    if best is None:
-        raise ValueError("cannot minimize over an empty candidate list")
-    return best
-
-
 def _members(data: Dataset, mask: int) -> Dataset:
     """The samples whose positions are set in ``mask``, in data order."""
     return tuple(data[r] for r, b in enumerate(bin(mask)[:1:-1]) if b == "1")
-
-
-def _thin(candidates: list, dominates: Callable) -> list:
-    kept: list = []
-    for cand in candidates:
-        if any(dominates(old, cand) for old in kept):
-            continue
-        kept = [old for old in kept if not dominates(cand, old)]
-        kept.append(cand)
-    return kept
 
 
 def _optimize(
@@ -167,8 +143,6 @@ def _optimize(
     splits: Callable[[Any], list | None],
     leaf: Callable[[Any], tuple[DecisionTree, CostValue] | None],
     objective: Objective,
-    memoize: bool = False,
-    thinning: Callable | None = None,
     stats: SolveStats | None = None,
 ) -> tuple[DecisionTree, CostValue] | None:
     """Cheapest (tree, cost) for the ``root`` state, or None if none is feasible.
@@ -176,57 +150,40 @@ def _optimize(
     ``splits(state)`` returns None for a leaf state, otherwise the
     (left state, rule, right state) triples to try, in tie-break order.
     ``leaf(state)`` costs a leaf state and returns None when it is infeasible.
-    With ``memoize`` every distinct (hashable) state is solved once. Without
-    ``thinning`` each state keeps its first cheapest candidate and builds a
-    node only for it. With a ``thinning`` preorder each state keeps every
-    candidate no kept candidate dominates, and the first cheapest survivor
-    at the root wins. Ties go to the earliest candidate.
+    Every distinct (hashable) state is solved once. Each state keeps its
+    first cheapest candidate and builds a node only for it, so ties go to
+    the earliest candidate.
     """
     combine, score = objective.combine, objective.score
     memo: dict = {}
 
     def rec(state):
-        # the winner (or None); with thinning, the list of undominated candidates
         if stats is not None:
             stats.nodes += 1
-        if memoize and state in memo:
+        if state in memo:
             return memo[state]
         triples = splits(state)
         if triples is None:
             result = leaf(state)
-            if thinning is not None:
-                result = [] if result is None else [result]
         else:
-            kept = []
             best = None
             for left, rule, right in triples:
                 u = rec(left)
-                if not u:
+                if u is None:
                     continue
                 v = rec(right)
-                if not v:
-                    continue
-                if thinning is not None:
-                    kept += [
-                        (DNode(ut, rule, vt), combine(uc, vc, rule)) for ut, uc in u for vt, vc in v
-                    ]
+                if v is None:
                     continue
                 cost = combine(u[1], v[1], rule)
                 s = score(cost)
                 if best is None or s < best[0]:
                     best = (s, u[0], rule, v[0], cost)
-            if thinning is not None:
-                result = _thin(kept, thinning)
-            else:
-                result = None if best is None else (DNode(best[1], best[2], best[3]), best[4])
-        if memoize:
-            memo[state] = result
+            result = None if best is None else (DNode(best[1], best[2], best[3]), best[4])
+        memo[state] = result
         return result
 
     try:
-        if thinning is None:
-            return rec(root)
-        return min(rec(root), key=lambda cand: score(cand[1]), default=None)
+        return rec(root)
     finally:
         # rec reaches itself through its closure; emptying the cell frees the
         # memo on return instead of at the next cyclic collection
@@ -260,8 +217,7 @@ class _RuleMasks:
         rules: Sequence[Rule],
         data: Dataset,
         matrix: AncestryMatrix | None,
-        allowed: Iterable[int],
-        count: int,
+        k: int,
         leaf_cost: Callable[[Dataset], Any],
         constraints: SolveConstraints,
     ):
@@ -270,21 +226,18 @@ class _RuleMasks:
         self.leaf_cost = leaf_cost
         self.min_leaf = constraints.min_leaf
         every_row = (1 << len(self.data)) - 1
-        allowed = set(allowed)
-        self.left = [0] * self.size
-        self.right = [0] * self.size
-        self.pos = [0] * self.size
-        self.neg = [0] * self.size
-        for i in allowed:
-            signs = (classify(rules[i], s.point) for s in self.data)
-            self.pos[i] = sum(1 << r for r, sign in enumerate(signs) if sign > 0)
-            self.neg[i] = every_row ^ self.pos[i]
-            if matrix is not None:
-                row = matrix.entries[i]
-                self.left[i] = sum(self.bit(j) for j in allowed if row[j] > 0)
-                self.right[i] = sum(self.bit(j) for j in allowed if row[j] < 0)
-        rule_mask = sum(self.bit(i) for i in allowed)
-        self.root = (rule_mask, every_row, count, constraints.max_depth, 0)
+        self.pos = [
+            sum(1 << r for r, s in enumerate(self.data) if classify(rule, s.point) > 0)
+            for rule in rules
+        ]
+        self.neg = [every_row ^ pos for pos in self.pos]
+        if matrix is None:
+            self.left = self.right = [0] * self.size
+        else:
+            bits = [self.bit(j) for j in range(self.size)]
+            self.left = [sum(b for b, e in zip(bits, row) if e > 0) for row in matrix.entries]
+            self.right = [sum(b for b, e in zip(bits, row) if e < 0) for row in matrix.entries]
+        self.root = ((1 << self.size) - 1, every_row, k, constraints.max_depth, 0)
         self._leaves: dict[int, tuple[DecisionTree, Any] | None] = {}
 
     def bit(self, i: int) -> int:
@@ -342,77 +295,6 @@ def _combination_tie_break(objective: Objective, size: int) -> Objective:
     return Objective(leaf_cost, combine_masks, lambda value: (score(value[0]), -value[1]))
 
 
-def solve_ruleset(
-    indices: Iterable[int],
-    matrix: AncestryMatrix,
-    rules: Sequence[Rule],
-    data: Dataset,
-    objective: Objective,
-    constraints: SolveConstraints | None = None,
-    stats: SolveStats | None = None,
-    thinning: Callable | None = None,
-) -> DecisionTree | None:
-    """Optimal tree using exactly the given rule indices, or None.
-
-    An empty index set yields a single leaf holding the data. Otherwise every
-    feasible root is tried, the two sides are solved on the matching data
-    partition, and the cheapest combination wins (ties keep the earliest
-    root). None means the constraints eliminated every candidate or no tree
-    over these indices is consistent with the matrix. The recursion is not
-    memoized, so a ``stats`` object counts the logical recursion, whose size
-    depends only on the matrix and follows the worst-case recurrence.
-
-    ``thinning(a, b)`` is an optional dominance preorder on (tree, cost)
-    candidates. It must be reflexive, transitive and consistent with the
-    objective's combine: whenever it declares ``a`` at least as good as ``b``,
-    extending ``a`` can never score worse than extending ``b``. The winner's
-    score then matches the unthinned solve.
-    """
-    idx = set(indices)
-    cons = constraints or SolveConstraints()
-    front = _RuleMasks(rules, data, matrix, idx, len(idx), objective.leaf_cost, cons)
-    best = _optimize(
-        front.root, front.splits, front.leaf, objective, thinning=thinning, stats=stats
-    )
-    return None if best is None else best[0]
-
-
-def never_dominates(a, b) -> bool:
-    """Trivial preorder: thinning keeps every candidate."""
-    return False
-
-
-def _root_of(tree: DecisionTree):
-    return tree.rule_id if isinstance(tree, DNode) else None
-
-
-def score_dominates(objective: Objective) -> Callable:
-    """Dominance among candidates sharing a root: lower-or-equal score wins."""
-
-    def dominates(a, b) -> bool:
-        return _root_of(a[0]) == _root_of(b[0]) and objective.score(a[1]) <= objective.score(b[1])
-
-    return dominates
-
-
-def _leaf_partition(tree: DecisionTree) -> tuple:
-    if isinstance(tree, DLeaf):
-        return (tuple(tree.data),)
-    return _leaf_partition(tree.left) + _leaf_partition(tree.right)
-
-
-def partition_dominates(objective: Objective) -> Callable:
-    """Dominance among candidates inducing the same leaf partition."""
-
-    def dominates(a, b) -> bool:
-        return (
-            sorted(_leaf_partition(a[0])) == sorted(_leaf_partition(b[0]))
-            and objective.score(a[1]) <= objective.score(b[1])
-        )
-
-    return dominates
-
-
 def solve(
     rules: Sequence[Rule],
     k: int,
@@ -423,14 +305,14 @@ def solve(
 ) -> DecisionTree | None:
     """Optimal tree with exactly k rules drawn from the table, or None.
 
-    One memoized recursion covers every k-combination at once: a state is
+    One recursion covers every k-combination at once: a state is
     solved once per ancestor side-set and reused by every combination that
     reaches it. Candidates compare by score, then by rule combination (the
-    lexicographically smallest wins), then by root (the earliest wins), so the
-    result is the tree that solving each combination separately with
-    :func:`solve_ruleset` and keeping the first strictly better score would
-    return. ``stats.nodes`` counts the recursion calls, memo hits included; it
-    depends on the rule table and k but not on the data.
+    lexicographically smallest wins), then by root (the earliest wins). The
+    result is the brute-force answer: the first strictly better score over
+    the combinations in lexicographic order, each combination's trees
+    generated root-first. ``stats.nodes`` counts the recursion calls, memo
+    hits included; it depends on the rule table and k but not on the data.
     """
     if not 0 <= k <= len(rules):
         raise ValueError(f"cannot choose {k} of {len(rules)} rules")
@@ -438,8 +320,8 @@ def solve(
     matrix = ancestry_matrix(rules) if k >= 2 else None
     ranked = _combination_tie_break(objective, len(rules))
     cons = constraints or SolveConstraints()
-    front = _RuleMasks(rules, data, matrix, range(len(rules)), k, ranked.leaf_cost, cons)
-    best = _optimize(front.root, front.splits, front.leaf, ranked, memoize=True, stats=stats)
+    front = _RuleMasks(rules, data, matrix, k, ranked.leaf_cost, cons)
+    best = _optimize(front.root, front.splits, front.leaf, ranked, stats=stats)
     return None if best is None else best[0]
 
 
@@ -459,7 +341,7 @@ def solve_bsp(segments: Sequence[SceneSegment]) -> DecisionTree:
     def leaf(frags: tuple[SceneSegment, ...]) -> tuple[DecisionTree, CostValue]:
         return DLeaf(()), TREE_SIZE.leaf_cost(())
 
-    return _optimize(tuple(segments), splits, leaf, TREE_SIZE, memoize=True)[0]
+    return _optimize(tuple(segments), splits, leaf, TREE_SIZE)[0]
 
 
 def bsp_tree_from_order(segments: Sequence[SceneSegment], order: Sequence[int]) -> DecisionTree:
@@ -501,7 +383,7 @@ def solve_mcmp(dims: Sequence[MatrixDim]) -> DecisionTree:
     def leaf(items: tuple[MatrixDim, ...]) -> tuple[DecisionTree, CostValue]:
         return DLeaf(items[0]), CHAIN_COST.leaf_cost(items[0])
 
-    return _optimize(seq, splits, leaf, CHAIN_COST, memoize=True)[0]
+    return _optimize(seq, splits, leaf, CHAIN_COST)[0]
 
 
 def parenthesization(tree: DecisionTree) -> str:
@@ -528,7 +410,7 @@ def solve_kd(data: Dataset, max_depth: int, objective: Objective | None = None) 
     budget allows; the branch payload is (pivot point, dimension). The default
     objective sums squared leaf sizes.
 
-    The recursion memoizes on (point mask, depth), point i at bit i. The table
+    The memo is keyed by (point mask, depth), point i at bit i. The table
     ``at_most[d][i]``, the points whose coordinate d is at most point i's, is
     built once, so a pivot's sides are two mask operations. Pivots are tried
     in data order and points tied with the pivot go left, as in
@@ -564,4 +446,4 @@ def solve_kd(data: Dataset, max_depth: int, objective: Objective | None = None) 
         items = _members(seq, state[0])
         return DLeaf(items), obj.leaf_cost(items)
 
-    return _optimize(((1 << len(seq)) - 1, 0), splits, leaf, obj, memoize=True)[0]
+    return _optimize(((1 << len(seq)) - 1, 0), splits, leaf, obj)[0]

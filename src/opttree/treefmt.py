@@ -8,14 +8,16 @@ Grammar (whitespace-separated tokens):
                | "seg" x1 y1 x2 y2
                | "cut"
 
-Leaves store only their payload size. Reals print with 9 significant digits,
-so serializing a parsed tree reproduces the original text byte for byte.
+Leaves store only their payload size. Reals must be finite and print with 9
+significant digits, so serializing a parsed tree reproduces the original text
+byte for byte.
 Parsed trees carry int counts at leaves and rule kinds (or None for "cut") at
 branches.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any, Sequence
 
 from .rules import AxisParallel, Hyperplane, LiftedHyperplane, Rule, RuleKind, Segment2D
@@ -92,9 +94,12 @@ class _Parser:
     def real(self) -> float:
         tok = self.take()
         try:
-            return float(tok)
+            value = float(tok)
         except ValueError:
             raise ValueError(f"expected a number, found {tok!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"expected a finite number, found {tok!r}")
+        return value
 
     def natural(self) -> int:
         tok = self.take()

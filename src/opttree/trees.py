@@ -167,14 +167,6 @@ def downward_accumulate(tree: DecisionTree, rules: Sequence[Rule]) -> DecisionTr
     return merge(tree, pathed)
 
 
-def relabel(tree: BTree | DecisionTree, mapping: Sequence[int]) -> BTree | DecisionTree:
-    """Map every branch rule index through ``mapping`` (local -> global ids)."""
-    if is_leaf(tree):
-        return tree
-    ctor = Node if isinstance(tree, Node) else DNode
-    return ctor(relabel(tree.left, mapping), mapping[tree.rule_id], relabel(tree.right, mapping))
-
-
 def depth(tree: BTree | DecisionTree) -> int:
     """Branch nodes on the longest root-to-leaf path; a bare leaf has depth 0."""
     if is_leaf(tree):

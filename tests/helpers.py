@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from opttree import DLeaf, classify, make_dataset
+from opttree import DLeaf, Leaf, Node, classify, make_dataset
 
 
 def route_leaf_contents(tree, rules, data):
@@ -31,6 +31,13 @@ def leaf_payloads(tree):
     if isinstance(tree, DLeaf):
         return [tree.data]
     return leaf_payloads(tree.left) + leaf_payloads(tree.right)
+
+
+def relabel(tree, mapping):
+    """Map every branch rule index of a shape through ``mapping`` (local -> global ids)."""
+    if isinstance(tree, Leaf):
+        return tree
+    return Node(relabel(tree.left, mapping), mapping[tree.rule_id], relabel(tree.right, mapping))
 
 
 def random_instance(seed, n_min=4, n_max=10):

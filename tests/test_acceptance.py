@@ -48,7 +48,6 @@ from opttree import (
     solve_bsp,
     solve_kd,
     solve_mcmp,
-    solve_ruleset,
     splits_bsp,
     splits_kd,
     tree_cost,
@@ -280,7 +279,7 @@ def test_criterion_7_constraint_fusion():
         fused = all_trees_constrained(picks, matrix, rules, data, min_leaf, max_depth)
         assert fused == filtered, f"instance {i}: fused generation differs from post-filtering"
         cons = SolveConstraints(min_leaf=min_leaf, max_depth=max_depth)
-        best = solve_ruleset(picks, matrix, rules, data, MISCLASSIFICATION, cons)
+        best = solve([rules[i] for i in picks], len(picks), data, MISCLASSIFICATION, cons)
         if filtered:
             want = min(tree_cost(t, MISCLASSIFICATION).cost for t in filtered)
             assert best is not None and tree_cost(best, MISCLASSIFICATION).cost == want

@@ -1,8 +1,10 @@
 """Exhaustive generation against the permutation reference pipeline."""
 
+import ast
 import itertools
 import math
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -32,14 +34,13 @@ from opttree import (
     misclassification_cost,
     MISCLASSIFICATION,
     Objective,
-    relabel,
     shape_costs,
     shape_to_tree,
     tree_cost,
     tree_from_permutation,
 )
 import opttree.generator
-from helpers import leaf_payloads, random_instance, route_leaf_contents
+from helpers import leaf_payloads, random_instance, relabel, route_leaf_contents
 
 
 def chain_matrix(k):
@@ -361,3 +362,45 @@ def test_shape_to_tree():
     tree = shape_to_tree(shape, data)
     assert level_order(tree) == level_order(shape)
     assert all(leaf == data for leaf in leaf_payloads(tree))
+
+
+PACKAGE = Path(opttree.__file__).parent
+
+
+def _solver_names():
+    """Names that solver.py defines at top level (not the ones it imports)."""
+    names = {"solver"}
+    for node in ast.parse((PACKAGE / "solver.py").read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        PACKAGE / "generator.py",
+        PACKAGE / "trees.py",
+        PACKAGE / "rule_systems.py",
+        Path(__file__).parent / "helpers.py",
+    ],
+    ids=lambda path: path.name,
+)
+def test_oracle_modules_import_nothing_from_solver(path):
+    # the brute-force oracles must not share code with the path they check
+    solver_names = _solver_names()
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.startswith("opttree.solver")]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = "opttree" + ("." + module if module else "")
+            if module.startswith("opttree.solver"):
+                found.append(module)
+            elif module == "opttree":
+                found += [a.name for a in node.names if a.name in solver_names]
+    assert found == [], f"{path.name} imports {found} from opttree.solver"

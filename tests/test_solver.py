@@ -1,4 +1,9 @@
-"""Objectives, the fused-minimum recursion, thinning, and the applications."""
+"""Objectives, the fused-minimum recursion, and the applications.
+
+The rule-set solver is checked against brute force that never touches the
+recursion: the generator's constrained trees of each combination, scored one
+by one.
+"""
 
 import gc
 import itertools
@@ -11,7 +16,6 @@ from opttree import (
     LEAF_BALANCE,
     MISCLASSIFICATION,
     TREE_SIZE,
-    AncestryMatrix,
     AxisParallel,
     CostValue,
     DLeaf,
@@ -35,19 +39,14 @@ from opttree import (
     lift_dataset,
     majority_label,
     make_dataset,
-    min_by,
     misclassification_cost,
-    never_dominates,
     node_count,
     parenthesization,
-    partition_dominates,
-    score_dominates,
     shape_to_tree,
     solve,
     solve_bsp,
     solve_kd,
     solve_mcmp,
-    solve_ruleset,
     splits_kd,
     tree_cost,
 )
@@ -85,35 +84,6 @@ def test_chain_cost():
         tree_cost(DNode(DLeaf(dims[0]), None, DLeaf(dims[2])), CHAIN_COST)
 
 
-def test_min_by():
-    trees = [DLeaf(MatrixDim(1, 1))]
-    assert min_by(trees, CHAIN_COST) is trees[0]
-    with pytest.raises(ValueError):
-        min_by([], CHAIN_COST)
-
-
-def _leaf_with_errors(i, errors):
-    # a leaf with `errors` minority points, tagged by coordinate i
-    labels = [0] * (errors + 1) + [1] * errors
-    return DLeaf(make_dataset([(float(i),)] * len(labels), labels))
-
-
-def test_min_by_tie_keeps_earliest_and_matches_sort():
-    rng = random.Random(0)
-    for _ in range(30):
-        trees = [_leaf_with_errors(i, rng.randint(0, 3)) for i in range(rng.randint(1, 6))]
-        picked = min_by(trees, MISCLASSIFICATION)
-        by_sort = sorted(
-            range(len(trees)), key=lambda i: tree_cost(trees[i], MISCLASSIFICATION).cost
-        )[0]
-        assert picked is trees[by_sort]  # stable sort keeps the earliest tie
-
-
-def test_min_by_scores_3_1_1_picks_index_1():
-    trees = [_leaf_with_errors(0, 3), _leaf_with_errors(1, 1), _leaf_with_errors(2, 1)]
-    assert min_by(trees, MISCLASSIFICATION) is trees[1]
-
-
 def _oracle_best_score(rules, k, data, objective):
     pairs = enumerate_permutation_trees(rules, k)
     scores = [
@@ -121,12 +91,6 @@ def _oracle_best_score(rules, k, data, objective):
         for _, shape in pairs
     ]
     return min(scores) if scores else None
-
-
-def test_solve_ruleset_empty_indices():
-    data = random_instance(0)
-    tree = solve_ruleset((), AncestryMatrix(()), [], data, MISCLASSIFICATION)
-    assert tree == DLeaf(data)
 
 
 def test_solve_matches_brute_force_small():
@@ -140,15 +104,15 @@ def test_solve_matches_brute_force_small():
             assert got == _oracle_best_score(rules, k, data, MISCLASSIFICATION)
 
 
-def test_solve_ruleset_matches_per_combination_oracle():
-    # fixed rule set: the recursion's winner must hit the minimum over every
-    # completed admissible tree of that exact combination
+def test_solve_fixed_combination_matches_per_combination_oracle():
+    # a table of exactly the combination's rules: the recursion's winner must
+    # hit the minimum over every completed admissible tree of that combination
     for seed in (0, 3, 5):
         data = random_instance(seed, n_min=6, n_max=9)
         rules = enumerate_axis_rules(data)
         matrix = ancestry_matrix(rules)
         for combo in itertools.combinations(range(min(len(rules), 6)), 3):
-            tree = solve_ruleset(combo, matrix, rules, data, MISCLASSIFICATION)
+            tree = solve([rules[i] for i in combo], len(combo), data, MISCLASSIFICATION)
             completed = [
                 downward_accumulate(shape_to_tree(s, data), rules)
                 for s in all_tree_shapes(combo, matrix)
@@ -184,7 +148,7 @@ def test_solve_respects_constraints():
         matrix = ancestry_matrix(rules)
         idx = tuple(range(len(rules)))[:3]
         cons = SolveConstraints(min_leaf=1, max_depth=2)
-        tree = solve_ruleset(idx, matrix, rules, data, MISCLASSIFICATION, cons)
+        tree = solve([rules[i] for i in idx], len(idx), data, MISCLASSIFICATION, cons)
         candidates = all_trees_constrained(idx, matrix, rules, data, 1, 2)
         if tree is None:
             assert candidates == []
@@ -224,25 +188,25 @@ def test_solve_ties_pick_earliest_root_then_smallest_combination():
 
 
 def _per_combination_reference(rules, k, data, objective, constraints):
-    # each combination solved on its own; only a strictly better score
-    # replaces the incumbent, so the lexicographically smallest combination
-    # wins among equal scores
+    # brute force: every constrained tree of every combination, generated
+    # root-first, combinations in lexicographic order; only a strictly better
+    # score replaces the incumbent, so the earliest tree wins among equals
+    cons = constraints or SolveConstraints()
     matrix = ancestry_matrix(rules)
     best = best_score = None
     for combo in itertools.combinations(range(len(rules)), k):
-        tree = solve_ruleset(combo, matrix, rules, data, objective, constraints)
-        if tree is None:
-            continue
-        score = objective.score(tree_cost(tree, objective))
-        if best is None or score < best_score:
-            best, best_score = tree, score
+        trees = all_trees_constrained(combo, matrix, rules, data, cons.min_leaf, cons.max_depth)
+        for tree in trees:
+            score = objective.score(tree_cost(tree, objective))
+            if best is None or score < best_score:
+                best, best_score = tree, score
     return best
 
 
 @pytest.mark.parametrize("kind", ["axis", "hyperplane", "surface2"])
 def test_solve_equals_per_combination_reference(kind):
-    # the memoized combination-free solve must return the very tree the
-    # per-combination loop returns, not just one with the same score
+    # the combination-free solve must return the very tree the brute force
+    # returns, not just one with the same score
     constraint_sets = [
         None,
         SolveConstraints(min_leaf=2),
@@ -277,7 +241,6 @@ def grid_axis_rules():
 @pytest.mark.parametrize("k", [2, 3])
 def test_solve_nodes_independent_of_data_and_below_per_combination_sum(k):
     rules = grid_axis_rules()
-    matrix = ancestry_matrix(rules)
     counts = []
     for n in (20, 200):
         rng = random.Random(n)
@@ -292,7 +255,7 @@ def test_solve_nodes_independent_of_data_and_below_per_combination_sum(k):
     per_combination = 0
     for combo in itertools.combinations(range(len(rules)), k):
         stats = SolveStats()
-        solve_ruleset(combo, matrix, rules, data, MISCLASSIFICATION, stats=stats)
+        solve([rules[i] for i in combo], k, data, MISCLASSIFICATION, stats=stats)
         per_combination += stats.nodes
     assert counts[0] < per_combination
 
@@ -311,67 +274,19 @@ def test_solvers_leave_no_cyclic_garbage():
         gc.enable()
 
 
-def chain_matrix(k):
-    return AncestryMatrix(tuple(tuple(0 if i == j else 1 for j in range(k)) for i in range(k)))
-
-
 def chain_rules(k):
     return [Rule(i, hyperplane((1.0, 0.0), -float(i)), ((float(i), 0.0),)) for i in range(k)]
 
 
-def test_recursion_size_matches_worst_case_recurrence():
-    # all-one-side matrix: every ordering is admissible, so the recursion
-    # visits f(k) = 1 + k * (f(k-1) + 1) nodes, the factorial-style worst case
-    def f(k):
-        return 1 if k == 0 else 1 + k * (f(k - 1) + 1)
-
-    data = random_instance(1, n_min=4, n_max=6)
-    for k in (2, 3, 4):
-        stats = SolveStats()
-        solve_ruleset(range(k), chain_matrix(k), chain_rules(k), data, MISCLASSIFICATION, stats=stats)
-        assert stats.nodes == f(k)
-
-
 def test_recursion_nodes_independent_of_data_size():
     rules = chain_rules(3)
-    matrix = chain_matrix(3)
     counts = []
     for n in (20, 200):
         data = make_dataset([(i * 0.1, 0.0) for i in range(n)], [i % 2 for i in range(n)])
         stats = SolveStats()
-        solve_ruleset(range(3), matrix, rules, data, MISCLASSIFICATION, stats=stats)
+        solve(rules, 3, data, MISCLASSIFICATION, stats=stats)
         counts.append(stats.nodes)
     assert counts[0] == counts[1]
-
-
-def test_thinning_trivial_preorder_matches_plain_solve():
-    for seed in (0, 4):
-        data = random_instance(seed, n_min=5, n_max=8)
-        rules = enumerate_axis_rules(data)[:3]
-        matrix = ancestry_matrix(rules)
-        idx = tuple(range(len(rules)))
-        plain = solve_ruleset(idx, matrix, rules, data, MISCLASSIFICATION)
-        thinned = solve_ruleset(idx, matrix, rules, data, MISCLASSIFICATION, thinning=never_dominates)
-        assert thinned == plain
-
-
-@pytest.mark.parametrize("preorder_factory", [score_dominates, partition_dominates])
-def test_thinning_preorders_preserve_winning_score(preorder_factory):
-    for seed in (1, 6):
-        data = random_instance(seed, n_min=5, n_max=8)
-        rules = enumerate_axis_rules(data)[:3]
-        matrix = ancestry_matrix(rules)
-        idx = tuple(range(len(rules)))
-        plain = solve_ruleset(idx, matrix, rules, data, MISCLASSIFICATION)
-        thinned = solve_ruleset(
-            idx, matrix, rules, data, MISCLASSIFICATION, thinning=preorder_factory(MISCLASSIFICATION)
-        )
-        assert (thinned is None) == (plain is None)
-        if plain is not None:
-            assert (
-                tree_cost(thinned, MISCLASSIFICATION).cost
-                == tree_cost(plain, MISCLASSIFICATION).cost
-            )
 
 
 def _seg(x1, y1, x2, y2, payload):
@@ -523,7 +438,7 @@ def _kd_reference(data, max_depth, objective):
     def leaf(state):
         return DLeaf(state[0]), objective.leaf_cost(state[0])
 
-    return _optimize((seq, 0), splits, leaf, objective, memoize=True)[0]
+    return _optimize((seq, 0), splits, leaf, objective)[0]
 
 
 def test_solve_kd_equals_tuple_state_reference():

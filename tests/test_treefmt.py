@@ -73,7 +73,18 @@ def test_parse_round_trips_text():
 
 
 def test_parse_rejects_malformed():
-    for bad in ["", "(leaf )", "(leaf 2", "(node axis 0 (leaf 1) (leaf 1))", "(leaf 2) extra", "(twig 1)"]:
+    for bad in [
+        "",
+        "(leaf )",
+        "(leaf 2",
+        "(node axis 0 (leaf 1) (leaf 1))",
+        "(leaf 2) extra",
+        "(twig 1)",
+        "(node axis 0 nan (leaf 0) (leaf 3))",
+        "(node axis 0 -inf (leaf 0) (leaf 3))",
+        "(node hyp 1 inf -1e999 (leaf 0) (leaf 3))",
+        "(node seg 0 0 1e999 1 (leaf 0) (leaf 3))",
+    ]:
         with pytest.raises(ValueError):
             parse(bad)
 
