@@ -12,7 +12,7 @@ import math
 import sys
 from typing import Sequence
 
-from .data import Dataset, dimension, load_csv
+from .data import Dataset, dimension, load_csv, plain_number
 from .generator import count_tree_shapes, enumerate_permutation_trees, shape_costs
 from .rules import AxisParallel, Rule, ancestry_matrix, hyperplane_from_points
 from .rule_systems import (
@@ -40,8 +40,6 @@ from .solver import (
 from .treefmt import serialize
 from .trees import DecisionTree, DLeaf, DNode
 
-OBJECTIVES = {"misclassification": MISCLASSIFICATION}
-
 CHECK_MAX_N = 14
 CHECK_MAX_K = 4
 
@@ -57,7 +55,7 @@ def load_scene(path: str) -> tuple[SceneSegment, ...]:
             if len(parts) != 4:
                 raise ValueError(f"{path}:{lineno}: expected 4 coordinates")
             try:
-                x1, y1, x2, y2 = (float(p) for p in parts)
+                x1, y1, x2, y2 = (float(plain_number(p)) for p in parts)
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: malformed coordinate") from None
             if not all(math.isfinite(c) for c in (x1, y1, x2, y2)):
@@ -84,7 +82,7 @@ def load_rules_file(path: str, ndims: int) -> list[Rule]:
                 continue
             tag, vals = parts[0], parts[1:]
             try:
-                nums = [float(v) for v in vals]
+                nums = [float(plain_number(v)) for v in vals]
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: malformed number") from None
             if not all(math.isfinite(v) for v in nums):
@@ -166,23 +164,20 @@ def _cmd_fit(args) -> int:
     _require_non_negative("--max-depth", args.max_depth)
     data = load_csv(args.csv)
     rules, space = _build_rules(args, data)
-    objective = OBJECTIVES.get(args.objective)
-    if objective is None:
-        raise ValueError(f"unknown objective {args.objective!r}")
     if args.k > len(rules):
         raise ValueError(f"k={args.k} exceeds the {len(rules)} available rules")
     cons = SolveConstraints(min_leaf=args.min_leaf, max_depth=args.max_depth)
-    tree = solve(rules, args.k, space, objective, cons)
+    tree = solve(rules, args.k, space, MISCLASSIFICATION, cons)
     if tree is None:
         print("infeasible: constraints eliminated every tree")
         return 3
     text = serialize(tree, rules)
-    score = tree_cost(tree, objective)
+    misclassified = tree_cost(tree, MISCLASSIFICATION)
     print(f"tree: {text}")
-    print(f"score: {score.cost:g}")
+    print(f"score: {misclassified:g}")
     for line in _leaf_report(tree):
         print(line)
-    print(f"misclassified: {tree_cost(tree, MISCLASSIFICATION).cost:g}")
+    print(f"misclassified: {misclassified:g}")
     _write_out(args, text)
     return 0
 
@@ -199,13 +194,13 @@ def _cmd_check(args) -> int:
     objective = MISCLASSIFICATION
 
     tree = solve(rules, args.k, space, objective)
-    solver_score = None if tree is None else tree_cost(tree, objective).cost
+    solver_score = None if tree is None else tree_cost(tree, objective)
 
     # one matrix for the whole table, read by global rule ids
     matrix = ancestry_matrix(rules)
     pairs = enumerate_permutation_trees(rules, args.k, matrix)
     costs = shape_costs((shape for _, shape in pairs), rules, space, objective)
-    oracle_score = min(costs, key=objective.score).cost if costs else None
+    oracle_score = min(costs) if costs else None
 
     n_combos = math.comb(len(rules), args.k)
     n_perms = n_combos * math.factorial(args.k)
@@ -227,14 +222,14 @@ def _cmd_bsp(args) -> int:
     tree = solve_bsp(segments)
     text = serialize(tree)
     print(f"tree: {text}")
-    print(f"nodes: {tree_cost(tree, TREE_SIZE).cost:g}")
+    print(f"nodes: {tree_cost(tree, TREE_SIZE):g}")
     _write_out(args, text)
     return 0
 
 
 def _cmd_mcmp(args) -> int:
     try:
-        values = [int(v) for v in args.dims.split(",") if v.strip()]
+        values = [int(plain_number(v)) for v in args.dims.split(",") if v.strip()]
     except ValueError:
         raise ValueError(f"malformed dimension list {args.dims!r}") from None
     if len(values) < 2:
@@ -245,7 +240,7 @@ def _cmd_mcmp(args) -> int:
     tree = solve_mcmp(dims)
     text = serialize(tree)
     print(f"tree: {text}")
-    print(f"cost: {tree_cost(tree, CHAIN_COST).cost:g}")
+    print(f"cost: {tree_cost(tree, CHAIN_COST)[0]:g}")
     print(f"order: {parenthesization(tree)}")
     _write_out(args, text)
     return 0
@@ -277,7 +272,7 @@ def _cmd_kd(args) -> int:
     tree = solve_kd(data, args.max_depth)
     text = serialize(tree)
     print(f"tree: {text}")
-    print(f"score: {tree_cost(tree, LEAF_BALANCE).cost:g}")
+    print(f"score: {tree_cost(tree, LEAF_BALANCE):g}")
     print("levels: " + " ".join(str(d) for d in _levels(tree)))
     _write_out(args, text)
     return 0
@@ -299,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_fit)
     p_fit.add_argument("--min-leaf", type=int, default=0)
     p_fit.add_argument("--max-depth", type=int, default=None)
-    p_fit.add_argument("--objective", default="misclassification")
     p_fit.set_defaults(func=_cmd_fit)
 
     p_check = sub.add_parser("check", help="cross-check the solver against brute force")

@@ -33,6 +33,18 @@ def make_dataset(points: Iterable[Sequence[float]], labels: Iterable[int] | None
     return tuple(Sample(p, y) for p, y in zip(pts, labs))
 
 
+def plain_number(token: str) -> str:
+    """``token`` unchanged if it is ASCII and has no ``_``, else ValueError.
+
+    ``float()`` and ``int()`` also read ``_`` digit separators and non-ASCII
+    digits, which no input file means as a number; pass text tokens through
+    this first.
+    """
+    if not token.isascii() or "_" in token:
+        raise ValueError(f"not a plain number: {token!r}")
+    return token
+
+
 def dimension(data: Dataset) -> int:
     if not data:
         raise ValueError("empty dataset has no dimension")
@@ -66,8 +78,8 @@ def load_csv(path: str, require_label: bool = True) -> Dataset:
             if len(row) != len(header):
                 raise ValueError(f"{path}:{lineno}: expected {len(header)} columns")
             try:
-                point = tuple(float(c) for c in row[:d])
-                labels.append(int(row[d]) if has_label else 0)
+                point = tuple(float(plain_number(c)) for c in row[:d])
+                labels.append(int(plain_number(row[d])) if has_label else 0)
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: malformed numeric value") from None
             if not all(math.isfinite(c) for c in point):

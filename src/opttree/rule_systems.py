@@ -20,7 +20,6 @@ from .rules import (
     EPS,
     AncestryMatrix,
     AxisParallel,
-    LiftedHyperplane,
     Rule,
     classify,
     hyperplane_from_points,
@@ -116,11 +115,7 @@ def lift_dataset(data: Dataset) -> Dataset:
 
 def enumerate_surface2_rules(data: Dataset, *, diagnostics: dict | None = None) -> list[Rule]:
     """Degree-2 surface rules: hyperplanes over the monomial-lifted dataset."""
-    base = enumerate_hyperplane_rules(lift_dataset(data), diagnostics=diagnostics)
-    return [
-        Rule(r.id, LiftedHyperplane(r.kind.weights, r.kind.bias), r.defining_points)
-        for r in base
-    ]
+    return enumerate_hyperplane_rules(lift_dataset(data), diagnostics=diagnostics)
 
 
 def splits_generic(

@@ -41,15 +41,6 @@ class Hyperplane:
 
 
 @dataclass(frozen=True)
-class LiftedHyperplane:
-    """Linear cut in monomial-lifted space, encoding a polynomial surface."""
-
-    weights: tuple[float, ...]
-    bias: float
-    degree: int = 2
-
-
-@dataclass(frozen=True)
 class Segment2D:
     """Oriented line through two distinct points; positive side is the
     non-negative-orientation half-plane of the directed extending line."""
@@ -58,7 +49,7 @@ class Segment2D:
     end: Point
 
 
-RuleKind = AxisParallel | Hyperplane | LiftedHyperplane | Segment2D
+RuleKind = AxisParallel | Hyperplane | Segment2D
 
 
 @dataclass(frozen=True)
@@ -118,7 +109,7 @@ def classify(rule: Rule | RuleKind, point: Point) -> int:
         if kind.dim >= len(point):
             raise ValueError(f"point of dimension {len(point)} lacks coordinate {kind.dim}")
         return 1 if point[kind.dim] <= kind.threshold else -1
-    if isinstance(kind, (Hyperplane, LiftedHyperplane)):
+    if isinstance(kind, Hyperplane):
         w = kind.weights
         if len(w) != len(point):
             raise ValueError(f"expected {len(w)} coordinates, got {len(point)}")

@@ -3,9 +3,9 @@
 Every optimizer is one recursion with a memo, :func:`_optimize`, over a
 front end's splits strategy: a state is either a leaf or yields (left state,
 rule, right state) triples; both sides are solved, combined, and the
-cheapest combination is kept. Because every shipped objective combines child
-costs monotonically, taking the minimum inside the recursion is exact, and
-each state keeps a single candidate.
+combination whose cost (any value ``<`` orders) is least is kept. Because
+every shipped objective combines child costs monotonically, taking the
+minimum inside the recursion is exact, and each state keeps one candidate.
 
 The rule-set front end works on bitmasks: a state is (allowed rules, rows,
 rules still to place, depth budget, ancestor side-set), a root's ancestry row
@@ -16,7 +16,7 @@ and :class:`SolveStats` counts recursion calls (memo hits included), a number
 that depends on the rule table and k but not on the data. Ties compare the
 rule combination (the lexicographically smallest wins), then the root (the
 earliest wins). That is the brute-force answer: the first strictly better
-score over the combinations in lexicographic order, each combination's trees
+cost over the combinations in lexicographic order, each combination's trees
 generated root-first.
 
 The bsp, mcmp and kd front ends key the memo by state (fragment set, sub-chain,
@@ -40,28 +40,18 @@ from .trees import DecisionTree, DLeaf, DNode
 
 
 @dataclass(frozen=True)
-class CostValue:
-    """Scalar cost plus an optional aggregate (e.g. sub-chain dimensions)."""
-
-    cost: float
-    payload: tuple | None = None
-
-
-def _score_cost(value: CostValue) -> float:
-    return value.cost
-
-
-@dataclass(frozen=True)
 class Objective:
-    """Leaf cost, monotone combine, and the scalar used for comparisons.
+    """Leaf cost and a combine step monotone in each child's cost.
 
-    ``combine`` must be nondecreasing in each child's score for a fixed
-    branch context; that is what licenses minimizing inside the recursion.
+    A cost is any value that ``<`` orders, smaller being better; ``combine``
+    must be nondecreasing in each child's cost for a fixed branch context,
+    which licenses minimizing inside the recursion. The chain cost
+    ``(total, rows, cols)`` orders by total: the candidates of one sub-chain
+    share rows and cols.
     """
 
-    leaf_cost: Callable[[Any], CostValue]
-    combine: Callable[[CostValue, CostValue, Any], CostValue]
-    score: Callable[[CostValue], float] = _score_cost
+    leaf_cost: Callable[[Any], Any]
+    combine: Callable[[Any, Any, Any], Any]
 
 
 @dataclass(frozen=True)
@@ -86,46 +76,46 @@ def majority_label(data: Dataset) -> int | None:
     return best[0]
 
 
-def misclassification_cost(data: Dataset) -> CostValue:
+def misclassification_cost(data: Dataset) -> float:
     """Points whose label differs from the leaf majority."""
     if not data:
-        return CostValue(0.0)
+        return 0.0
     counts = Counter(s.label for s in data)
-    return CostValue(float(len(data) - max(counts.values())))
+    return float(len(data) - max(counts.values()))
 
 
-def _add(a: CostValue, b: CostValue, ctx: Any) -> CostValue:
-    return CostValue(a.cost + b.cost)
+def _add(a: float, b: float, ctx: Any) -> float:
+    return a + b
 
 
-def _add_plus_one(a: CostValue, b: CostValue, ctx: Any) -> CostValue:
-    return CostValue(a.cost + b.cost + 1.0)
+def _add_plus_one(a: float, b: float, ctx: Any) -> float:
+    return a + b + 1.0
 
 
-def _chain_leaf(dim: MatrixDim) -> CostValue:
-    return CostValue(0.0, (dim.rows, dim.cols))
+def _chain_leaf(dim: MatrixDim) -> tuple[float, int, int]:
+    return 0.0, dim.rows, dim.cols
 
 
-def _chain_combine(a: CostValue, b: CostValue, ctx: Any) -> CostValue:
-    p, q = a.payload
-    q2, r = b.payload
+def _chain_combine(a: tuple, b: tuple, ctx: Any) -> tuple[float, int, int]:
+    total_a, p, q = a
+    total_b, q2, r = b
     if q != q2:
-        raise ValueError(f"non-conforming chain dimensions {a.payload} x {b.payload}")
-    return CostValue(a.cost + b.cost + p * q * r, (p, r))
+        raise ValueError(f"non-conforming chain dimensions {(p, q)} x {(q2, r)}")
+    return total_a + total_b + p * q * r, p, r
 
 
-def _balance_leaf(data: Dataset) -> CostValue:
-    return CostValue(float(len(data)) ** 2)
+def _balance_leaf(data: Dataset) -> float:
+    return float(len(data)) ** 2
 
 
 MISCLASSIFICATION = Objective(misclassification_cost, _add)
-TREE_SIZE = Objective(lambda data: CostValue(1.0), _add_plus_one)
+TREE_SIZE = Objective(lambda data: 1.0, _add_plus_one)
 CHAIN_COST = Objective(_chain_leaf, _chain_combine)
 LEAF_BALANCE = Objective(_balance_leaf, _add)
 
 
-def tree_cost(tree: DecisionTree, objective: Objective) -> CostValue:
-    """Fold an objective over a completed tree."""
+def tree_cost(tree: DecisionTree, objective: Objective) -> Any:
+    """The objective's cost of a completed tree: its leaf costs folded by ``combine``."""
     if isinstance(tree, DLeaf):
         return objective.leaf_cost(tree.data)
     u = tree_cost(tree.left, objective)
@@ -141,10 +131,10 @@ def _members(data: Dataset, mask: int) -> Dataset:
 def _optimize(
     root: Any,
     splits: Callable[[Any], list | None],
-    leaf: Callable[[Any], tuple[DecisionTree, CostValue] | None],
+    leaf: Callable[[Any], tuple[DecisionTree, Any] | None],
     objective: Objective,
     stats: SolveStats | None = None,
-) -> tuple[DecisionTree, CostValue] | None:
+) -> tuple[DecisionTree, Any] | None:
     """Cheapest (tree, cost) for the ``root`` state, or None if none is feasible.
 
     ``splits(state)`` returns None for a leaf state, otherwise the
@@ -154,7 +144,7 @@ def _optimize(
     first cheapest candidate and builds a node only for it, so ties go to
     the earliest candidate.
     """
-    combine, score = objective.combine, objective.score
+    combine = objective.combine
     memo: dict = {}
 
     def rec(state):
@@ -175,10 +165,9 @@ def _optimize(
                 if v is None:
                     continue
                 cost = combine(u[1], v[1], rule)
-                s = score(cost)
-                if best is None or s < best[0]:
-                    best = (s, u[0], rule, v[0], cost)
-            result = None if best is None else (DNode(best[1], best[2], best[3]), best[4])
+                if best is None or cost < best[0]:
+                    best = (cost, u[0], rule, v[0])
+            result = None if best is None else (DNode(best[1], best[2], best[3]), best[0])
         memo[state] = result
         return result
 
@@ -279,20 +268,20 @@ class _RuleMasks:
 
 
 def _combination_tie_break(objective: Objective, size: int) -> Objective:
-    """The objective on (cost, combination mask) pairs, for :func:`solve`.
+    """The objective on (cost, -combination mask) pairs, for :func:`solve`.
 
-    Scores compare as (score, combination), the lexicographically smaller
-    combination first: it is the larger mask, with rule i at bit size-1-i.
+    Rule i is bit size-1-i of the mask, so tuple order compares by cost, then
+    by combination, the lexicographically smaller of one size first.
     """
-    combine, score = objective.combine, objective.score
+    combine = objective.combine
 
-    def leaf_cost(data: Dataset) -> tuple[CostValue, int]:
+    def leaf_cost(data: Dataset) -> tuple[Any, int]:
         return objective.leaf_cost(data), 0
 
-    def combine_masks(a: tuple, b: tuple, rule: int) -> tuple[CostValue, int]:
-        return combine(a[0], b[0], rule), a[1] | b[1] | 1 << (size - 1 - rule)
+    def combine_masks(a: tuple, b: tuple, rule: int) -> tuple[Any, int]:
+        return combine(a[0], b[0], rule), a[1] + b[1] - (1 << (size - 1 - rule))
 
-    return Objective(leaf_cost, combine_masks, lambda value: (score(value[0]), -value[1]))
+    return Objective(leaf_cost, combine_masks)
 
 
 def solve(
@@ -307,9 +296,9 @@ def solve(
 
     One recursion covers every k-combination at once: a state is
     solved once per ancestor side-set and reused by every combination that
-    reaches it. Candidates compare by score, then by rule combination (the
+    reaches it. Candidates compare by cost, then by rule combination (the
     lexicographically smallest wins), then by root (the earliest wins). The
-    result is the brute-force answer: the first strictly better score over
+    result is the brute-force answer: the first strictly better cost over
     the combinations in lexicographic order, each combination's trees
     generated root-first. ``stats.nodes`` counts the recursion calls, memo
     hits included; it depends on the rule table and k but not on the data.
@@ -338,7 +327,7 @@ def solve_bsp(segments: Sequence[SceneSegment]) -> DecisionTree:
     def splits(frags: tuple[SceneSegment, ...]) -> list | None:
         return splits_bsp(frags) if frags else None
 
-    def leaf(frags: tuple[SceneSegment, ...]) -> tuple[DecisionTree, CostValue]:
+    def leaf(frags: tuple[SceneSegment, ...]) -> tuple[DecisionTree, float]:
         return DLeaf(()), TREE_SIZE.leaf_cost(())
 
     return _optimize(tuple(segments), splits, leaf, TREE_SIZE)[0]
@@ -380,7 +369,7 @@ def solve_mcmp(dims: Sequence[MatrixDim]) -> DecisionTree:
         # chain nodes carry no rule: the tree shape alone is the association
         return [(prefix, None, suffix) for prefix, _, suffix in splits_mcmp(items)]
 
-    def leaf(items: tuple[MatrixDim, ...]) -> tuple[DecisionTree, CostValue]:
+    def leaf(items: tuple[MatrixDim, ...]) -> tuple[DecisionTree, tuple]:
         return DLeaf(items[0]), CHAIN_COST.leaf_cost(items[0])
 
     return _optimize(seq, splits, leaf, CHAIN_COST)[0]
@@ -442,7 +431,7 @@ def solve_kd(data: Dataset, max_depth: int, objective: Objective | None = None) 
             out.append(((left, depth + 1), (seq[i].point, d), (rest ^ left, depth + 1)))
         return out
 
-    def leaf(state: tuple[int, int]) -> tuple[DecisionTree, CostValue]:
+    def leaf(state: tuple[int, int]) -> tuple[DecisionTree, Any]:
         items = _members(seq, state[0])
         return DLeaf(items), obj.leaf_cost(items)
 

@@ -20,7 +20,8 @@ from __future__ import annotations
 import math
 from typing import Any, Sequence
 
-from .rules import AxisParallel, Hyperplane, LiftedHyperplane, Rule, RuleKind, Segment2D
+from .data import plain_number
+from .rules import AxisParallel, Hyperplane, Rule, RuleKind, Segment2D
 from .rule_systems import SceneSegment
 from .trees import DecisionTree, DLeaf, DNode
 
@@ -49,7 +50,7 @@ def _rule_desc(payload: Any, rules: Sequence[Rule] | None) -> str:
         payload = payload.kind
     if isinstance(payload, AxisParallel):
         return f"axis {payload.dim} {format_real(payload.threshold)}"
-    if isinstance(payload, (Hyperplane, LiftedHyperplane)):
+    if isinstance(payload, Hyperplane):
         coeffs = " ".join(format_real(w) for w in payload.weights)
         return f"hyp {coeffs} {format_real(payload.bias)}"
     if isinstance(payload, (Segment2D, SceneSegment)):
@@ -94,7 +95,7 @@ class _Parser:
     def real(self) -> float:
         tok = self.take()
         try:
-            value = float(tok)
+            value = float(plain_number(tok))
         except ValueError:
             raise ValueError(f"expected a number, found {tok!r}") from None
         if not math.isfinite(value):
@@ -103,7 +104,7 @@ class _Parser:
 
     def natural(self) -> int:
         tok = self.take()
-        if not tok.isdigit():
+        if not (tok.isascii() and tok.isdigit()):
             raise ValueError(f"expected a count, found {tok!r}")
         return int(tok)
 

@@ -55,7 +55,6 @@ from opttree import (
     CHAIN_COST,
     LEAF_BALANCE,
     TREE_SIZE,
-    CostValue,
 )
 
 N_INSTANCES = 100
@@ -117,7 +116,7 @@ def test_criterion_1_oracle_optimality():
             signs = sign_table(rules, data)
             matrix = ancestry_matrix(rules)
             tree = solve(rules, k, data, MISCLASSIFICATION)
-            solver_score = None if tree is None else tree_cost(tree, MISCLASSIFICATION).cost
+            solver_score = None if tree is None else tree_cost(tree, MISCLASSIFICATION)
             best = None
             for _, shape in enumerate_permutation_trees(rules, k, matrix):
                 s = route_score(shape, signs, labels, all_rows)
@@ -229,7 +228,7 @@ def test_criterion_5_matrix_chain():
     four = [MatrixDim(a, b) for a, b in zip([10, 30, 5, 60], [30, 5, 60, 2])]
     dims = [MatrixDim(10, 30), MatrixDim(30, 5), MatrixDim(5, 60)]
     best = solve_mcmp(dims)
-    cost = tree_cost(best, CHAIN_COST).cost
+    cost = tree_cost(best, CHAIN_COST)[0]
     dp = classic_chain_dp([10, 30, 5, 60])
     ok = counts_ok and cost == dp == 4500 and len(all_chain_trees(four)) == 5
     report(5, ok, f"chain tree counts are Catalan for n=2..8 (4 matrices: 5); [10,30,5,60] optimum {cost:g} == {dp}")
@@ -281,8 +280,8 @@ def test_criterion_7_constraint_fusion():
         cons = SolveConstraints(min_leaf=min_leaf, max_depth=max_depth)
         best = solve([rules[i] for i in picks], len(picks), data, MISCLASSIFICATION, cons)
         if filtered:
-            want = min(tree_cost(t, MISCLASSIFICATION).cost for t in filtered)
-            assert best is not None and tree_cost(best, MISCLASSIFICATION).cost == want
+            want = min(tree_cost(t, MISCLASSIFICATION) for t in filtered)
+            assert best is not None and tree_cost(best, MISCLASSIFICATION) == want
         else:
             assert best is None
         checked += 1
@@ -424,7 +423,7 @@ def test_criterion_10_kd_exhaustive():
             dims = level_dims_consistent(tree)
             assert dims is not None, f"instance {i}: inconsistent level dimensions"
             assert dims == [d % 2 for d in range(len(dims))]
-            assert tree_cost(tree, LEAF_BALANCE).cost == kd_oracle(data, max_depth)
+            assert tree_cost(tree, LEAF_BALANCE) == kd_oracle(data, max_depth)
             checked += 1
     report(10, True, f"depth-cycled trees match exhaustive search on {checked} solves")
 
@@ -438,13 +437,10 @@ def test_criterion_11_monotone_combine():
         b, b2 = sorted([rng.uniform(0, 100), rng.uniform(0, 100)])
         ctx = rng.randint(0, 5)
         for obj in (MISCLASSIFICATION, TREE_SIZE, LEAF_BALANCE):
-            lo = obj.score(obj.combine(CostValue(a), CostValue(b), ctx))
-            hi = obj.score(obj.combine(CostValue(a2), CostValue(b2), ctx))
-            if lo > hi:
+            if not obj.combine(a, b, ctx) <= obj.combine(a2, b2, ctx):
                 violations += 1
         p, q, r = rng.randint(1, 20), rng.randint(1, 20), rng.randint(1, 20)
-        lo = CHAIN_COST.combine(CostValue(a, (p, q)), CostValue(b, (q, r)), ctx)
-        hi = CHAIN_COST.combine(CostValue(a2, (p, q)), CostValue(b2, (q, r)), ctx)
-        if CHAIN_COST.score(lo) > CHAIN_COST.score(hi):
+        lo = CHAIN_COST.combine((a, p, q), (b, q, r), ctx)
+        if not lo <= CHAIN_COST.combine((a2, p, q), (b2, q, r), ctx):
             violations += 1
     report(11, violations == 0, f"{trials} ordered tuples per objective, {violations} violations")

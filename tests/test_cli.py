@@ -97,8 +97,9 @@ def test_fit_malformed_csv_exits_2(tmp_path, capsys):
     csv = tmp_path / "bad.csv"
     csv.write_text("a,b\n1,2\n")
     assert run(capsys, "fit", csv)[0] == 2
-    for value in ("nan", "inf", "-inf"):
-        csv.write_text(f"f0,f1,label\n1,2,0\n{value},3,1\n")
+    # float() and int() would read 1_5 as 15 and the non-ASCII digits as 3
+    for row in ("nan,3,1", "inf,3,1", "-inf,3,1", "1_5,3,1", "\uff13,3,1", "2,3,\u0663"):
+        csv.write_text(f"f0,f1,label\n1,2,0\n{row}\n")
         assert main(["fit", str(csv), "--k", "1"]) == 2
         assert f"{csv}:3:" in capsys.readouterr().err
 
@@ -111,6 +112,16 @@ def test_fit_rules_file_non_finite_exits_2(tmp_path, capsys):
         rules.write_text(f"axis 1 0 0\n{line}\n")
         assert main(["fit", str(csv), "--k", "1", "--rules-file", str(rules)]) == 2
         assert f"{rules}:2: non-finite value" in capsys.readouterr().err
+
+
+def test_fit_rules_file_python_only_number_exits_2(tmp_path, capsys):
+    csv = tmp_path / "d.csv"
+    write_csv(csv, [(0.0, 0.0), (1.0, 1.0), (2.0, 0.5)], [0, 1, 0])
+    rules = tmp_path / "r.txt"
+    for line in ("axis 0 1_0 0", "axis \u0661 1 0.5"):
+        rules.write_text(f"axis 1 0 0\n{line}\n")
+        assert main(["fit", str(csv), "--k", "1", "--rules-file", str(rules)]) == 2
+        assert f"{rules}:2: malformed number" in capsys.readouterr().err
 
 
 def test_fit_rules_file_fractional_dimension_exits_2(tmp_path, capsys):
@@ -249,6 +260,86 @@ def test_check_output_is_pinned(tmp_path, capsys, rules, seed, n, k):
     assert out.splitlines() == CHECK_OUTPUTS[rules, seed, n, k]
 
 
+# A scene of five segments; three of them cross others and are fragmented.
+PINNED_SCENE = "0 0 4 0\n1 -2 1 3\n3 -1 3 2\n-1 1 5 2\n2 -3 2 -1\n"
+
+# Every line the other subcommands print for fixed inputs. Keys: an id, the
+# (seed, n) of the seeded CSV (None for no CSV) and the arguments, where
+# "{csv}" and "{scene}" stand for the input files.
+PINNED_OUTPUTS = {
+    ("fit-axis-k2", (41, 10), ("fit", "{csv}", "--rules", "axis", "--k", "2")): [
+        "tree: (node axis 0 7.316 (node axis 1 5.764 (leaf 5) (leaf 3)) (leaf 2))",
+        "score: 1",
+        "leaf 0: size=5 majority=1 errors=1",
+        "leaf 1: size=3 majority=0 errors=0",
+        "leaf 2: size=2 majority=0 errors=0",
+        "misclassified: 1",
+    ],
+    (
+        "fit-axis-k3-constrained",
+        (42, 10),
+        ("fit", "{csv}", "--rules", "axis", "--k", "3", "--min-leaf", "2", "--max-depth", "2"),
+    ): [
+        "tree: (node axis 0 2.75 (node axis 1 2.232 (leaf 2) (leaf 2))"
+        " (node axis 0 6.499 (leaf 3) (leaf 3)))",
+        "score: 0",
+        "leaf 0: size=2 majority=1 errors=0",
+        "leaf 1: size=2 majority=0 errors=0",
+        "leaf 2: size=3 majority=0 errors=0",
+        "leaf 3: size=3 majority=1 errors=0",
+        "misclassified: 0",
+    ],
+    ("fit-hyperplane-k1", (43, 10), ("fit", "{csv}", "--rules", "hyperplane", "--k", "1")): [
+        "tree: (node hyp 0.208847765 -0.977948164 6.24404521 (leaf 7) (leaf 3))",
+        "score: 1",
+        "leaf 0: size=7 majority=0 errors=1",
+        "leaf 1: size=3 majority=1 errors=0",
+        "misclassified: 1",
+    ],
+    ("fit-surface2-k1", (44, 9), ("fit", "{csv}", "--rules", "surface2", "--k", "1")): [
+        "tree: (node hyp 0.890556291 -0.442914007 -0.0754474008 -0.038136012 0.0599166874"
+        " -0.894099353 (leaf 6) (leaf 3))",
+        "score: 0",
+        "leaf 0: size=6 majority=0 errors=0",
+        "leaf 1: size=3 majority=1 errors=0",
+        "misclassified: 0",
+    ],
+    ("bsp", None, ("bsp", "{scene}")): [
+        "tree: (node seg 0 0 4 0 (node seg 1 0 1 3 (node seg -1 1 1 1.33333333 (leaf 0) (leaf 0))"
+        " (node seg 3 0 3 2 (node seg 1 1.33333333 3 1.66666667 (leaf 0) (leaf 0))"
+        " (node seg 3 1.66666667 5 2 (leaf 0) (leaf 0)))) (node seg 1 -2 1 0 (leaf 0)"
+        " (node seg 3 -1 3 0 (node seg 2 -3 2 -1 (leaf 0) (leaf 0)) (leaf 0))))",
+        "nodes: 19",
+    ],
+    ("mcmp-six", None, ("mcmp", "30,35,15,5,10,20,25")): [
+        "tree: (node cut (node cut (leaf 1) (node cut (leaf 1) (leaf 1)))"
+        " (node cut (node cut (leaf 1) (leaf 1)) (leaf 1)))",
+        "cost: 15125",
+        "order: ((A×(B×C))×((D×E)×F))",
+    ],
+    ("kd-depth3", (45, 10), ("kd", "{csv}", "--max-depth", "3")): [
+        "tree: (node axis 0 2.719 (node axis 1 3.387 (node axis 0 0.723 (leaf 0) (leaf 0))"
+        " (node axis 0 0.75 (leaf 1) (leaf 1))) (node axis 1 2.11 (node axis 0 2.839 (leaf 0) (leaf 0))"
+        " (node axis 0 3.11 (leaf 0) (leaf 1))))",
+        "score: 3",
+        "levels: 0 1 0",
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "name,seeded,argv", list(PINNED_OUTPUTS), ids=[key[0] for key in PINNED_OUTPUTS]
+)
+def test_subcommand_output_is_pinned(tmp_path, capsys, name, seeded, argv):
+    csv, scene = tmp_path / "d.csv", tmp_path / "scene.txt"
+    if seeded is not None:
+        seeded_csv(csv, *seeded)
+    scene.write_text(PINNED_SCENE)
+    code, out = run(capsys, *(a.format(csv=csv, scene=scene) for a in argv))
+    assert code == 0
+    assert out.splitlines() == PINNED_OUTPUTS[name, seeded, argv]
+
+
 def test_check_guardrails(tmp_path, capsys):
     csv = tmp_path / "d.csv"
     seeded_csv(csv, 5, n=15)
@@ -272,9 +363,10 @@ def test_bsp_malformed_scene(tmp_path, capsys):
     scene = tmp_path / "scene.txt"
     scene.write_text("0 0 1\n")
     assert run(capsys, "bsp", scene)[0] == 2
-    scene.write_text("1 1 2 2\n0 0 1 nan\n")
-    assert main(["bsp", str(scene)]) == 2
-    assert f"{scene}:2:" in capsys.readouterr().err
+    for line in ("0 0 1 nan", "0 0 1_0 0", "0 0 \uff11 0"):
+        scene.write_text(f"1 1 2 2\n{line}\n")
+        assert main(["bsp", str(scene)]) == 2
+        assert f"{scene}:2:" in capsys.readouterr().err
 
 
 def test_mcmp_command(capsys):
@@ -294,6 +386,8 @@ def test_mcmp_single_matrix(capsys):
 def test_mcmp_malformed(capsys):
     assert run(capsys, "mcmp", "10")[0] == 2
     assert run(capsys, "mcmp", "10,x,3")[0] == 2
+    assert run(capsys, "mcmp", "10,3_0,3")[0] == 2
+    assert run(capsys, "mcmp", "10,\u0663,3")[0] == 2
 
 
 def test_kd_command(tmp_path, capsys):

@@ -20,7 +20,6 @@ from opttree import (
     ancestry_matrix,
     complete_shapes,
     count_tree_shapes,
-    CostValue,
     depth,
     downward_accumulate,
     enumerate_axis_rules,
@@ -196,10 +195,10 @@ def test_shape_costs_equals_tree_cost_of_completed_shapes(kind, monkeypatch):
 
     def leaf_cost(data):
         leaf_calls[data] += 1
-        return CostValue(misclassification_cost(data).cost + 0.25 * len(data))
+        return misclassification_cost(data) + 0.25 * len(data)
 
     def combine(a, b, rule_id):
-        return CostValue(2 * a.cost + 3 * b.cost + rule_id)
+        return 2 * a + 3 * b + rule_id
 
     objective = Objective(leaf_cost, combine)
     calls = counted_classify(monkeypatch)

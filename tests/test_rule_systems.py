@@ -6,7 +6,7 @@ import pytest
 
 from opttree import (
     AncestryMatrix,
-    LiftedHyperplane,
+    Hyperplane,
     MatrixDim,
     SceneSegment,
     all_chain_trees,
@@ -82,7 +82,7 @@ def test_lifted_rules_match_polynomial_sign():
     grid = [(x * 0.7, y * 0.9) for x in range(-3, 4) for y in range(-3, 4)]
     for rule in rules[:5]:
         kind = rule.kind
-        assert isinstance(kind, LiftedHyperplane)
+        assert isinstance(kind, Hyperplane)
         for p in grid:
             direct = kind.bias + sum(w * m for w, m in zip(kind.weights, lift_degree2(p)))
             expected = 1 if direct >= -1e-9 else -1

@@ -17,7 +17,6 @@ from opttree import (
     MISCLASSIFICATION,
     TREE_SIZE,
     AxisParallel,
-    CostValue,
     DLeaf,
     DNode,
     MatrixDim,
@@ -55,31 +54,31 @@ from helpers import leaf_payloads, random_instance
 
 
 def test_majority_and_misclassification():
-    assert misclassification_cost(()).cost == 0
+    assert misclassification_cost(()) == 0
     d = make_dataset([(0.0,)] * 3, [1, 1, 2])
     assert majority_label(d) == 1
-    assert misclassification_cost(d).cost == 1
+    assert misclassification_cost(d) == 1
     tie = make_dataset([(0.0,)] * 4, [1, 1, 2, 2])
     assert majority_label(tie) == 1  # tie resolves to the smaller label
-    assert misclassification_cost(tie).cost == 2
+    assert misclassification_cost(tie) == 2
 
 
 def test_tree_size_cost():
     leaf = DLeaf(())
-    assert tree_cost(leaf, TREE_SIZE).cost == 1
-    assert tree_cost(DNode(leaf, None, leaf), TREE_SIZE).cost == 3
+    assert tree_cost(leaf, TREE_SIZE) == 1
+    assert tree_cost(DNode(leaf, None, leaf), TREE_SIZE) == 3
     full2 = DNode(DNode(leaf, None, leaf), None, DNode(leaf, None, leaf))
-    assert tree_cost(full2, TREE_SIZE).cost == 7
+    assert tree_cost(full2, TREE_SIZE) == 7
 
 
 def test_chain_cost():
     single = DLeaf(MatrixDim(10, 30))
-    assert tree_cost(single, CHAIN_COST).cost == 0
+    assert tree_cost(single, CHAIN_COST)[0] == 0
     dims = [MatrixDim(10, 30), MatrixDim(30, 5), MatrixDim(5, 60)]
     left_assoc = DNode(DNode(DLeaf(dims[0]), None, DLeaf(dims[1])), None, DLeaf(dims[2]))
     right_assoc = DNode(DLeaf(dims[0]), None, DNode(DLeaf(dims[1]), None, DLeaf(dims[2])))
-    assert tree_cost(left_assoc, CHAIN_COST).cost == 4500
-    assert tree_cost(right_assoc, CHAIN_COST).cost == 27000
+    assert tree_cost(left_assoc, CHAIN_COST)[0] == 4500
+    assert tree_cost(right_assoc, CHAIN_COST)[0] == 27000
     with pytest.raises(ValueError):
         tree_cost(DNode(DLeaf(dims[0]), None, DLeaf(dims[2])), CHAIN_COST)
 
@@ -87,7 +86,7 @@ def test_chain_cost():
 def _oracle_best_score(rules, k, data, objective):
     pairs = enumerate_permutation_trees(rules, k)
     scores = [
-        tree_cost(downward_accumulate(shape_to_tree(shape, data), rules), objective).cost
+        tree_cost(downward_accumulate(shape_to_tree(shape, data), rules), objective)
         for _, shape in pairs
     ]
     return min(scores) if scores else None
@@ -100,7 +99,7 @@ def test_solve_matches_brute_force_small():
         for k in (1, 2):
             tree = solve(rules, k, data, MISCLASSIFICATION)
             assert tree is not None
-            got = tree_cost(tree, MISCLASSIFICATION).cost
+            got = tree_cost(tree, MISCLASSIFICATION)
             assert got == _oracle_best_score(rules, k, data, MISCLASSIFICATION)
 
 
@@ -118,8 +117,8 @@ def test_solve_fixed_combination_matches_per_combination_oracle():
                 for s in all_tree_shapes(combo, matrix)
             ]
             assert tree is not None and completed
-            want = min(tree_cost(t, MISCLASSIFICATION).cost for t in completed)
-            assert tree_cost(tree, MISCLASSIFICATION).cost == want
+            want = min(tree_cost(t, MISCLASSIFICATION) for t in completed)
+            assert tree_cost(tree, MISCLASSIFICATION) == want
 
 
 def test_solve_k_zero_and_oversized():
@@ -138,7 +137,7 @@ def test_solve_separable_hyperplane_k1():
     data = make_dataset(points, labels)
     rules = enumerate_hyperplane_rules(data)
     tree = solve(rules, 1, data, MISCLASSIFICATION)
-    assert tree_cost(tree, MISCLASSIFICATION).cost == 0
+    assert tree_cost(tree, MISCLASSIFICATION) == 0
 
 
 def test_solve_respects_constraints():
@@ -155,8 +154,8 @@ def test_solve_respects_constraints():
         else:
             assert all(len(leaf) >= 1 for leaf in leaf_payloads(tree))
             assert depth(tree) <= 2
-            best = min(tree_cost(t, MISCLASSIFICATION).cost for t in candidates)
-            assert tree_cost(tree, MISCLASSIFICATION).cost == best
+            best = min(tree_cost(t, MISCLASSIFICATION) for t in candidates)
+            assert tree_cost(tree, MISCLASSIFICATION) == best
 
 
 def test_solve_infeasible_returns_none():
@@ -197,7 +196,7 @@ def _per_combination_reference(rules, k, data, objective, constraints):
     for combo in itertools.combinations(range(len(rules)), k):
         trees = all_trees_constrained(combo, matrix, rules, data, cons.min_leaf, cons.max_depth)
         for tree in trees:
-            score = objective.score(tree_cost(tree, objective))
+            score = tree_cost(tree, objective)
             if best is None or score < best_score:
                 best, best_score = tree, score
     return best
@@ -332,10 +331,10 @@ def test_solve_bsp_never_beaten_by_random_orders():
 def test_solve_mcmp_classic():
     dims = [MatrixDim(10, 30), MatrixDim(30, 5), MatrixDim(5, 60)]
     tree = solve_mcmp(dims)
-    assert tree_cost(tree, CHAIN_COST).cost == 4500
+    assert tree_cost(tree, CHAIN_COST)[0] == 4500
     assert parenthesization(tree) == "((A×B)×C)"
     single = solve_mcmp([MatrixDim(4, 9)])
-    assert tree_cost(single, CHAIN_COST).cost == 0
+    assert tree_cost(single, CHAIN_COST)[0] == 0
     with pytest.raises(ValueError):
         solve_mcmp([MatrixDim(2, 3), MatrixDim(4, 5)])
 
@@ -360,7 +359,7 @@ def test_solve_mcmp_matches_cubic_dp():
     chains.append([rng.randint(1, 12) for _ in range(41)])  # a 40-matrix chain
     for values in chains:
         dims = [MatrixDim(a, b) for a, b in zip(values, values[1:])]
-        assert tree_cost(solve_mcmp(dims), CHAIN_COST).cost == _classic_chain_dp(values)
+        assert tree_cost(solve_mcmp(dims), CHAIN_COST)[0] == _classic_chain_dp(values)
 
 
 KD_SEVEN = [(30, 40), (5, 25), (10, 12), (70, 70), (50, 30), (35, 45), (60, 10)]
@@ -415,7 +414,7 @@ def test_solve_kd_matches_exhaustive(seed):
     data = make_dataset([(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(n)])
     for max_depth in (1, 2):
         tree = solve_kd(data, max_depth)
-        assert tree_cost(tree, LEAF_BALANCE).cost == _kd_oracle(data, max_depth)
+        assert tree_cost(tree, LEAF_BALANCE) == _kd_oracle(data, max_depth)
 
 
 def _kd_reference(data, max_depth, objective):
@@ -462,10 +461,7 @@ def test_monotone_combine_for_all_objectives():
         a, a2 = sorted([rng.uniform(0, 50), rng.uniform(0, 50)])
         b, b2 = sorted([rng.uniform(0, 50), rng.uniform(0, 50)])
         for obj in (MISCLASSIFICATION, TREE_SIZE, LEAF_BALANCE):
-            lo = obj.combine(CostValue(a), CostValue(b), None)
-            hi = obj.combine(CostValue(a2), CostValue(b2), None)
-            assert obj.score(lo) <= obj.score(hi)
+            assert obj.combine(a, b, None) <= obj.combine(a2, b2, None)
         p, q, r = rng.randint(1, 9), rng.randint(1, 9), rng.randint(1, 9)
-        lo = CHAIN_COST.combine(CostValue(a, (p, q)), CostValue(b, (q, r)), None)
-        hi = CHAIN_COST.combine(CostValue(a2, (p, q)), CostValue(b2, (q, r)), None)
-        assert lo.cost <= hi.cost
+        lo = CHAIN_COST.combine((a, p, q), (b, q, r), None)
+        assert lo <= CHAIN_COST.combine((a2, p, q), (b2, q, r), None)

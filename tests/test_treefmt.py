@@ -84,6 +84,11 @@ def test_parse_rejects_malformed():
         "(node axis 0 -inf (leaf 0) (leaf 3))",
         "(node hyp 1 inf -1e999 (leaf 0) (leaf 3))",
         "(node seg 0 0 1e999 1 (leaf 0) (leaf 3))",
+        "(leaf \uff10)",
+        "(leaf \u00b2)",
+        "(leaf 1_0)",
+        "(node axis 0 1_5 (leaf 0) (leaf 3))",
+        "(node axis \u0661 2 (leaf 0) (leaf 3))",
     ]:
         with pytest.raises(ValueError):
             parse(bad)
