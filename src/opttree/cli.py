@@ -278,6 +278,14 @@ def _cmd_kd(args) -> int:
     return 0
 
 
+def _plain_int(text: str) -> int:
+    """An integer option's value; ``_`` separators and non-ASCII digits are usage errors."""
+    try:
+        return int(plain_number(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="opttree", description="Exact decision-tree optimization")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -285,15 +293,15 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, with_rules=True):
         if with_rules:
             p.add_argument("--rules", choices=["axis", "hyperplane", "surface2"], default="axis")
-            p.add_argument("--k", type=int, default=1)
+            p.add_argument("--k", type=_plain_int, default=1)
             p.add_argument("--rules-file", default=None, help="explicit point-defined rules")
         p.add_argument("--out", default=None, help="write the serialized tree here")
 
     p_fit = sub.add_parser("fit", help="fit an optimal classification tree")
     p_fit.add_argument("csv")
     common(p_fit)
-    p_fit.add_argument("--min-leaf", type=int, default=0)
-    p_fit.add_argument("--max-depth", type=int, default=None)
+    p_fit.add_argument("--min-leaf", type=_plain_int, default=0)
+    p_fit.add_argument("--max-depth", type=_plain_int, default=None)
     p_fit.set_defaults(func=_cmd_fit)
 
     p_check = sub.add_parser("check", help="cross-check the solver against brute force")
@@ -314,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_kd = sub.add_parser("kd", help="optimal depth-cycled split tree")
     p_kd.add_argument("csv")
     common(p_kd, with_rules=False)
-    p_kd.add_argument("--max-depth", type=int, default=None)
+    p_kd.add_argument("--max-depth", type=_plain_int, default=None)
     p_kd.set_defaults(func=_cmd_kd)
 
     return parser

@@ -11,13 +11,16 @@ The rule-set front end works on bitmasks: a state is (allowed rules, rows,
 rules still to place, depth budget, ancestor side-set), a root's ancestry row
 supplies the rules allowed on each side and its sign pattern the rows.
 :func:`solve` covers every k-combination in one recursion whose memo is keyed
-by ancestor side-set: a subproblem shared by many combinations is solved once,
-and :class:`SolveStats` counts recursion calls (memo hits included), a number
-that depends on the rule table and k but not on the data. Ties compare the
-rule combination (the lexicographically smallest wins), then the root (the
-earliest wins). That is the brute-force answer: the first strictly better
-cost over the combinations in lexicographic order, each combination's trees
-generated root-first.
+by ancestor side-set: a subproblem shared by many combinations is solved once.
+A state with one rule left is a leaf of the recursion, solved in closed form
+(the cheapest stump over its allowed roots), and an objective that declares
+``count_cost`` has its leaves costed from per-label row-mask popcounts, with
+samples gathered only for the returned tree. :class:`SolveStats` counts
+recursion calls (memo hits included), a number that depends on the rule
+table and k but not on the data. Ties compare the rule combination (the
+lexicographically smallest wins), then the root (the earliest wins). That is
+the brute-force answer: the first strictly better cost over the combinations
+in lexicographic order, each combination's trees generated root-first.
 
 The bsp, mcmp and kd front ends key the memo by state (fragment set, sub-chain,
 point mask and depth): the optimum of a state does not depend on how the
@@ -48,10 +51,18 @@ class Objective:
     which licenses minimizing inside the recursion. The chain cost
     ``(total, rows, cols)`` orders by total: the candidates of one sub-chain
     share rows and cols.
+
+    ``count_cost`` is an optional declared capability: the leaf cost from the
+    leaf's size and its per-label counts (one count per distinct label of the
+    data, in ascending label order), equal to ``leaf_cost`` on the leaf's
+    samples. :func:`solve` then costs leaves from label bitmask popcounts;
+    without it, the samples of every distinct leaf are gathered and passed
+    to ``leaf_cost``.
     """
 
     leaf_cost: Callable[[Any], Any]
     combine: Callable[[Any, Any, Any], Any]
+    count_cost: Callable[[int, Sequence[int]], Any] | None = None
 
 
 @dataclass(frozen=True)
@@ -62,7 +73,13 @@ class SolveConstraints:
 
 @dataclass
 class SolveStats:
-    """Instrumentation: the number of recursion nodes a solve visited."""
+    """Instrumentation: the number of recursion calls a solve made.
+
+    Memo hits count; a state with at most one rule left is a leaf and counts
+    once, so a solve with k < 2 makes exactly one call. The count depends on
+    the rule table, k and the depth budget; without ``min_leaf`` it does not
+    depend on the data (an infeasible left side skips its right side).
+    """
 
     nodes: int = 0
 
@@ -82,6 +99,10 @@ def misclassification_cost(data: Dataset) -> float:
         return 0.0
     counts = Counter(s.label for s in data)
     return float(len(data) - max(counts.values()))
+
+
+def _misclassification_from_counts(size: int, counts: Sequence[int]) -> float:
+    return float(size - max(counts, default=0))
 
 
 def _add(a: float, b: float, ctx: Any) -> float:
@@ -108,7 +129,7 @@ def _balance_leaf(data: Dataset) -> float:
     return float(len(data)) ** 2
 
 
-MISCLASSIFICATION = Objective(misclassification_cost, _add)
+MISCLASSIFICATION = Objective(misclassification_cost, _add, _misclassification_from_counts)
 TREE_SIZE = Objective(lambda data: 1.0, _add_plus_one)
 CHAIN_COST = Objective(_chain_leaf, _chain_combine)
 LEAF_BALANCE = Objective(_balance_leaf, _add)
@@ -190,8 +211,17 @@ class _RuleMasks:
     tried in ascending order. A root i splits the remaining rules into its
     left and right sets (the +1 and -1 entries of its ancestry row) and the
     rows into its positive and negative sides, and every division of the
-    rules still to place that fits on both sides is a candidate. A state with
-    no rules to place is a leaf, costed once per distinct row mask.
+    rules still to place that fits on both sides is a candidate.
+
+    A state with no rule left, or with one rule left and depth to place it,
+    is a leaf of the recursion. One rule left is solved in closed form: the
+    cheapest of the stumps "root i, a leaf on each side" over the allowed
+    roots in ascending order, the first strict minimum winning, which is the
+    candidate the recursion would keep. Its result depends only on (allowed
+    rules, rows) and is memoized on that pair. Leaf costs are memoized per
+    row mask; with the objective's ``count_cost`` they come from the
+    popcounts of the rows' per-label masks. Leaves carry their row mask, and
+    :meth:`samples` gathers the samples of the returned tree only.
 
     The allowed rules, the rows and the depth budget are functions of the
     side-set, so a memo keyed on the state shares a subproblem exactly
@@ -207,27 +237,32 @@ class _RuleMasks:
         data: Dataset,
         matrix: AncestryMatrix | None,
         k: int,
-        leaf_cost: Callable[[Dataset], Any],
+        objective: Objective,
         constraints: SolveConstraints,
     ):
         self.data = tuple(data)
         self.size = len(rules)
-        self.leaf_cost = leaf_cost
+        self.objective = objective
         self.min_leaf = constraints.min_leaf
-        every_row = (1 << len(self.data)) - 1
         self.pos = [
             sum(1 << r for r, s in enumerate(self.data) if classify(rule, s.point) > 0)
             for rule in rules
         ]
-        self.neg = [every_row ^ pos for pos in self.pos]
         if matrix is None:
             self.left = self.right = [0] * self.size
         else:
             bits = [self.bit(j) for j in range(self.size)]
             self.left = [sum(b for b, e in zip(bits, row) if e > 0) for row in matrix.entries]
             self.right = [sum(b for b, e in zip(bits, row) if e < 0) for row in matrix.entries]
-        self.root = ((1 << self.size) - 1, every_row, k, constraints.max_depth, 0)
-        self._leaves: dict[int, tuple[DecisionTree, Any] | None] = {}
+        self.label_rows = None
+        if objective.count_cost is not None:
+            labels = sorted({s.label for s in self.data})
+            self.label_rows = [
+                sum(1 << r for r, s in enumerate(self.data) if s.label == y) for y in labels
+            ]
+        self.root = ((1 << self.size) - 1, (1 << len(self.data)) - 1, k, constraints.max_depth, 0)
+        self._costs: dict[int, Any] = {}
+        self._stumps: dict[tuple[int, int], tuple[DecisionTree, Any] | None] = {}
 
     def bit(self, i: int) -> int:
         return 1 << (self.size - 1 - i)
@@ -238,6 +273,8 @@ class _RuleMasks:
             return None
         if budget is not None and budget <= 0:
             return []  # rules left but no depth: infeasible
+        if count == 1:
+            return None  # solved in closed form by leaf
         sub_budget = None if budget is None else budget - 1
         rest = count - 1
         out = []
@@ -248,40 +285,93 @@ class _RuleMasks:
             i = self.size - 1 - top
             left, right = allowed & self.left[i], allowed & self.right[i]
             n_right = right.bit_count()
-            pos, neg = rows & self.pos[i], rows & self.neg[i]
+            pos = rows & self.pos[i]
             left_sides, right_sides = sides | 1 << 2 * i, sides | 1 << 2 * i + 1
             for n in range(max(0, rest - n_right), min(rest, left.bit_count()) + 1):
                 left_state = (left, pos, n, sub_budget, left_sides)
-                out.append((left_state, i, (right, neg, rest - n, sub_budget, right_sides)))
+                out.append((left_state, i, (right, rows ^ pos, rest - n, sub_budget, right_sides)))
         return out
 
     def leaf(self, state: tuple) -> tuple[DecisionTree, Any] | None:
-        rows = state[1]
-        if rows in self._leaves:
-            return self._leaves[rows]
-        result = None
-        if rows.bit_count() >= self.min_leaf:
-            leaf_data = _members(self.data, rows)
-            result = DLeaf(leaf_data), self.leaf_cost(leaf_data)
-        self._leaves[rows] = result
+        allowed, rows, count = state[:3]
+        if count:
+            return self.stump(allowed, rows)
+        cost = self.cost(rows)
+        return None if cost is None else (DLeaf(rows), cost)
+
+    def cost(self, rows: int) -> Any:
+        """The leaf cost of a row mask, None below ``min_leaf``; memoized."""
+        costs = self._costs
+        if rows in costs:
+            return costs[rows]
+        size = rows.bit_count()
+        if size < self.min_leaf:
+            result = None
+        elif self.label_rows is not None:
+            counts = [(rows & label).bit_count() for label in self.label_rows]
+            result = self.objective.count_cost(size, counts)
+        else:
+            result = self.objective.leaf_cost(_members(self.data, rows))
+        costs[rows] = result
         return result
+
+    def stump(self, allowed: int, rows: int) -> tuple[DecisionTree, Any] | None:
+        """Cheapest one-rule tree over ``rows`` with its root in ``allowed``."""
+        key = (allowed, rows)
+        if key in self._stumps:
+            return self._stumps[key]
+        combine, costs, cost = self.objective.combine, self._costs, self.cost
+        positive, last = self.pos, self.size - 1
+        best = winner = None
+        todo = allowed
+        while todo:
+            top = todo.bit_length() - 1
+            todo ^= 1 << top
+            i = last - top
+            pos = rows & positive[i]
+            u = costs[pos] if pos in costs else cost(pos)
+            if u is None:
+                continue
+            neg = rows ^ pos
+            v = costs[neg] if neg in costs else cost(neg)
+            if v is None:
+                continue
+            candidate = combine(u, v, i)
+            if best is None or candidate < best:
+                best, winner = candidate, i
+        result = None
+        if best is not None:
+            pos = rows & self.pos[winner]
+            result = DNode(DLeaf(pos), winner, DLeaf(rows ^ pos)), best
+        self._stumps[key] = result
+        return result
+
+    def samples(self, tree: DecisionTree) -> DecisionTree:
+        """``tree`` with each leaf's row mask replaced by its samples, in data order."""
+        if isinstance(tree, DLeaf):
+            return DLeaf(_members(self.data, tree.data))
+        return DNode(self.samples(tree.left), tree.rule_id, self.samples(tree.right))
 
 
 def _combination_tie_break(objective: Objective, size: int) -> Objective:
     """The objective on (cost, -combination mask) pairs, for :func:`solve`.
 
     Rule i is bit size-1-i of the mask, so tuple order compares by cost, then
-    by combination, the lexicographically smaller of one size first.
+    by combination, the lexicographically smaller of one size first. A
+    declared ``count_cost`` carries over.
     """
-    combine = objective.combine
+    combine, count_cost = objective.combine, objective.count_cost
 
     def leaf_cost(data: Dataset) -> tuple[Any, int]:
         return objective.leaf_cost(data), 0
 
+    def leaf_from_counts(n: int, counts: Sequence[int]) -> tuple[Any, int]:
+        return count_cost(n, counts), 0
+
     def combine_masks(a: tuple, b: tuple, rule: int) -> tuple[Any, int]:
         return combine(a[0], b[0], rule), a[1] + b[1] - (1 << (size - 1 - rule))
 
-    return Objective(leaf_cost, combine_masks)
+    return Objective(leaf_cost, combine_masks, None if count_cost is None else leaf_from_counts)
 
 
 def solve(
@@ -296,22 +386,25 @@ def solve(
 
     One recursion covers every k-combination at once: a state is
     solved once per ancestor side-set and reused by every combination that
-    reaches it. Candidates compare by cost, then by rule combination (the
+    reaches it, and a state with one rule left is solved in closed form.
+    Candidates compare by cost, then by rule combination (the
     lexicographically smallest wins), then by root (the earliest wins). The
     result is the brute-force answer: the first strictly better cost over
     the combinations in lexicographic order, each combination's trees
     generated root-first. ``stats.nodes`` counts the recursion calls, memo
-    hits included; it depends on the rule table and k but not on the data.
+    hits included, with states of at most one rule left as leaves (so k=0
+    and k=1 make one call); see :class:`SolveStats`. With the objective's
+    ``count_cost`` (``MISCLASSIFICATION`` declares one), ``leaf_cost`` is
+    never called.
     """
     if not 0 <= k <= len(rules):
         raise ValueError(f"cannot choose {k} of {len(rules)} rules")
     # a tree with fewer than two rules places no rule below another
     matrix = ancestry_matrix(rules) if k >= 2 else None
     ranked = _combination_tie_break(objective, len(rules))
-    cons = constraints or SolveConstraints()
-    front = _RuleMasks(rules, data, matrix, k, ranked.leaf_cost, cons)
+    front = _RuleMasks(rules, data, matrix, k, ranked, constraints or SolveConstraints())
     best = _optimize(front.root, front.splits, front.leaf, ranked, stats=stats)
-    return None if best is None else best[0]
+    return None if best is None else front.samples(best[0])
 
 
 def solve_bsp(segments: Sequence[SceneSegment]) -> DecisionTree:

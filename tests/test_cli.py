@@ -148,6 +148,23 @@ def test_negative_constraint_exits_2(tmp_path, capsys, command, option, value):
     assert f"error: {option} must be non-negative" in captured.err
 
 
+@pytest.mark.parametrize("value", ["٢", "1_0", "２"])
+@pytest.mark.parametrize(
+    "command,option",
+    [("fit", "--k"), ("check", "--k"), ("fit", "--min-leaf"), ("fit", "--max-depth"), ("kd", "--max-depth")],
+)
+def test_integer_option_python_only_number_exits_2(tmp_path, capsys, command, option, value):
+    # int() reads these as 2, 10 and 2; an option takes plain ASCII digits only
+    csv = tmp_path / "d.csv"
+    write_csv(csv, [(0.0, 0.0), (1.0, 1.0), (2.0, 0.5)], [0, 1, 0])
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(csv), option, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {option}: invalid int value: {value!r}" in captured.err
+
+
 def test_fit_infeasible_exits_3(tmp_path, capsys):
     csv = tmp_path / "d.csv"
     write_csv(csv, [(0.0, 0.0), (1.0, 1.0), (2.0, 0.5)], [0, 1, 0])

@@ -5,6 +5,7 @@ recursion: the generator's constrained trees of each combination, scored one
 by one.
 """
 
+import dataclasses
 import gc
 import itertools
 import random
@@ -20,6 +21,7 @@ from opttree import (
     DLeaf,
     DNode,
     MatrixDim,
+    Objective,
     Rule,
     SceneSegment,
     SolveConstraints,
@@ -28,6 +30,7 @@ from opttree import (
     all_trees_constrained,
     ancestry_matrix,
     bsp_tree_from_order,
+    classify,
     depth,
     downward_accumulate,
     enumerate_axis_rules,
@@ -184,6 +187,11 @@ def test_solve_ties_pick_earliest_root_then_smallest_combination():
     tree = solve(chain_rules(4), 3, data, MISCLASSIFICATION)
     assert tree.rule_id == 0 and tree.left.rule_id == 1 and tree.left.left.rule_id == 2
     assert isinstance(tree.right, DLeaf) and isinstance(tree.left.right, DLeaf)
+    # one rule: every stump ties at 0, so rule 0 wins, and under min_leaf the
+    # earliest rule both of whose sides are large enough
+    assert solve(chain_rules(4), 1, data, MISCLASSIFICATION).rule_id == 0
+    cons = SolveConstraints(min_leaf=2)
+    assert solve(chain_rules(4), 1, data, MISCLASSIFICATION, cons).rule_id == 2
 
 
 def _per_combination_reference(rules, k, data, objective, constraints):
@@ -228,6 +236,47 @@ def test_solve_equals_per_combination_reference(kind):
                     assert solve(rules, k, space, objective, cons) == want
 
 
+def _tie_heavy_instances():
+    # small integer grids, so coordinates and sides tie often
+    grid = [(0, 0), (2, 0), (0, 4), (1, 1), (2, 3), (2, 4), (3, 1)]
+    twice = [(0, 0), (2, 0), (0, 4), (1, 1), (2, 3), (2, 4), (2, 4), (1, 1)]
+    return {
+        # every tree of every combination scores the same: ties decide alone
+        "single-label": make_dataset(grid, [1] * len(grid)),
+        # at k=3 on the axis table, one-rule states with equal rows but
+        # different allowed rules have different winners
+        "duplicates": make_dataset(twice, [0, 1, 1, 1, 1, 1, 0, 1]),
+        "three-labels": make_dataset(grid, [2, -1, 0, -1, 2, 0, -1]),
+    }
+
+
+@pytest.mark.parametrize("name", ["single-label", "duplicates", "three-labels"])
+@pytest.mark.parametrize("kind", ["axis", "hyperplane"])
+def test_solve_equals_reference_on_tie_heavy_inputs(kind, name):
+    # one-rule states are solved in closed form; the winner must still be the
+    # brute force's tree, on the counting path (MISCLASSIFICATION) and the
+    # generic one (LEAF_BALANCE declares no count cost)
+    data = _tie_heavy_instances()[name]
+    enumerate_rules = enumerate_axis_rules if kind == "axis" else enumerate_hyperplane_rules
+    rules = enumerate_rules(data)[:8]
+    # min_leaf=2 leaves some roots of a one-rule state without a feasible side
+    sizes = [sum(classify(r, s.point) > 0 for s in data) for r in rules]
+    assert any(min(n, len(data) - n) < 2 for n in sizes)
+    assert any(min(n, len(data) - n) >= 2 for n in sizes)
+    constraint_sets = [
+        None,
+        SolveConstraints(min_leaf=2),
+        SolveConstraints(max_depth=1),
+        SolveConstraints(max_depth=2),
+        SolveConstraints(min_leaf=2, max_depth=2),
+    ]
+    for k in (1, 2, 3):
+        for cons in constraint_sets:
+            for objective in (MISCLASSIFICATION, LEAF_BALANCE):
+                want = _per_combination_reference(rules, k, data, objective, cons)
+                assert solve(rules, k, data, objective, cons) == want
+
+
 def grid_axis_rules():
     rules = []
     for dim in range(2):
@@ -251,12 +300,82 @@ def test_solve_nodes_independent_of_data_and_below_per_combination_sum(k):
         assert solve(rules, k, data, MISCLASSIFICATION, stats=stats) is not None
         counts.append(stats.nodes)
     assert counts[0] == counts[1]
+    # a state with at most one rule left is a leaf of the recursion
+    assert counts[0] == {2: 21, 3: 105}[k]
     per_combination = 0
     for combo in itertools.combinations(range(len(rules)), k):
         stats = SolveStats()
         solve([rules[i] for i in combo], k, data, MISCLASSIFICATION, stats=stats)
         per_combination += stats.nodes
     assert counts[0] < per_combination
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_solve_nodes_is_one_call_below_two_rules(k):
+    for seed in (0, 4):
+        data = random_instance(seed, n_min=6, n_max=9)
+        for rules in (grid_axis_rules(), enumerate_axis_rules(data), enumerate_hyperplane_rules(data)):
+            for cons in (None, SolveConstraints(min_leaf=2, max_depth=1), SolveConstraints(max_depth=0)):
+                stats = SolveStats()
+                solve(rules, k, data, MISCLASSIFICATION, cons, stats=stats)
+                assert stats.nodes == 1
+
+
+def test_misclassification_count_cost_equals_leaf_cost_on_every_subset():
+    data = make_dataset([(float(i), 0.0) for i in range(7)], [-1, 0, 2, 2, -1, 0, 2])
+    labels = sorted({s.label for s in data})
+    for size in range(len(data) + 1):
+        for subset in itertools.combinations(data, size):
+            counts = [sum(s.label == y for s in subset) for y in labels]
+            got = MISCLASSIFICATION.count_cost(size, counts)
+            assert got == misclassification_cost(subset)
+    assert MISCLASSIFICATION.count_cost(0, []) == 0
+
+
+def test_counting_objective_costs_each_leaf_row_set_once():
+    # every label is distinct, so a leaf's label counts name its rows: the
+    # counting path must cost exactly the row sets the generic path costs,
+    # each of them once
+    rng = random.Random(8)
+    data = make_dataset([(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(9)], range(9))
+    rules = enumerate_axis_rules(data)
+    for k in (0, 1, 2, 3):
+        for cons in (None, SolveConstraints(min_leaf=2)):
+            counted, generic = [], []
+
+            def count_cost(size, counts):
+                counted.append(tuple(counts))
+                return MISCLASSIFICATION.count_cost(size, counts)
+
+            def leaf_cost(leaf):
+                generic.append(tuple(int(s in leaf) for s in data))
+                return misclassification_cost(leaf)
+
+            with_counts = dataclasses.replace(MISCLASSIFICATION, count_cost=count_cost)
+            plain = Objective(leaf_cost, MISCLASSIFICATION.combine)
+            tree = solve(rules, k, data, with_counts, cons)
+            assert tree == solve(rules, k, data, plain, cons)
+            assert len(counted) == len(set(counted))
+            assert len(generic) == len(set(generic))
+            assert set(counted) == set(generic)
+
+
+def test_misclassification_never_calls_leaf_cost():
+    # as the tracer does, copy the objective with a different leaf cost: the
+    # copy keeps the count cost, so the solve must not reach leaf_cost, and
+    # its tree must be the generic path's
+    def refuse(leaf):
+        raise AssertionError("leaf_cost called")
+
+    counting = dataclasses.replace(MISCLASSIFICATION, leaf_cost=refuse)
+    generic = Objective(misclassification_cost, MISCLASSIFICATION.combine)
+    for seed in (1, 6):
+        data = random_instance(seed, n_min=7, n_max=9)
+        for rules in (enumerate_axis_rules(data), enumerate_hyperplane_rules(data)[:9]):
+            for k in range(4):
+                for cons in (None, SolveConstraints(min_leaf=2, max_depth=2)):
+                    tree = solve(rules, k, data, counting, cons)
+                    assert tree == solve(rules, k, data, generic, cons)
 
 
 def test_solvers_leave_no_cyclic_garbage():
