@@ -13,14 +13,14 @@ supplies the rules allowed on each side and its sign pattern the rows.
 :func:`solve` covers every k-combination in one recursion whose memo is keyed
 by ancestor side-set: a subproblem shared by many combinations is solved once.
 A state with one rule left is a leaf of the recursion, solved in closed form
-(the cheapest stump over its allowed roots), and an objective that declares
-``count_cost`` has its leaves costed from per-label row-mask popcounts, with
-samples gathered only for the returned tree. :class:`SolveStats` counts
-recursion calls (memo hits included), a number that depends on the rule
-table and k but not on the data. Ties compare the rule combination (the
-lexicographically smallest wins), then the root (the earliest wins). That is
-the brute-force answer: the first strictly better cost over the combinations
-in lexicographic order, each combination's trees generated root-first.
+(the cheapest stump over its allowed roots); leaves are costed once per row
+mask, and samples are gathered only for the returned tree.
+:class:`SolveStats` counts recursion calls (memo hits included), a number
+that depends on the rule table and k but not on the data. Ties compare the
+rule combination (the lexicographically smallest wins), then the root (the
+earliest wins). That is the brute-force answer: the first strictly better
+cost over the combinations in lexicographic order, each combination's trees
+generated root-first.
 
 The bsp, mcmp and kd front ends key the memo by state (fragment set, sub-chain,
 point mask and depth): the optimum of a state does not depend on how the
@@ -51,18 +51,10 @@ class Objective:
     which licenses minimizing inside the recursion. The chain cost
     ``(total, rows, cols)`` orders by total: the candidates of one sub-chain
     share rows and cols.
-
-    ``count_cost`` is an optional declared capability: the leaf cost from the
-    leaf's size and its per-label counts (one count per distinct label of the
-    data, in ascending label order), equal to ``leaf_cost`` on the leaf's
-    samples. :func:`solve` then costs leaves from label bitmask popcounts;
-    without it, the samples of every distinct leaf are gathered and passed
-    to ``leaf_cost``.
     """
 
     leaf_cost: Callable[[Any], Any]
     combine: Callable[[Any, Any, Any], Any]
-    count_cost: Callable[[int, Sequence[int]], Any] | None = None
 
 
 @dataclass(frozen=True)
@@ -101,10 +93,6 @@ def misclassification_cost(data: Dataset) -> float:
     return float(len(data) - max(counts.values()))
 
 
-def _misclassification_from_counts(size: int, counts: Sequence[int]) -> float:
-    return float(size - max(counts, default=0))
-
-
 def _add(a: float, b: float, ctx: Any) -> float:
     return a + b
 
@@ -129,7 +117,7 @@ def _balance_leaf(data: Dataset) -> float:
     return float(len(data)) ** 2
 
 
-MISCLASSIFICATION = Objective(misclassification_cost, _add, _misclassification_from_counts)
+MISCLASSIFICATION = Objective(misclassification_cost, _add)
 TREE_SIZE = Objective(lambda data: 1.0, _add_plus_one)
 CHAIN_COST = Objective(_chain_leaf, _chain_combine)
 LEAF_BALANCE = Objective(_balance_leaf, _add)
@@ -219,9 +207,8 @@ class _RuleMasks:
     roots in ascending order, the first strict minimum winning, which is the
     candidate the recursion would keep. Its result depends only on (allowed
     rules, rows) and is memoized on that pair. Leaf costs are memoized per
-    row mask; with the objective's ``count_cost`` they come from the
-    popcounts of the rows' per-label masks. Leaves carry their row mask, and
-    :meth:`samples` gathers the samples of the returned tree only.
+    row mask. Leaves carry their row mask, and :meth:`samples` gathers the
+    samples of the returned tree only.
 
     The allowed rules, the rows and the depth budget are functions of the
     side-set, so a memo keyed on the state shares a subproblem exactly
@@ -254,12 +241,6 @@ class _RuleMasks:
             bits = [self.bit(j) for j in range(self.size)]
             self.left = [sum(b for b, e in zip(bits, row) if e > 0) for row in matrix.entries]
             self.right = [sum(b for b, e in zip(bits, row) if e < 0) for row in matrix.entries]
-        self.label_rows = None
-        if objective.count_cost is not None:
-            labels = sorted({s.label for s in self.data})
-            self.label_rows = [
-                sum(1 << r for r, s in enumerate(self.data) if s.label == y) for y in labels
-            ]
         self.root = ((1 << self.size) - 1, (1 << len(self.data)) - 1, k, constraints.max_depth, 0)
         self._costs: dict[int, Any] = {}
         self._stumps: dict[tuple[int, int], tuple[DecisionTree, Any] | None] = {}
@@ -304,12 +285,8 @@ class _RuleMasks:
         costs = self._costs
         if rows in costs:
             return costs[rows]
-        size = rows.bit_count()
-        if size < self.min_leaf:
+        if rows.bit_count() < self.min_leaf:
             result = None
-        elif self.label_rows is not None:
-            counts = [(rows & label).bit_count() for label in self.label_rows]
-            result = self.objective.count_cost(size, counts)
         else:
             result = self.objective.leaf_cost(_members(self.data, rows))
         costs[rows] = result
@@ -320,7 +297,7 @@ class _RuleMasks:
         key = (allowed, rows)
         if key in self._stumps:
             return self._stumps[key]
-        combine, costs, cost = self.objective.combine, self._costs, self.cost
+        combine, cost = self.objective.combine, self.cost
         positive, last = self.pos, self.size - 1
         best = winner = None
         todo = allowed
@@ -329,11 +306,11 @@ class _RuleMasks:
             todo ^= 1 << top
             i = last - top
             pos = rows & positive[i]
-            u = costs[pos] if pos in costs else cost(pos)
+            u = cost(pos)
             if u is None:
                 continue
             neg = rows ^ pos
-            v = costs[neg] if neg in costs else cost(neg)
+            v = cost(neg)
             if v is None:
                 continue
             candidate = combine(u, v, i)
@@ -357,21 +334,17 @@ def _combination_tie_break(objective: Objective, size: int) -> Objective:
     """The objective on (cost, -combination mask) pairs, for :func:`solve`.
 
     Rule i is bit size-1-i of the mask, so tuple order compares by cost, then
-    by combination, the lexicographically smaller of one size first. A
-    declared ``count_cost`` carries over.
+    by combination, the lexicographically smaller of one size first.
     """
-    combine, count_cost = objective.combine, objective.count_cost
+    combine = objective.combine
 
     def leaf_cost(data: Dataset) -> tuple[Any, int]:
         return objective.leaf_cost(data), 0
 
-    def leaf_from_counts(n: int, counts: Sequence[int]) -> tuple[Any, int]:
-        return count_cost(n, counts), 0
-
     def combine_masks(a: tuple, b: tuple, rule: int) -> tuple[Any, int]:
         return combine(a[0], b[0], rule), a[1] + b[1] - (1 << (size - 1 - rule))
 
-    return Objective(leaf_cost, combine_masks, None if count_cost is None else leaf_from_counts)
+    return Objective(leaf_cost, combine_masks)
 
 
 def solve(
@@ -393,9 +366,8 @@ def solve(
     the combinations in lexicographic order, each combination's trees
     generated root-first. ``stats.nodes`` counts the recursion calls, memo
     hits included, with states of at most one rule left as leaves (so k=0
-    and k=1 make one call); see :class:`SolveStats`. With the objective's
-    ``count_cost`` (``MISCLASSIFICATION`` declares one), ``leaf_cost`` is
-    never called.
+    and k=1 make one call); see :class:`SolveStats`. ``leaf_cost`` is called
+    once per distinct leaf row set.
     """
     if not 0 <= k <= len(rules):
         raise ValueError(f"cannot choose {k} of {len(rules)} rules")

@@ -5,7 +5,6 @@ recursion: the generator's constrained trees of each combination, scored one
 by one.
 """
 
-import dataclasses
 import gc
 import itertools
 import random
@@ -254,8 +253,7 @@ def _tie_heavy_instances():
 @pytest.mark.parametrize("kind", ["axis", "hyperplane"])
 def test_solve_equals_reference_on_tie_heavy_inputs(kind, name):
     # one-rule states are solved in closed form; the winner must still be the
-    # brute force's tree, on the counting path (MISCLASSIFICATION) and the
-    # generic one (LEAF_BALANCE declares no count cost)
+    # brute force's tree, with MISCLASSIFICATION and LEAF_BALANCE
     data = _tie_heavy_instances()[name]
     enumerate_rules = enumerate_axis_rules if kind == "axis" else enumerate_hyperplane_rules
     rules = enumerate_rules(data)[:8]
@@ -321,61 +319,24 @@ def test_solve_nodes_is_one_call_below_two_rules(k):
                 assert stats.nodes == 1
 
 
-def test_misclassification_count_cost_equals_leaf_cost_on_every_subset():
-    data = make_dataset([(float(i), 0.0) for i in range(7)], [-1, 0, 2, 2, -1, 0, 2])
-    labels = sorted({s.label for s in data})
-    for size in range(len(data) + 1):
-        for subset in itertools.combinations(data, size):
-            counts = [sum(s.label == y for s in subset) for y in labels]
-            got = MISCLASSIFICATION.count_cost(size, counts)
-            assert got == misclassification_cost(subset)
-    assert MISCLASSIFICATION.count_cost(0, []) == 0
-
-
-def test_counting_objective_costs_each_leaf_row_set_once():
-    # every label is distinct, so a leaf's label counts name its rows: the
-    # counting path must cost exactly the row sets the generic path costs,
-    # each of them once
+def test_solve_costs_each_leaf_row_set_once():
+    # every label is distinct, so a leaf's labels name its rows: the per-row
+    # mask memo must hand each distinct leaf to leaf_cost once
     rng = random.Random(8)
     data = make_dataset([(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(9)], range(9))
     rules = enumerate_axis_rules(data)
     for k in (0, 1, 2, 3):
         for cons in (None, SolveConstraints(min_leaf=2)):
-            counted, generic = [], []
-
-            def count_cost(size, counts):
-                counted.append(tuple(counts))
-                return MISCLASSIFICATION.count_cost(size, counts)
+            costed = []
 
             def leaf_cost(leaf):
-                generic.append(tuple(int(s in leaf) for s in data))
+                costed.append(tuple(s.label for s in leaf))
                 return misclassification_cost(leaf)
 
-            with_counts = dataclasses.replace(MISCLASSIFICATION, count_cost=count_cost)
-            plain = Objective(leaf_cost, MISCLASSIFICATION.combine)
-            tree = solve(rules, k, data, with_counts, cons)
-            assert tree == solve(rules, k, data, plain, cons)
-            assert len(counted) == len(set(counted))
-            assert len(generic) == len(set(generic))
-            assert set(counted) == set(generic)
-
-
-def test_misclassification_never_calls_leaf_cost():
-    # as the tracer does, copy the objective with a different leaf cost: the
-    # copy keeps the count cost, so the solve must not reach leaf_cost, and
-    # its tree must be the generic path's
-    def refuse(leaf):
-        raise AssertionError("leaf_cost called")
-
-    counting = dataclasses.replace(MISCLASSIFICATION, leaf_cost=refuse)
-    generic = Objective(misclassification_cost, MISCLASSIFICATION.combine)
-    for seed in (1, 6):
-        data = random_instance(seed, n_min=7, n_max=9)
-        for rules in (enumerate_axis_rules(data), enumerate_hyperplane_rules(data)[:9]):
-            for k in range(4):
-                for cons in (None, SolveConstraints(min_leaf=2, max_depth=2)):
-                    tree = solve(rules, k, data, counting, cons)
-                    assert tree == solve(rules, k, data, generic, cons)
+            tree = solve(rules, k, data, Objective(leaf_cost, MISCLASSIFICATION.combine), cons)
+            assert tree == solve(rules, k, data, MISCLASSIFICATION, cons)
+            assert costed
+            assert len(costed) == len(set(costed))
 
 
 def test_solvers_leave_no_cyclic_garbage():
