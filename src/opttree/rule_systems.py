@@ -15,16 +15,21 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .data import Dataset, Point, Sample, dimension
 from .rules import (
     EPS,
     AncestryMatrix,
     AxisParallel,
     Rule,
-    classify,
-    hyperplane_from_points,
+    hyperplanes_from_points,
     root_feasible,
+    sign_table,
 )
+
+# Point combinations turned into planes per batched SVD, bounding its arrays.
+_COMBINATION_BATCH = 4096
 
 
 @dataclass(frozen=True)
@@ -66,10 +71,15 @@ def enumerate_axis_rules(data: Dataset) -> list[Rule]:
 def enumerate_hyperplane_rules(data: Dataset, *, diagnostics: dict | None = None) -> list[Rule]:
     """One rule per D-combination of points, deduplicated by behavior.
 
-    Combinations of affinely dependent points are skipped; combinations whose
-    hyperplane induces a sign pattern over the dataset already seen are
-    dropped, since only distinct partitions matter. If ``diagnostics`` is a
-    dict it receives 'degenerate' and 'duplicate' counts.
+    Combinations are taken in lexicographic order. Combinations of affinely
+    dependent points are skipped; a combination whose hyperplane induces a
+    sign pattern over the dataset already seen is dropped, since only
+    distinct partitions matter. The planes of a batch of combinations come
+    from one batched SVD (:func:`~opttree.rules.hyperplanes_from_points`)
+    and their sign patterns from one :func:`~opttree.rules.sign_table`,
+    which equals :func:`~opttree.rules.classify` entry for entry. If
+    ``diagnostics`` is a dict it receives 'degenerate' and 'duplicate'
+    counts.
     """
     n = len(data)
     if n == 0:
@@ -77,21 +87,23 @@ def enumerate_hyperplane_rules(data: Dataset, *, diagnostics: dict | None = None
     d = dimension(data)
     if n < d:
         raise ValueError(f"need at least {d} points, got {n}")
+    points = np.array([s.point for s in data])
     rules: list[Rule] = []
-    seen: set[tuple[int, ...]] = set()
+    seen: set[bytes] = set()
     degenerate = duplicate = 0
-    for combo in itertools.combinations(range(n), d):
-        pts = tuple(data[i].point for i in combo)
-        plane = hyperplane_from_points(pts)
-        if plane is None:
-            degenerate += 1
-            continue
-        signature = tuple(classify(plane, s.point) for s in data)
-        if signature in seen:
-            duplicate += 1
-            continue
-        seen.add(signature)
-        rules.append(Rule(len(rules), plane, pts))
+    combos = itertools.combinations(range(n), d)
+    while batch := list(itertools.islice(combos, _COMBINATION_BATCH)):
+        planes = hyperplanes_from_points(points[np.array(batch)])
+        kept = [(combo, plane) for combo, plane in zip(batch, planes) if plane is not None]
+        degenerate += len(batch) - len(kept)
+        signs = np.packbits(sign_table([plane for _, plane in kept], points), axis=1)
+        for (combo, plane), signature in zip(kept, signs):
+            key = signature.tobytes()
+            if key in seen:
+                duplicate += 1
+                continue
+            seen.add(key)
+            rules.append(Rule(len(rules), plane, tuple(data[i].point for i in combo)))
     if diagnostics is not None:
         diagnostics["degenerate"] = degenerate
         diagnostics["duplicate"] = duplicate

@@ -7,6 +7,14 @@ deterministic. The pairwise placement constraints between rules are recorded
 in an :class:`AncestryMatrix`: entry ``(i, j)`` is +1 when rule ``j`` may only
 live in the left (positive) subtree of rule ``i``, -1 for the right subtree,
 and 0 when neither placement is admissible.
+
+:func:`classify` and :func:`ancestry_matrix` are the specification, one point
+at a time; the brute-force oracles use them. :func:`sign_table` computes the
+signs of many rules on many points in one numpy pass with the same
+arithmetic, :func:`ancestry_tables` reads the ancestry entries off such
+tables, and :func:`row_masks` packs rows into bitmasks; the solver and the
+rule enumeration build their tables from these.
+:func:`hyperplanes_from_points` constructs many planes with one batched SVD.
 """
 
 from __future__ import annotations
@@ -69,34 +77,43 @@ def hyperplane(weights: Sequence[float], bias: float) -> Hyperplane:
     return Hyperplane(tuple(w / n for w in weights), bias / n)
 
 
-def hyperplane_from_points(points: Sequence[Point]) -> Hyperplane | None:
-    """Unique hyperplane through D points in R^D, or None when the points are
-    affinely dependent.
+def hyperplanes_from_points(point_sets: Sequence[Sequence[Point]]) -> list[Hyperplane | None]:
+    """The unique hyperplane through each set of D points in R^D, or None for
+    a set of affinely dependent points; one batched SVD for all sets.
 
-    The result is unit-normalized with the first nonzero weight coordinate
+    Each result is unit-normalized with the first nonzero weight coordinate
     positive, so the same geometric plane always yields the same coefficients
     regardless of which points produced it.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] != pts.shape[1]:
+    if not len(point_sets):
+        return []
+    sets = np.asarray(point_sets, dtype=float)
+    if sets.ndim != 3 or sets.shape[1] != sets.shape[2]:
         raise ValueError("need exactly D points of dimension D")
-    d = pts.shape[1]
-    a = np.hstack([pts, np.ones((d, 1))])
-    _, sigma, vt = np.linalg.svd(a)
-    if sigma[d - 1] <= 1e-9 * max(sigma[0], 1.0):
-        return None
-    v = vt[-1]
-    w, b = v[:d], float(v[d])
-    n = float(np.linalg.norm(w))
-    if n <= 1e-12:
-        return None
-    w, b = w / n, b / n
-    for c in w:
-        if abs(c) > 1e-12:
-            if c < 0:
-                w, b = -w, -b
-            break
-    return Hyperplane(tuple(float(c) for c in w), float(b))
+    count, d = sets.shape[:2]
+    _, sigma, vt = np.linalg.svd(np.concatenate([sets, np.ones((count, d, 1))], axis=2))
+    v = vt[:, -1]
+    w, b = v[:, :d], v[:, d]
+    # the 1 x D @ D x 1 product runs the dot kernel of np.linalg.norm on one
+    # vector, so each norm is bit-identical to the single-vector one
+    n = np.sqrt(w[:, None, :] @ w[:, :, None])[:, 0, 0]
+    valid = (sigma[:, d - 1] > 1e-9 * np.maximum(sigma[:, 0], 1.0)) & (n > 1e-12)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w, b = w / n[:, None], b / n
+    # a unit-normalized w has a coordinate above 1e-12, the first one leads
+    lead = w[np.arange(count), (np.abs(w) > 1e-12).argmax(axis=1)]
+    flip = np.where(lead < 0, -1.0, 1.0)
+    w, b = w * flip[:, None], b * flip
+    return [
+        Hyperplane(tuple(wi), bi) if ok else None
+        for ok, wi, bi in zip(valid.tolist(), w.tolist(), b.tolist())
+    ]
+
+
+def hyperplane_from_points(points: Sequence[Point]) -> Hyperplane | None:
+    """Unique hyperplane through D points in R^D, or None when the points are
+    affinely dependent; see :func:`hyperplanes_from_points`."""
+    return hyperplanes_from_points([points])[0]
 
 
 def classify(rule: Rule | RuleKind, point: Point) -> int:
@@ -125,6 +142,82 @@ def classify(rule: Rule | RuleKind, point: Point) -> int:
         cross = dx * (point[1] - sy) - dy * (point[0] - sx)
         return 1 if cross >= -EPS * math.hypot(dx, dy) else -1
     raise TypeError(f"unknown rule kind {type(kind).__name__}")
+
+
+# Table entries evaluated per numpy pass in sign_table, bounding its temporaries.
+_BLOCK = 1 << 20
+
+
+def sign_table(kinds: Sequence[RuleKind], points: Sequence[Point]) -> np.ndarray:
+    """K x N booleans: entry [i, r] is true exactly when
+    ``classify(kinds[i], points[r]) > 0``.
+
+    The arithmetic is :func:`classify`'s, vectorized: a hyperplane's value
+    starts from the bias and adds ``w_d * p_d`` one dimension at a time in the
+    same order (elementwise numpy fuses no multiply-add), and a segment's
+    tolerance is computed per rule with ``math.hypot``, so every entry equals
+    classify's, boundary points and the EPS band included. Raises classify's
+    ValueError on a dimension mismatch.
+    """
+    out = np.zeros((len(kinds), len(points)), dtype=bool)
+    if not len(kinds) or not len(points):
+        return out
+    pts = np.asarray(points, dtype=float)
+    step = max(1, _BLOCK // len(pts))
+    for lo in range(0, len(kinds), step):
+        out[lo : lo + step] = _signs(kinds[lo : lo + step], pts)
+    return out
+
+
+def _signs(kinds: Sequence[RuleKind], pts: np.ndarray) -> np.ndarray:
+    """:func:`sign_table` of one block of rules over an N x D point array."""
+    d = pts.shape[1]
+    out = np.empty((len(kinds), len(pts)), dtype=bool)
+    groups: dict[type, list[int]] = {}
+    for i, kind in enumerate(kinds):
+        if isinstance(kind, AxisParallel):
+            cls = AxisParallel
+            if kind.dim >= d:
+                raise ValueError(f"point of dimension {d} lacks coordinate {kind.dim}")
+        elif isinstance(kind, Hyperplane):
+            cls = Hyperplane
+            if len(kind.weights) != d:
+                raise ValueError(f"expected {len(kind.weights)} coordinates, got {d}")
+        elif isinstance(kind, Segment2D):
+            cls = Segment2D
+            if d != 2:
+                raise ValueError("segment rules apply to 2D points")
+        else:
+            raise TypeError(f"unknown rule kind {type(kind).__name__}")
+        groups.setdefault(cls, []).append(i)
+    for cls, idx in groups.items():
+        group = [kinds[i] for i in idx]
+        if cls is AxisParallel:
+            dims = [rule.dim for rule in group]
+            thresholds = np.array([rule.threshold for rule in group])
+            out[idx] = pts[:, dims].T <= thresholds[:, None]
+        elif cls is Hyperplane:
+            weights = np.array([rule.weights for rule in group])
+            s = np.array([rule.bias for rule in group])[:, None] + weights[:, 0, None] * pts[:, 0]
+            for c in range(1, d):
+                s += weights[:, c, None] * pts[:, c]
+            out[idx] = s >= -EPS
+        else:
+            cols = []
+            for rule in group:
+                (sx, sy), (ex, ey) = rule.start, rule.end
+                dx, dy = ex - sx, ey - sy
+                cols.append((sx, sy, dx, dy, -EPS * math.hypot(dx, dy)))
+            sx, sy, dx, dy, tol = np.array(cols).T[:, :, None]
+            cross = dx * (pts[:, 1] - sy) - dy * (pts[:, 0] - sx)
+            out[idx] = cross >= tol
+    return out
+
+
+def row_masks(table: np.ndarray) -> list[int]:
+    """Each row of a boolean table as a Python int, column c at bit c."""
+    packed = np.packbits(table, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def split_dataset(rule: Rule | RuleKind, data: Dataset) -> tuple[Dataset, Dataset]:
@@ -170,6 +263,33 @@ def ancestry_matrix(rules: Sequence[Rule]) -> AncestryMatrix:
             row.append(1 if signs == {1} else -1 if signs == {-1} else 0)
         rows.append(tuple(row))
     return AncestryMatrix(tuple(rows))
+
+
+def ancestry_tables(rules: Sequence[Rule]) -> tuple[np.ndarray, np.ndarray]:
+    """The +1 and the -1 entries of :func:`ancestry_matrix`, as two K x K
+    boolean arrays, read off sign tables instead of one classify call at a time.
+
+    Row i holds rule i's sign over every rule's defining points, taken one
+    defining point of each rule per :func:`sign_table` (a rule with fewer
+    points repeats its last): rule j is +1 when all its defining points are
+    positive, -1 when none is; the diagonal is 0.
+    """
+    counts = [len(rule.defining_points) for rule in rules]
+    if len(rules) > 1 and 0 in counts:
+        j = counts.index(0)
+        raise ValueError(f"rule {j} has no defining points; matrix entry undefined")
+    kinds = [rule.kind for rule in rules]
+    left = np.ones((len(rules), len(rules)), dtype=bool)
+    some = np.zeros_like(left)
+    for c in range(max(counts, default=0)):
+        points = [rule.defining_points[min(c, n - 1)] for rule, n in zip(rules, counts)]
+        signs = sign_table(kinds, points)
+        left &= signs
+        some |= signs
+    right = ~some
+    np.fill_diagonal(left, False)
+    np.fill_diagonal(right, False)
+    return left, right
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ minimum inside the recursion is exact, and each state keeps one candidate.
 
 The rule-set front end works on bitmasks: a state is (allowed rules, rows,
 rules still to place, depth budget, ancestor side-set), a root's ancestry row
-supplies the rules allowed on each side and its sign pattern the rows.
+supplies the rules allowed on each side and its sign pattern the rows; both
+are bitmasks read off numpy sign tables.
 :func:`solve` covers every k-combination in one recursion whose memo is keyed
 by ancestor side-set: a subproblem shared by many combinations is solved once.
 A state with one rule left is a leaf of the recursion, solved in closed form
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from .data import Dataset
-from .rules import AncestryMatrix, Rule, ancestry_matrix, classify
+from .rules import Rule, ancestry_tables, row_masks, sign_table
 from .rule_systems import MatrixDim, SceneSegment, split_segments, splits_bsp, splits_mcmp
 from .trees import DecisionTree, DLeaf, DNode
 
@@ -201,6 +202,14 @@ class _RuleMasks:
     rows into its positive and negative sides, and every division of the
     rules still to place that fits on both sides is a candidate.
 
+    The per-rule masks are built with numpy: the positive rows of each rule
+    from one :func:`~opttree.rules.sign_table` over the data, and, when at
+    least two rules are to be placed, the left and right sets from
+    :func:`~opttree.rules.ancestry_tables`, sign tables over the defining
+    points. They equal what :func:`~opttree.rules.classify` and
+    :func:`~opttree.rules.ancestry_matrix` give, bit for bit, and no
+    :class:`~opttree.rules.AncestryMatrix` tuple is built.
+
     A state with no rule left, or with one rule left and depth to place it,
     is a leaf of the recursion. One rule left is solved in closed form: the
     cheapest of the stumps "root i, a leaf on each side" over the allowed
@@ -222,7 +231,6 @@ class _RuleMasks:
         self,
         rules: Sequence[Rule],
         data: Dataset,
-        matrix: AncestryMatrix | None,
         k: int,
         objective: Objective,
         constraints: SolveConstraints,
@@ -231,22 +239,18 @@ class _RuleMasks:
         self.size = len(rules)
         self.objective = objective
         self.min_leaf = constraints.min_leaf
-        self.pos = [
-            sum(1 << r for r, s in enumerate(self.data) if classify(rule, s.point) > 0)
-            for rule in rules
-        ]
-        if matrix is None:
-            self.left = self.right = [0] * self.size
+        kinds = [rule.kind for rule in rules]
+        self.pos = row_masks(sign_table(kinds, [s.point for s in self.data]))
+        # a tree with fewer than two rules places no rule below another
+        if k >= 2:
+            left, right = ancestry_tables(rules)
+            # rule j is bit size-1-j of a rule mask
+            self.left, self.right = row_masks(left[:, ::-1]), row_masks(right[:, ::-1])
         else:
-            bits = [self.bit(j) for j in range(self.size)]
-            self.left = [sum(b for b, e in zip(bits, row) if e > 0) for row in matrix.entries]
-            self.right = [sum(b for b, e in zip(bits, row) if e < 0) for row in matrix.entries]
+            self.left = self.right = [0] * self.size
         self.root = ((1 << self.size) - 1, (1 << len(self.data)) - 1, k, constraints.max_depth, 0)
         self._costs: dict[int, Any] = {}
         self._stumps: dict[tuple[int, int], tuple[DecisionTree, Any] | None] = {}
-
-    def bit(self, i: int) -> int:
-        return 1 << (self.size - 1 - i)
 
     def splits(self, state: tuple) -> list | None:
         allowed, rows, count, budget, sides = state
@@ -364,17 +368,18 @@ def solve(
     lexicographically smallest wins), then by root (the earliest wins). The
     result is the brute-force answer: the first strictly better cost over
     the combinations in lexicographic order, each combination's trees
-    generated root-first. ``stats.nodes`` counts the recursion calls, memo
+    generated root-first. The rule masks come from numpy sign tables that
+    equal :func:`~opttree.rules.classify` and
+    :func:`~opttree.rules.ancestry_matrix` entry for entry (see
+    :class:`_RuleMasks`). ``stats.nodes`` counts the recursion calls, memo
     hits included, with states of at most one rule left as leaves (so k=0
     and k=1 make one call); see :class:`SolveStats`. ``leaf_cost`` is called
     once per distinct leaf row set.
     """
     if not 0 <= k <= len(rules):
         raise ValueError(f"cannot choose {k} of {len(rules)} rules")
-    # a tree with fewer than two rules places no rule below another
-    matrix = ancestry_matrix(rules) if k >= 2 else None
     ranked = _combination_tie_break(objective, len(rules))
-    front = _RuleMasks(rules, data, matrix, k, ranked, constraints or SolveConstraints())
+    front = _RuleMasks(rules, data, k, ranked, constraints or SolveConstraints())
     best = _optimize(front.root, front.splits, front.leaf, ranked, stats=stats)
     return None if best is None else front.samples(best[0])
 

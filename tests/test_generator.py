@@ -403,3 +403,36 @@ def test_oracle_modules_import_nothing_from_solver(path):
             elif module == "opttree":
                 found += [a.name for a in node.names if a.name in solver_names]
     assert found == [], f"{path.name} imports {found} from opttree.solver"
+
+
+# the numpy sign-table path that builds the solver's masks
+_VECTORIZED = {"sign_table", "row_masks", "ancestry_tables"}
+
+
+def _names_used(path):
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+    return names
+
+
+@pytest.mark.parametrize(
+    "path, kept",
+    [
+        (PACKAGE / "generator.py", {"classify", "ancestry_matrix"}),
+        (PACKAGE / "trees.py", {"classify"}),
+        (Path(__file__).parent / "helpers.py", {"classify"}),
+    ],
+    ids=["generator.py", "trees.py", "helpers.py"],
+)
+def test_oracle_modules_classify_without_the_sign_table(path, kept):
+    # the oracles build signs and ancestry one classify call at a time,
+    # independently of the vectorized tables the solver uses
+    names = _names_used(path)
+    assert names & _VECTORIZED == set(), f"{path.name} uses {names & _VECTORIZED}"
+    assert kept <= names

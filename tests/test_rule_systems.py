@@ -1,6 +1,8 @@
 """Rule enumeration and the per-application splits strategies."""
 
+import itertools
 import math
+import random
 
 import pytest
 
@@ -8,12 +10,15 @@ from opttree import (
     AncestryMatrix,
     Hyperplane,
     MatrixDim,
+    Rule,
     SceneSegment,
     all_chain_trees,
     classify,
     enumerate_axis_rules,
     enumerate_hyperplane_rules,
     enumerate_surface2_rules,
+    hyperplane_from_points,
+    lift_dataset,
     lift_degree2,
     make_dataset,
     split_segments,
@@ -22,6 +27,7 @@ from opttree import (
     splits_kd,
     splits_mcmp,
 )
+from opttree import rule_systems
 
 
 def test_axis_rules_counts():
@@ -64,6 +70,51 @@ def test_hyperplane_rules_single_combination():
     assert len(enumerate_hyperplane_rules(data)) == 1
     with pytest.raises(ValueError):
         enumerate_hyperplane_rules(make_dataset([(0, 0)]))
+
+
+def _per_combination_rules(data):
+    """Hyperplane rules and diagnostics, one combination and one classify call at a time."""
+    d = len(data[0].point)
+    rules, seen, diag = [], set(), {"degenerate": 0, "duplicate": 0}
+    for combo in itertools.combinations(range(len(data)), d):
+        pts = tuple(data[i].point for i in combo)
+        plane = hyperplane_from_points(pts)
+        if plane is None:
+            diag["degenerate"] += 1
+            continue
+        signature = tuple(classify(plane, s.point) for s in data)
+        if signature in seen:
+            diag["duplicate"] += 1
+            continue
+        seen.add(signature)
+        rules.append(Rule(len(rules), plane, pts))
+    return rules, diag
+
+
+def _enumeration_instances():
+    rng = random.Random(9)
+    return {
+        "grid": make_dataset([(x, y) for x in range(4) for y in range(4)]),
+        "collinear": make_dataset([(t, 2 * t + 1) for t in range(5)] + [(1, 0), (3, 9), (2, 2)]),
+        "random": make_dataset([(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(12)]),
+        "3d": make_dataset([tuple(rng.randint(0, 2) for _ in range(3)) for _ in range(9)]),
+        "surface2": lift_dataset(make_dataset([(x % 3, x // 3) for x in range(9)])),
+    }
+
+
+@pytest.mark.parametrize("batch", [None, 1, 7])
+@pytest.mark.parametrize("name", list(_enumeration_instances()))
+def test_hyperplane_rules_equal_per_combination_reference(name, batch, monkeypatch):
+    # a small batch makes the dedup span several sign tables
+    if batch is not None:
+        monkeypatch.setattr(rule_systems, "_COMBINATION_BATCH", batch)
+    data = _enumeration_instances()[name]
+    diag = {}
+    rules = enumerate_hyperplane_rules(data, diagnostics=diag)
+    expected, expected_diag = _per_combination_rules(data)
+    assert rules == expected
+    assert diag == expected_diag
+    assert diag["duplicate"] > 0 or name == "random"
 
 
 def test_lift_degree2():

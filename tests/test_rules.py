@@ -1,21 +1,30 @@
 """Classification predicates, ancestry matrices, axiom validation."""
 
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opttree import (
+    EPS,
     AncestryMatrix,
     AxisParallel,
+    Hyperplane,
     Rule,
     Segment2D,
     ancestry_matrix,
+    ancestry_tables,
     classify,
     hyperplane,
     hyperplane_from_points,
+    hyperplanes_from_points,
+    lift_degree2,
     root_feasible,
+    row_masks,
+    sign_table,
     validate_axioms,
 )
 
@@ -107,6 +116,27 @@ def test_ancestry_matrix_requires_defining_points():
         ancestry_matrix([bare, _vertical(1, 2.0)])
 
 
+def test_ancestry_tables_equal_ancestry_matrix():
+    # ties: the x=3 line's defining point (3, 3) sits on the y=3 line, and
+    # the diagonal through (3, 3) meets both
+    rules = [
+        _vertical(0, 1.0),
+        _vertical(1, 3.0, positive_left=False),
+        Rule(2, AxisParallel(1, 3.0), ((3.0, 3.0),)),
+        Rule(3, hyperplane_from_points([(0.0, 0.0), (3.0, 3.0)]), ((0.0, 0.0), (3.0, 3.0))),
+        Rule(4, hyperplane_from_points([(1.0, 0.0), (1.0, 5.0)]), ((1.0, 0.0), (1.0, 5.0))),
+    ]
+    for table in ([], rules[:1], rules):
+        left, right = ancestry_tables(table)
+        entries = ancestry_matrix(table).entries
+        assert left.tolist() == [[e > 0 for e in row] for row in entries]
+        assert right.tolist() == [[e < 0 for e in row] for row in entries]
+    assert {-1, 0, 1} <= {e for row in entries for e in row}
+    assert ancestry_tables([Rule(0, AxisParallel(0, 1.0))])[0].tolist() == [[False]]
+    with pytest.raises(ValueError):
+        ancestry_tables([Rule(0, AxisParallel(0, 1.0)), _vertical(1, 2.0)])
+
+
 def test_validate_axioms():
     assert validate_axioms(AncestryMatrix(((0,),))).passed
     bad_diag = AncestryMatrix(((1, 0), (0, 0)))
@@ -155,3 +185,173 @@ def test_root_feasible():
     assert not root_feasible(0, (0, 1, 2), m)  # entry (0, 2) is 0
     assert root_feasible(0, (0,), m)  # vacuous on a singleton
     assert root_feasible(0, (0, 1), m)
+
+
+def _reference_hyperplane(points):
+    """One set at a time, as hyperplane_from_points computed it before batching."""
+    pts = np.asarray(points, dtype=float)
+    d = pts.shape[1]
+    _, sigma, vt = np.linalg.svd(np.hstack([pts, np.ones((d, 1))]))
+    if sigma[d - 1] <= 1e-9 * max(sigma[0], 1.0):
+        return None
+    w, b = vt[-1][:d], float(vt[-1][d])
+    n = float(np.linalg.norm(w))
+    if n <= 1e-12:
+        return None
+    w, b = w / n, b / n
+    for c in w:
+        if abs(c) > 1e-12:
+            if c < 0:
+                w, b = -w, -b
+            break
+    return Hyperplane(tuple(float(c) for c in w), float(b))
+
+
+def _point_sets(d, rng, count=300):
+    """Random D-point sets in R^D, some of them affinely dependent.
+
+    Every third set repeats its first point (D >= 2); for D >= 3 every third
+    set also has its last point on the line through the first two.
+    """
+    sets = []
+    for i in range(count):
+        pts = [tuple(rng.choice([rng.uniform(-5, 5), float(rng.randint(-3, 3))]) for _ in range(d))]
+        pts += [tuple(rng.uniform(-5, 5) for _ in range(d)) for _ in range(d - 1)]
+        if i % 3 == 1:  # the last point on the line through the first two
+            t = rng.uniform(-2, 2)
+            pts[-1] = tuple(a + t * (b - a) for a, b in zip(pts[0], pts[1 % d]))
+        elif i % 3 == 2 and d > 1:  # a repeated point
+            pts[-1] = pts[0]
+        sets.append(pts)
+    return sets
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_hyperplanes_from_points_batch_equals_single_calls(d):
+    rng = random.Random(d)
+    sets = _point_sets(d, rng)
+    batch = hyperplanes_from_points(sets)
+    single = [hyperplane_from_points(pts) for pts in sets]
+    assert batch == single == [_reference_hyperplane(pts) for pts in sets]
+    if d > 1:
+        assert batch.count(None) >= len(sets) // 3
+
+
+def test_hyperplanes_from_points_batch_equals_single_calls_lifted():
+    # surface2 tables are hyperplanes through 5 lifted 2-D points; collinear
+    # grid points and repeated ones make some sets affinely dependent
+    rng = random.Random(5)
+    sets = []
+    for _ in range(400):
+        raw = [(float(rng.randint(0, 3)), float(rng.randint(0, 3))) for _ in range(5)]
+        sets.append([lift_degree2(p) for p in raw])
+    batch = hyperplanes_from_points(sets)
+    assert batch == [hyperplane_from_points(pts) for pts in sets]
+    assert batch == [_reference_hyperplane(pts) for pts in sets]
+    assert None in batch and any(plane is not None for plane in batch)
+
+
+def test_hyperplanes_from_points_rejects_misshapen_sets():
+    assert hyperplanes_from_points([]) == []
+    with pytest.raises(ValueError):
+        hyperplanes_from_points([[(0.0, 0.0, 1.0), (1.0, 0.0, 1.0)]])
+    with pytest.raises(ValueError):
+        hyperplane_from_points([(0.0, 1.0)])
+
+
+def _near(points, direction, scale):
+    """Each point moved along ``direction`` by 0, +-EPS/2, +-EPS and +-2 EPS times ``scale``."""
+    out = []
+    for p in points:
+        for t in (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0):
+            out.append(tuple(c + t * EPS * scale * u for c, u in zip(p, direction)))
+    return out
+
+
+def _assert_sign_table_is_classify(kinds, points):
+    table = sign_table(kinds, points)
+    assert table.shape == (len(kinds), len(points)) and table.dtype == bool
+    expected = [[classify(kind, p) > 0 for p in points] for kind in kinds]
+    assert table.tolist() == expected
+    assert sum(map(sum, expected)) not in (0, len(kinds) * len(points))  # both signs occur
+
+
+def test_sign_table_equals_classify_axis():
+    kinds = [AxisParallel(dim, t) for dim in (0, 1) for t in (-1.0, 0.0, 0.1, 2.5)]
+    points = [(x, y) for x in (-1.0, 0.0, 0.1, 2.5) for y in (0.1, 2.5, -1.0)]
+    points += [(math.nextafter(x, -math.inf), math.nextafter(x, math.inf)) for x in (0.1, 2.5)]
+    _assert_sign_table_is_classify(kinds, points)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_sign_table_equals_classify_hyperplane(d):
+    rng = random.Random(10 + d)
+    kinds, points = [], []
+    for pts in _point_sets(d, rng, count=40):
+        plane = hyperplane_from_points(pts)
+        if plane is None:
+            continue
+        kinds.append(plane)
+        points += _near(pts, plane.weights, 1.0)
+    # planes whose values are exact, with points at exactly -EPS and one ulp
+    # either side of it
+    for c in range(d):
+        unit = tuple(float(c == e) for e in range(d))
+        kinds += [Hyperplane(unit, 0.0), Hyperplane(tuple(-u for u in unit), 2.0)]
+        for x in (-EPS, math.nextafter(-EPS, 0.0), math.nextafter(-EPS, -1.0), 2.0 + EPS):
+            points.append(tuple(x if e == c else 0.5 for e in range(d)))
+    _assert_sign_table_is_classify(kinds, points)
+
+
+def test_sign_table_equals_classify_lifted_hyperplane():
+    # integer grid points lie exactly on many lifted planes
+    grid = [lift_degree2((float(x), float(y))) for x in range(4) for y in range(3)]
+    rng = random.Random(3)
+    kinds = []
+    while len(kinds) < 30:
+        plane = hyperplane_from_points(rng.sample(grid, 5))
+        if plane is not None:
+            kinds.append(plane)
+    points = grid + _near(grid[:4], kinds[0].weights, 1.0)
+    _assert_sign_table_is_classify(kinds, points)
+
+
+def test_sign_table_equals_classify_segment():
+    kinds = [
+        Segment2D((0.0, 0.0), (1.0, 0.0)),
+        Segment2D((1.0, 1.0), (0.0, 0.0)),
+        Segment2D((0.3, -2.0), (0.3, 5.0)),
+        Segment2D((-1.5, 2.0), (2.5, -1.0)),
+    ]
+    points = [(0.5, 0.0), (2.0, 0.0), (0.3, 0.3), (0.3, 7.0), (2.5, -1.0), (0.5, 0.5)]
+    for seg in kinds:
+        (sx, sy), (ex, ey) = seg.start, seg.end
+        length = math.hypot(ex - sx, ey - sy)
+        normal = (-(ey - sy) / length, (ex - sx) / length)
+        points += _near([seg.start, seg.end, ((sx + ex) / 2, (sy + ey) / 2)], normal, length)
+    _assert_sign_table_is_classify(kinds, points)
+
+
+def test_sign_table_mixed_kinds_and_empty_sides():
+    kinds = [AxisParallel(1, 0.5), hyperplane((1.0, -1.0), 0.0), Segment2D((0.0, 0.0), (0.0, 1.0))]
+    points = [(0.0, 0.0), (1.0, 0.5), (-1.0, 2.0), (0.5, 0.5)]
+    _assert_sign_table_is_classify(kinds, points)
+    assert sign_table(kinds, []).shape == (3, 0)
+    assert sign_table([], points).shape == (0, 4)
+
+
+def test_sign_table_dimension_mismatch_raises_like_classify():
+    points = [(0.0, 0.0), (1.0, 1.0)]
+    for kind in (AxisParallel(2, 1.0), hyperplane((1.0, 1.0, 0.0), 0.0)):
+        with pytest.raises(ValueError):
+            classify(kind, points[0])
+        with pytest.raises(ValueError):
+            sign_table([AxisParallel(0, 1.0), kind], points)
+    with pytest.raises(ValueError):
+        sign_table([Segment2D((0.0, 0.0), (1.0, 0.0))], [(0.0, 0.0, 0.0)])
+
+
+def test_row_masks_put_column_c_at_bit_c():
+    table = np.array([[True, False, True] + [False] * 8 + [True], [False] * 12, [True] * 12])
+    assert row_masks(table) == [1 | 4 | 1 << 11, 0, (1 << 12) - 1]
+    assert row_masks(np.zeros((2, 0), dtype=bool)) == [0, 0]

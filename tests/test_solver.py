@@ -13,6 +13,7 @@ import pytest
 
 from opttree import (
     CHAIN_COST,
+    EPS,
     LEAF_BALANCE,
     MISCLASSIFICATION,
     TREE_SIZE,
@@ -51,7 +52,7 @@ from opttree import (
     splits_kd,
     tree_cost,
 )
-from opttree.solver import _optimize
+from opttree.solver import _RuleMasks, _optimize
 from helpers import leaf_payloads, random_instance
 
 
@@ -282,6 +283,76 @@ def grid_axis_rules():
             point = (t, 0.0) if dim == 0 else (0.0, t)
             rules.append(Rule(len(rules), AxisParallel(dim, t), (point,)))
     return rules
+
+
+def _boundary_tables():
+    """Rule tables (with their data) whose defining points lie on other rules' boundaries."""
+    cells = [(x, y) for x in range(4) for y in range(3)]
+    grid = make_dataset(cells, [(x + y) % 2 for x, y in cells])
+    # both rules at threshold t are defined by (t, t), on each other's boundary
+    diagonal = [
+        Rule(2 * i + dim, AxisParallel(dim, t), ((t, t),))
+        for i, t in enumerate((2.5, 5.0, 7.5))
+        for dim in (0, 1)
+    ]
+    # the defining points of the diagonals straddle the vertical and
+    # horizontal lines through the middle, and the other way round
+    cross = make_dataset([(0, 0), (2, 2), (0, 2), (2, 0), (1, 0), (1, 2), (0, 1), (2, 1)])
+    small = make_dataset([(x % 3, x // 3) for x in range(8)], [x % 2 for x in range(8)])
+    # a rules-file table: axis rules have one defining point, hyperplanes two
+    mixed = [Rule(0, AxisParallel(0, 1.0), ((1.0, 1.0),))]
+    mixed.append(Rule(1, AxisParallel(1, 1.0), ((2.0, 1.0),)))
+    for rule in enumerate_hyperplane_rules(grid)[:12]:
+        mixed.append(Rule(len(mixed), rule.kind, rule.defining_points))
+    return {
+        "axis-grid": (enumerate_axis_rules(grid), grid),
+        "axis-ties": (diagonal, make_dataset([(t, 5.0) for t in (0.0, 2.5, 5.0, 7.5, 9.0)])),
+        "hyperplane-grid": (enumerate_hyperplane_rules(grid), grid),
+        "hyperplane-straddle": (enumerate_hyperplane_rules(cross), cross),
+        "surface2-grid": (enumerate_surface2_rules(small), lift_dataset(small)),
+        "mixed": (mixed, grid),
+    }
+
+
+@pytest.mark.parametrize("name", list(_boundary_tables()))
+def test_rule_masks_equal_ancestry_matrix_and_classify(name):
+    rules, data = _boundary_tables()[name]
+    matrix = ancestry_matrix(rules)
+    front = _RuleMasks(rules, data, 2, MISCLASSIFICATION, SolveConstraints())
+    size = len(rules)
+    for i, row in enumerate(matrix.entries):
+        assert front.left[i] == sum(1 << (size - 1 - j) for j, e in enumerate(row) if e > 0)
+        assert front.right[i] == sum(1 << (size - 1 - j) for j, e in enumerate(row) if e < 0)
+        positive = [classify(rules[i], s.point) > 0 for s in data]
+        assert front.pos[i] == sum(1 << r for r, p in enumerate(positive) if p)
+    assert len({e for row in matrix.entries for e in row}) == 3 or name == "surface2-grid"
+    # some defining point sits on another rule's boundary, within EPS
+    assert any(
+        _on_boundary(ri.kind, q)
+        for ri in rules
+        for rj in rules
+        if rj is not ri
+        for q in rj.defining_points
+    )
+
+
+def _on_boundary(kind, q):
+    if isinstance(kind, AxisParallel):
+        return q[kind.dim] == kind.threshold
+    return abs(kind.bias + sum(w * c for w, c in zip(kind.weights, q))) <= EPS
+
+
+def test_rule_masks_below_two_rules_skip_ancestry():
+    rules = grid_axis_rules() + [Rule(6, AxisParallel(0, 1.0))]
+    data = make_dataset([(1.0, 2.0), (6.0, 8.0)])
+    front = _RuleMasks(rules, data, 1, MISCLASSIFICATION, SolveConstraints())
+    assert front.left == front.right == [0] * len(rules)
+    # with two rules to place the ancestry is needed, and undefined without
+    # defining points, as in ancestry_matrix
+    with pytest.raises(ValueError):
+        ancestry_matrix(rules)
+    with pytest.raises(ValueError):
+        solve(rules, 2, data, MISCLASSIFICATION)
 
 
 @pytest.mark.parametrize("k", [2, 3])
