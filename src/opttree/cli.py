@@ -290,12 +290,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="opttree", description="Exact decision-tree optimization")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_rules=True):
+    def common(p, with_rules=True, with_out=True):
         if with_rules:
             p.add_argument("--rules", choices=["axis", "hyperplane", "surface2"], default="axis")
             p.add_argument("--k", type=_plain_int, default=1)
             p.add_argument("--rules-file", default=None, help="explicit point-defined rules")
-        p.add_argument("--out", default=None, help="write the serialized tree here")
+        if with_out:
+            p.add_argument("--out", default=None, help="write the serialized tree here")
 
     p_fit = sub.add_parser("fit", help="fit an optimal classification tree")
     p_fit.add_argument("csv")
@@ -306,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="cross-check the solver against brute force")
     p_check.add_argument("csv")
-    common(p_check)
+    # check compares scores and writes no tree
+    common(p_check, with_out=False)
     p_check.set_defaults(func=_cmd_check)
 
     p_bsp = sub.add_parser("bsp", help="smallest partition tree for a segment scene")

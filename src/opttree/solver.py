@@ -13,9 +13,10 @@ supplies the rules allowed on each side and its sign pattern the rows; both
 are bitmasks read off numpy sign tables.
 :func:`solve` covers every k-combination in one recursion whose memo is keyed
 by ancestor side-set: a subproblem shared by many combinations is solved once.
-A state with one rule left is a leaf of the recursion, solved in closed form
-(the cheapest stump over its allowed roots); leaves are costed once per row
-mask, and samples are gathered only for the returned tree.
+A state with one or two rules left is a leaf of the recursion, solved in
+closed form (the cheapest stump over its allowed roots, or the cheapest root
+over a leaf and such a stump); leaves are costed once per row mask, and
+samples are gathered only for the returned tree.
 :class:`SolveStats` counts recursion calls (memo hits included), a number
 that depends on the rule table and k but not on the data. Ties compare the
 rule combination (the lexicographically smallest wins), then the root (the
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 from typing import Any, Callable, Sequence
 
 from .data import Dataset
@@ -68,8 +70,8 @@ class SolveConstraints:
 class SolveStats:
     """Instrumentation: the number of recursion calls a solve made.
 
-    Memo hits count; a state with at most one rule left is a leaf and counts
-    once, so a solve with k < 2 makes exactly one call. The count depends on
+    Memo hits count; a state with at most two rules left is a leaf and counts
+    once, so a solve with k < 3 makes exactly one call. The count depends on
     the rule table, k and the depth budget; without ``min_leaf`` it does not
     depend on the data (an infeasible left side skips its right side).
     """
@@ -90,8 +92,8 @@ def misclassification_cost(data: Dataset) -> float:
     """Points whose label differs from the leaf majority."""
     if not data:
         return 0.0
-    counts = Counter(s.label for s in data)
-    return float(len(data) - max(counts.values()))
+    labels = [s.label for s in data]
+    return float(len(labels) - max(map(labels.count, set(labels))))
 
 
 def _add(a: float, b: float, ctx: Any) -> float:
@@ -133,9 +135,13 @@ def tree_cost(tree: DecisionTree, objective: Objective) -> Any:
     return objective.combine(u, v, tree.rule_id)
 
 
+# bin() digits to compress() selectors
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
 def _members(data: Dataset, mask: int) -> Dataset:
     """The samples whose positions are set in ``mask``, in data order."""
-    return tuple(data[r] for r, b in enumerate(bin(mask)[:1:-1]) if b == "1")
+    return tuple(compress(data, bin(mask)[:1:-1].encode().translate(_BITS)))
 
 
 def _optimize(
@@ -210,14 +216,23 @@ class _RuleMasks:
     :func:`~opttree.rules.ancestry_matrix` give, bit for bit, and no
     :class:`~opttree.rules.AncestryMatrix` tuple is built.
 
-    A state with no rule left, or with one rule left and depth to place it,
-    is a leaf of the recursion. One rule left is solved in closed form: the
-    cheapest of the stumps "root i, a leaf on each side" over the allowed
-    roots in ascending order, the first strict minimum winning, which is the
-    candidate the recursion would keep. Its result depends only on (allowed
-    rules, rows) and is memoized on that pair. Leaf costs are memoized per
-    row mask. Leaves carry their row mask, and :meth:`samples` gathers the
-    samples of the returned tree only.
+    A state with no rule left, or with one or two rules left and depth to
+    place them, is a leaf of the recursion. One rule left is solved in closed
+    form: the cheapest of the stumps "root i, a leaf on each side" over the
+    allowed roots in ascending order, the first strict minimum winning, which
+    is the candidate the recursion would keep. Later roots rank below earlier
+    ones among equal costs, so this loop compares plain costs. Two rules left
+    are solved in closed form from stumps: for each allowed root in ascending
+    order, a leaf on the positive side with a stump on the negative side, then
+    a stump on the positive side with a leaf on the negative side, compared as
+    ranked (cost, -combination mask) values, the first strict minimum
+    winning. Both results depend only on (allowed rules, rows) and are
+    memoized on that pair. Leaf costs are memoized per row mask. Leaves carry
+    their row mask, and :meth:`samples` gathers the samples of the returned
+    tree only.
+
+    Values handed to the recursion are ranked as by
+    :func:`_combination_tie_break`; ``objective`` is the plain one.
 
     The allowed rules, the rows and the depth budget are functions of the
     side-set, so a memo keyed on the state shares a subproblem exactly
@@ -251,6 +266,7 @@ class _RuleMasks:
         self.root = ((1 << self.size) - 1, (1 << len(self.data)) - 1, k, constraints.max_depth, 0)
         self._costs: dict[int, Any] = {}
         self._stumps: dict[tuple[int, int], tuple[DecisionTree, Any] | None] = {}
+        self._pairs: dict[tuple[int, int], tuple[DecisionTree, Any] | None] = {}
 
     def splits(self, state: tuple) -> list | None:
         allowed, rows, count, budget, sides = state
@@ -258,7 +274,7 @@ class _RuleMasks:
             return None
         if budget is not None and budget <= 0:
             return []  # rules left but no depth: infeasible
-        if count == 1:
+        if count <= 2:
             return None  # solved in closed form by leaf
         sub_budget = None if budget is None else budget - 1
         rest = count - 1
@@ -278,11 +294,14 @@ class _RuleMasks:
         return out
 
     def leaf(self, state: tuple) -> tuple[DecisionTree, Any] | None:
-        allowed, rows, count = state[:3]
+        allowed, rows, count, budget = state[:4]
+        if count == 2:
+            # the second rule needs a level below the root
+            return None if budget == 1 else self.pair(allowed, rows)
         if count:
             return self.stump(allowed, rows)
         cost = self.cost(rows)
-        return None if cost is None else (DLeaf(rows), cost)
+        return None if cost is None else (DLeaf(rows), (cost, 0))
 
     def cost(self, rows: int) -> Any:
         """The leaf cost of a row mask, None below ``min_leaf``; memoized."""
@@ -323,8 +342,56 @@ class _RuleMasks:
         result = None
         if best is not None:
             pos = rows & self.pos[winner]
-            result = DNode(DLeaf(pos), winner, DLeaf(rows ^ pos)), best
+            result = DNode(DLeaf(pos), winner, DLeaf(rows ^ pos)), (best, -(1 << last - winner))
         self._stumps[key] = result
+        return result
+
+    def pair(self, allowed: int, rows: int) -> tuple[DecisionTree, Any] | None:
+        """Cheapest two-rule tree over ``rows`` with its rules in ``allowed``."""
+        key = (allowed, rows)
+        if key in self._pairs:
+            return self._pairs[key]
+        combine, cost, stump = self.objective.combine, self.cost, self.stump
+        positive, last = self.pos, self.size - 1
+        best = None
+        todo = allowed
+        while todo:
+            top = todo.bit_length() - 1
+            bit = 1 << top
+            todo ^= bit
+            i = last - top
+            pos = rows & positive[i]
+            neg = rows ^ pos
+            # the recursion's divisions in its order: the second rule on the
+            # negative side, then on the positive side; ranked as by
+            # _combination_tie_break, a leaf ranking (cost, 0)
+            right = allowed & self.right[i]
+            if right:
+                u = cost(pos)
+                if u is not None:
+                    v = stump(right, neg)
+                    if v is not None:
+                        candidate = combine(u, v[1][0], i), v[1][1] - bit
+                        if best is None or candidate < best[0]:
+                            best = candidate, i, v[0], False
+            left = allowed & self.left[i]
+            if left:
+                u = stump(left, pos)
+                if u is not None:
+                    v = cost(neg)
+                    if v is not None:
+                        candidate = combine(u[1][0], v, i), u[1][1] - bit
+                        if best is None or candidate < best[0]:
+                            best = candidate, i, u[0], True
+        result = None
+        if best is not None:
+            ranked, i, sub, on_positive = best
+            pos = rows & positive[i]
+            if on_positive:
+                result = DNode(sub, i, DLeaf(rows ^ pos)), ranked
+            else:
+                result = DNode(DLeaf(pos), i, sub), ranked
+        self._pairs[key] = result
         return result
 
     def samples(self, tree: DecisionTree) -> DecisionTree:
@@ -363,8 +430,8 @@ def solve(
 
     One recursion covers every k-combination at once: a state is
     solved once per ancestor side-set and reused by every combination that
-    reaches it, and a state with one rule left is solved in closed form.
-    Candidates compare by cost, then by rule combination (the
+    reaches it, and a state with one or two rules left is solved in closed
+    form. Candidates compare by cost, then by rule combination (the
     lexicographically smallest wins), then by root (the earliest wins). The
     result is the brute-force answer: the first strictly better cost over
     the combinations in lexicographic order, each combination's trees
@@ -372,14 +439,14 @@ def solve(
     equal :func:`~opttree.rules.classify` and
     :func:`~opttree.rules.ancestry_matrix` entry for entry (see
     :class:`_RuleMasks`). ``stats.nodes`` counts the recursion calls, memo
-    hits included, with states of at most one rule left as leaves (so k=0
-    and k=1 make one call); see :class:`SolveStats`. ``leaf_cost`` is called
+    hits included, with states of at most two rules left as leaves (so
+    k < 3 makes one call); see :class:`SolveStats`. ``leaf_cost`` is called
     once per distinct leaf row set.
     """
     if not 0 <= k <= len(rules):
         raise ValueError(f"cannot choose {k} of {len(rules)} rules")
     ranked = _combination_tie_break(objective, len(rules))
-    front = _RuleMasks(rules, data, k, ranked, constraints or SolveConstraints())
+    front = _RuleMasks(rules, data, k, objective, constraints or SolveConstraints())
     best = _optimize(front.root, front.splits, front.leaf, ranked, stats=stats)
     return None if best is None else front.samples(best[0])
 

@@ -366,6 +366,27 @@ def test_check_guardrails(tmp_path, capsys):
     assert run(capsys, "check", small, "--k", "5")[0] == 2
 
 
+def test_check_rejects_out(tmp_path, capsys):
+    # check writes no tree, so --out is a usage error rather than a no-op
+    csv = tmp_path / "d.csv"
+    seeded_csv(csv, 5, n=6)
+    out_file = tmp_path / "t.txt"
+    with pytest.raises(SystemExit) as exc:
+        main(["check", str(csv), "--k", "1", "--out", str(out_file)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --out" in captured.err
+    assert not out_file.exists()
+    # the tree-writing commands keep it
+    write_csv(csv, [(0.0,), (1.0,), (2.0,)])
+    for argv in (["mcmp", "2,3,4"], ["kd", str(csv), "--max-depth", "1"]):
+        out_file.unlink(missing_ok=True)
+        code, out = run(capsys, *argv, "--out", out_file)
+        assert code == 0
+        assert out_file.read_text() == grab(out, "tree") + "\n"
+
+
 def test_bsp_command(tmp_path, capsys):
     scene = tmp_path / "scene.txt"
     scene.write_text("0 0 1 0\n2 -1 2 1\n")

@@ -8,6 +8,7 @@ by one.
 import gc
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -52,7 +53,7 @@ from opttree import (
     splits_kd,
     tree_cost,
 )
-from opttree.solver import _RuleMasks, _optimize
+from opttree.solver import _members, _RuleMasks, _optimize
 from helpers import leaf_payloads, random_instance
 
 
@@ -64,6 +65,31 @@ def test_majority_and_misclassification():
     tie = make_dataset([(0.0,)] * 4, [1, 1, 2, 2])
     assert majority_label(tie) == 1  # tie resolves to the smaller label
     assert misclassification_cost(tie) == 2
+
+
+def test_misclassification_cost_equals_counter_reference():
+    # every subset of a dataset with labels -1, 0 and 2, so 2-way and 3-way
+    # majority ties and the empty set all occur
+    labels = [-1, 0, 2, 0, -1, 2, 2, -1]
+    data = make_dataset([(float(i),) for i in range(len(labels))], labels)
+    ties = set()
+    for size in range(len(data) + 1):
+        for subset in itertools.combinations(data, size):
+            counts = Counter(s.label for s in subset)
+            want = float(len(subset) - max(counts.values(), default=0))
+            got = misclassification_cost(subset)
+            assert got == want and type(got) is float
+            ties.add(list(counts.values()).count(max(counts.values(), default=0)))
+    assert {1, 2, 3} <= ties
+
+
+def test_members_equals_enumerate_reference():
+    data = make_dataset([(float(i),) for i in range(9)], [i % 3 for i in range(9)])
+    for mask in range(1 << len(data)):
+        want = tuple(data[r] for r, b in enumerate(bin(mask)[:1:-1]) if b == "1")
+        assert _members(data, mask) == want
+    assert _members(data, 0) == ()
+    assert _members(data, (1 << len(data)) - 1) == data
 
 
 def test_tree_size_cost():
@@ -253,8 +279,9 @@ def _tie_heavy_instances():
 @pytest.mark.parametrize("name", ["single-label", "duplicates", "three-labels"])
 @pytest.mark.parametrize("kind", ["axis", "hyperplane"])
 def test_solve_equals_reference_on_tie_heavy_inputs(kind, name):
-    # one-rule states are solved in closed form; the winner must still be the
-    # brute force's tree, with MISCLASSIFICATION and LEAF_BALANCE
+    # one- and two-rule states are solved in closed form; the winner must
+    # still be the brute force's tree, with MISCLASSIFICATION and
+    # LEAF_BALANCE, and at k=3 and k=4 two-rule states sit below the root
     data = _tie_heavy_instances()[name]
     enumerate_rules = enumerate_axis_rules if kind == "axis" else enumerate_hyperplane_rules
     rules = enumerate_rules(data)[:8]
@@ -269,11 +296,16 @@ def test_solve_equals_reference_on_tie_heavy_inputs(kind, name):
         SolveConstraints(max_depth=2),
         SolveConstraints(min_leaf=2, max_depth=2),
     ]
-    for k in (1, 2, 3):
+    for k in (1, 2, 3, 4):
         for cons in constraint_sets:
             for objective in (MISCLASSIFICATION, LEAF_BALANCE):
                 want = _per_combination_reference(rules, k, data, objective, cons)
                 assert solve(rules, k, data, objective, cons) == want
+                if cons is None:
+                    assert want is not None
+                elif cons == SolveConstraints(max_depth=1):
+                    # a second rule needs a second level
+                    assert (want is None) == (k >= 2)
 
 
 def grid_axis_rules():
@@ -355,7 +387,7 @@ def test_rule_masks_below_two_rules_skip_ancestry():
         solve(rules, 2, data, MISCLASSIFICATION)
 
 
-@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("k", [2, 3, 4])
 def test_solve_nodes_independent_of_data_and_below_per_combination_sum(k):
     rules = grid_axis_rules()
     counts = []
@@ -369,8 +401,8 @@ def test_solve_nodes_independent_of_data_and_below_per_combination_sum(k):
         assert solve(rules, k, data, MISCLASSIFICATION, stats=stats) is not None
         counts.append(stats.nodes)
     assert counts[0] == counts[1]
-    # a state with at most one rule left is a leaf of the recursion
-    assert counts[0] == {2: 21, 3: 105}[k]
+    # a state with at most two rules left is a leaf of the recursion
+    assert counts[0] == {2: 1, 3: 25, 4: 97}[k]
     per_combination = 0
     for combo in itertools.combinations(range(len(rules)), k):
         stats = SolveStats()
@@ -379,8 +411,8 @@ def test_solve_nodes_independent_of_data_and_below_per_combination_sum(k):
     assert counts[0] < per_combination
 
 
-@pytest.mark.parametrize("k", [0, 1])
-def test_solve_nodes_is_one_call_below_two_rules(k):
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_solve_nodes_is_one_call_below_three_rules(k):
     for seed in (0, 4):
         data = random_instance(seed, n_min=6, n_max=9)
         for rules in (grid_axis_rules(), enumerate_axis_rules(data), enumerate_hyperplane_rules(data)):
