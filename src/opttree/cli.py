@@ -38,7 +38,7 @@ from .solver import (
     tree_cost,
 )
 from .treefmt import serialize
-from .trees import DecisionTree, DLeaf, DNode
+from .trees import DecisionTree, DNode, leaves
 
 CHECK_MAX_N = 14
 CHECK_MAX_K = 4
@@ -132,19 +132,11 @@ def _build_rules(args, data: Dataset) -> tuple[list[Rule], Dataset]:
 
 def _leaf_report(tree: DecisionTree) -> list[str]:
     lines = []
-
-    def rec(node: DecisionTree) -> None:
-        if isinstance(node, DLeaf):
-            data = node.data
-            m = majority_label(data)
-            errors = sum(1 for s in data if s.label != m) if data else 0
-            shown = "-" if m is None else str(m)
-            lines.append(f"leaf {len(lines)}: size={len(data)} majority={shown} errors={errors}")
-            return
-        rec(node.left)
-        rec(node.right)
-
-    rec(tree)
+    for index, data in enumerate(leaves(tree)):
+        m = majority_label(data)
+        errors = sum(1 for s in data if s.label != m)
+        shown = "-" if m is None else str(m)
+        lines.append(f"leaf {index}: size={len(data)} majority={shown} errors={errors}")
     return lines
 
 
@@ -164,8 +156,6 @@ def _cmd_fit(args) -> int:
     _require_non_negative("--max-depth", args.max_depth)
     data = load_csv(args.csv)
     rules, space = _build_rules(args, data)
-    if args.k > len(rules):
-        raise ValueError(f"k={args.k} exceeds the {len(rules)} available rules")
     cons = SolveConstraints(min_leaf=args.min_leaf, max_depth=args.max_depth)
     tree = solve(rules, args.k, space, MISCLASSIFICATION, cons)
     if tree is None:
@@ -189,8 +179,6 @@ def _cmd_check(args) -> int:
     if args.k > CHECK_MAX_K:
         raise ValueError(f"check is limited to k<={CHECK_MAX_K}, got {args.k}")
     rules, space = _build_rules(args, data)
-    if args.k > len(rules):
-        raise ValueError(f"k={args.k} exceeds the {len(rules)} available rules")
     objective = MISCLASSIFICATION
 
     tree = solve(rules, args.k, space, objective)

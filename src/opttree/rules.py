@@ -50,14 +50,16 @@ class Hyperplane:
 
 @dataclass(frozen=True)
 class Segment2D:
-    """Oriented line through two distinct points; positive side is the
-    non-negative-orientation half-plane of the directed extending line."""
+    """Two endpoints, the branch payload :func:`opttree.treefmt.parse` returns
+    for a ``seg`` description. Not a rule kind: :func:`classify` and
+    :func:`sign_table` reject it; the bsp solver cuts with
+    :class:`~opttree.rule_systems.SceneSegment` instead."""
 
     start: Point
     end: Point
 
 
-RuleKind = AxisParallel | Hyperplane | Segment2D
+RuleKind = AxisParallel | Hyperplane
 
 
 @dataclass(frozen=True)
@@ -134,13 +136,6 @@ def classify(rule: Rule | RuleKind, point: Point) -> int:
         for wi, pi in zip(w, point):
             s += wi * pi
         return 1 if s >= -EPS else -1
-    if isinstance(kind, Segment2D):
-        if len(point) != 2:
-            raise ValueError("segment rules apply to 2D points")
-        (sx, sy), (ex, ey) = kind.start, kind.end
-        dx, dy = ex - sx, ey - sy
-        cross = dx * (point[1] - sy) - dy * (point[0] - sx)
-        return 1 if cross >= -EPS * math.hypot(dx, dy) else -1
     raise TypeError(f"unknown rule kind {type(kind).__name__}")
 
 
@@ -154,10 +149,10 @@ def sign_table(kinds: Sequence[RuleKind], points: Sequence[Point]) -> np.ndarray
 
     The arithmetic is :func:`classify`'s, vectorized: a hyperplane's value
     starts from the bias and adds ``w_d * p_d`` one dimension at a time in the
-    same order (elementwise numpy fuses no multiply-add), and a segment's
-    tolerance is computed per rule with ``math.hypot``, so every entry equals
-    classify's, boundary points and the EPS band included. Raises classify's
-    ValueError on a dimension mismatch.
+    same order (elementwise numpy fuses no multiply-add), so every entry
+    equals classify's, boundary points and the EPS band included. Raises
+    classify's ValueError on a dimension mismatch and its TypeError on an
+    unknown kind.
     """
     out = np.zeros((len(kinds), len(points)), dtype=bool)
     if not len(kinds) or not len(points):
@@ -183,10 +178,6 @@ def _signs(kinds: Sequence[RuleKind], pts: np.ndarray) -> np.ndarray:
             cls = Hyperplane
             if len(kind.weights) != d:
                 raise ValueError(f"expected {len(kind.weights)} coordinates, got {d}")
-        elif isinstance(kind, Segment2D):
-            cls = Segment2D
-            if d != 2:
-                raise ValueError("segment rules apply to 2D points")
         else:
             raise TypeError(f"unknown rule kind {type(kind).__name__}")
         groups.setdefault(cls, []).append(i)
@@ -196,21 +187,12 @@ def _signs(kinds: Sequence[RuleKind], pts: np.ndarray) -> np.ndarray:
             dims = [rule.dim for rule in group]
             thresholds = np.array([rule.threshold for rule in group])
             out[idx] = pts[:, dims].T <= thresholds[:, None]
-        elif cls is Hyperplane:
+        else:
             weights = np.array([rule.weights for rule in group])
             s = np.array([rule.bias for rule in group])[:, None] + weights[:, 0, None] * pts[:, 0]
             for c in range(1, d):
                 s += weights[:, c, None] * pts[:, c]
             out[idx] = s >= -EPS
-        else:
-            cols = []
-            for rule in group:
-                (sx, sy), (ex, ey) = rule.start, rule.end
-                dx, dy = ex - sx, ey - sy
-                cols.append((sx, sy, dx, dy, -EPS * math.hypot(dx, dy)))
-            sx, sy, dx, dy, tol = np.array(cols).T[:, :, None]
-            cross = dx * (pts[:, 1] - sy) - dy * (pts[:, 0] - sx)
-            out[idx] = cross >= tol
     return out
 
 

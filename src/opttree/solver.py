@@ -3,9 +3,10 @@
 Every optimizer is one recursion with a memo, :func:`_optimize`, over a
 front end's splits strategy: a state is either a leaf or yields (left state,
 rule, right state) triples; both sides are solved, combined, and the
-combination whose cost (any value ``<`` orders) is least is kept. Because
-every shipped objective combines child costs monotonically, taking the
-minimum inside the recursion is exact, and each state keeps one candidate.
+combination whose cost (any value ``<`` orders) is least is kept. The
+recursion reads an objective only through its combine step. Because every
+shipped objective combines child costs monotonically, taking the minimum
+inside the recursion is exact, and each state keeps one candidate.
 
 The rule-set front end works on bitmasks: a state is (allowed rules, rows,
 rules still to place, depth budget, ancestor side-set), a root's ancestry row
@@ -20,9 +21,10 @@ samples are gathered only for the returned tree.
 :class:`SolveStats` counts recursion calls (memo hits included), a number
 that depends on the rule table and k but not on the data. Ties compare the
 rule combination (the lexicographically smallest wins), then the root (the
-earliest wins). That is the brute-force answer: the first strictly better
-cost over the combinations in lexicographic order, each combination's trees
-generated root-first.
+earliest wins): the recursion minimizes (cost, -combination mask) pairs,
+which only ``_RuleMasks.combine`` and the closed forms build. That is the
+brute-force answer: the first strictly better cost over the combinations in
+lexicographic order, each combination's trees generated root-first.
 
 The bsp, mcmp and kd front ends key the memo by state (fragment set, sub-chain,
 point mask and depth): the optimum of a state does not depend on how the
@@ -36,13 +38,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from itertools import compress
 from typing import Any, Callable, Sequence
 
 from .data import Dataset
 from .rules import Rule, ancestry_tables, row_masks, sign_table
 from .rule_systems import MatrixDim, SceneSegment, split_segments, splits_bsp, splits_mcmp
-from .trees import DecisionTree, DLeaf, DNode
+from .trees import DecisionTree, DLeaf, DNode, map_leaves
 
 
 @dataclass(frozen=True)
@@ -148,7 +151,7 @@ def _optimize(
     root: Any,
     splits: Callable[[Any], list | None],
     leaf: Callable[[Any], tuple[DecisionTree, Any] | None],
-    objective: Objective,
+    combine: Callable[[Any, Any, Any], Any],
     stats: SolveStats | None = None,
 ) -> tuple[DecisionTree, Any] | None:
     """Cheapest (tree, cost) for the ``root`` state, or None if none is feasible.
@@ -156,11 +159,12 @@ def _optimize(
     ``splits(state)`` returns None for a leaf state, otherwise the
     (left state, rule, right state) triples to try, in tie-break order.
     ``leaf(state)`` costs a leaf state and returns None when it is infeasible.
-    Every distinct (hashable) state is solved once. Each state keeps its
-    first cheapest candidate and builds a node only for it, so ties go to
-    the earliest candidate.
+    ``combine(left cost, right cost, rule)`` is an objective's combine step,
+    the only part of the objective the recursion reads. Every distinct
+    (hashable) state is solved once. Each state keeps its first cheapest
+    candidate and builds a node only for it, so ties go to the earliest
+    candidate.
     """
-    combine = objective.combine
     memo: dict = {}
 
     def rec(state):
@@ -228,11 +232,12 @@ class _RuleMasks:
     ranked (cost, -combination mask) values, the first strict minimum
     winning. Both results depend only on (allowed rules, rows) and are
     memoized on that pair. Leaf costs are memoized per row mask. Leaves carry
-    their row mask, and :meth:`samples` gathers the samples of the returned
-    tree only.
+    their row mask; :func:`solve` gathers the samples of the returned tree
+    only.
 
-    Values handed to the recursion are ranked as by
-    :func:`_combination_tie_break`; ``objective`` is the plain one.
+    Values handed to the recursion are ranked (cost, -combination mask)
+    pairs: a leaf ranks (cost, 0), and :meth:`combine` is the recursion's
+    combine step on them. ``objective`` is the plain one.
 
     The allowed rules, the rows and the depth budget are functions of the
     side-set, so a memo keyed on the state shares a subproblem exactly
@@ -292,6 +297,14 @@ class _RuleMasks:
                 left_state = (left, pos, n, sub_budget, left_sides)
                 out.append((left_state, i, (right, rows ^ pos, rest - n, sub_budget, right_sides)))
         return out
+
+    def combine(self, a: tuple, b: tuple, rule: int) -> tuple[Any, int]:
+        """Ranked values of two children combined under ``rule``.
+
+        Rule i is bit size-1-i of the mask, so tuple order compares by cost,
+        then by combination, the lexicographically smaller of one size first.
+        """
+        return self.objective.combine(a[0], b[0], rule), a[1] + b[1] - (1 << self.size - 1 - rule)
 
     def leaf(self, state: tuple) -> tuple[DecisionTree, Any] | None:
         allowed, rows, count, budget = state[:4]
@@ -363,8 +376,8 @@ class _RuleMasks:
             pos = rows & positive[i]
             neg = rows ^ pos
             # the recursion's divisions in its order: the second rule on the
-            # negative side, then on the positive side; ranked as by
-            # _combination_tie_break, a leaf ranking (cost, 0)
+            # negative side, then on the positive side; ranked as by combine,
+            # a leaf ranking (cost, 0)
             right = allowed & self.right[i]
             if right:
                 u = cost(pos)
@@ -373,7 +386,7 @@ class _RuleMasks:
                     if v is not None:
                         candidate = combine(u, v[1][0], i), v[1][1] - bit
                         if best is None or candidate < best[0]:
-                            best = candidate, i, v[0], False
+                            best = candidate, DLeaf(pos), i, v[0]
             left = allowed & self.left[i]
             if left:
                 u = stump(left, pos)
@@ -382,40 +395,10 @@ class _RuleMasks:
                     if v is not None:
                         candidate = combine(u[1][0], v, i), u[1][1] - bit
                         if best is None or candidate < best[0]:
-                            best = candidate, i, u[0], True
-        result = None
-        if best is not None:
-            ranked, i, sub, on_positive = best
-            pos = rows & positive[i]
-            if on_positive:
-                result = DNode(sub, i, DLeaf(rows ^ pos)), ranked
-            else:
-                result = DNode(DLeaf(pos), i, sub), ranked
+                            best = candidate, u[0], i, DLeaf(neg)
+        result = None if best is None else (DNode(best[1], best[2], best[3]), best[0])
         self._pairs[key] = result
         return result
-
-    def samples(self, tree: DecisionTree) -> DecisionTree:
-        """``tree`` with each leaf's row mask replaced by its samples, in data order."""
-        if isinstance(tree, DLeaf):
-            return DLeaf(_members(self.data, tree.data))
-        return DNode(self.samples(tree.left), tree.rule_id, self.samples(tree.right))
-
-
-def _combination_tie_break(objective: Objective, size: int) -> Objective:
-    """The objective on (cost, -combination mask) pairs, for :func:`solve`.
-
-    Rule i is bit size-1-i of the mask, so tuple order compares by cost, then
-    by combination, the lexicographically smaller of one size first.
-    """
-    combine = objective.combine
-
-    def leaf_cost(data: Dataset) -> tuple[Any, int]:
-        return objective.leaf_cost(data), 0
-
-    def combine_masks(a: tuple, b: tuple, rule: int) -> tuple[Any, int]:
-        return combine(a[0], b[0], rule), a[1] + b[1] - (1 << (size - 1 - rule))
-
-    return Objective(leaf_cost, combine_masks)
 
 
 def solve(
@@ -435,8 +418,10 @@ def solve(
     lexicographically smallest wins), then by root (the earliest wins). The
     result is the brute-force answer: the first strictly better cost over
     the combinations in lexicographic order, each combination's trees
-    generated root-first. The rule masks come from numpy sign tables that
-    equal :func:`~opttree.rules.classify` and
+    generated root-first: the recursion combines with
+    :meth:`_RuleMasks.combine`, which ranks (cost, -combination mask)
+    pairs. The rule masks come from numpy sign tables that equal
+    :func:`~opttree.rules.classify` and
     :func:`~opttree.rules.ancestry_matrix` entry for entry (see
     :class:`_RuleMasks`). ``stats.nodes`` counts the recursion calls, memo
     hits included, with states of at most two rules left as leaves (so
@@ -445,10 +430,9 @@ def solve(
     """
     if not 0 <= k <= len(rules):
         raise ValueError(f"cannot choose {k} of {len(rules)} rules")
-    ranked = _combination_tie_break(objective, len(rules))
     front = _RuleMasks(rules, data, k, objective, constraints or SolveConstraints())
-    best = _optimize(front.root, front.splits, front.leaf, ranked, stats=stats)
-    return None if best is None else front.samples(best[0])
+    best = _optimize(front.root, front.splits, front.leaf, front.combine, stats=stats)
+    return None if best is None else map_leaves(partial(_members, front.data), best[0])
 
 
 def solve_bsp(segments: Sequence[SceneSegment]) -> DecisionTree:
@@ -467,7 +451,7 @@ def solve_bsp(segments: Sequence[SceneSegment]) -> DecisionTree:
     def leaf(frags: tuple[SceneSegment, ...]) -> tuple[DecisionTree, float]:
         return DLeaf(()), TREE_SIZE.leaf_cost(())
 
-    return _optimize(tuple(segments), splits, leaf, TREE_SIZE)[0]
+    return _optimize(tuple(segments), splits, leaf, TREE_SIZE.combine)[0]
 
 
 def bsp_tree_from_order(segments: Sequence[SceneSegment], order: Sequence[int]) -> DecisionTree:
@@ -509,7 +493,7 @@ def solve_mcmp(dims: Sequence[MatrixDim]) -> DecisionTree:
     def leaf(items: tuple[MatrixDim, ...]) -> tuple[DecisionTree, tuple]:
         return DLeaf(items[0]), CHAIN_COST.leaf_cost(items[0])
 
-    return _optimize(seq, splits, leaf, CHAIN_COST)[0]
+    return _optimize(seq, splits, leaf, CHAIN_COST.combine)[0]
 
 
 def parenthesization(tree: DecisionTree) -> str:
@@ -572,4 +556,4 @@ def solve_kd(data: Dataset, max_depth: int, objective: Objective | None = None) 
         items = _members(seq, state[0])
         return DLeaf(items), obj.leaf_cost(items)
 
-    return _optimize(((1 << len(seq)) - 1, 0), splits, leaf, obj)[0]
+    return _optimize(((1 << len(seq)) - 1, 0), splits, leaf, obj.combine)[0]

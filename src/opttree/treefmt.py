@@ -11,8 +11,9 @@ Grammar (whitespace-separated tokens):
 Leaves store only their payload size. Reals must be finite and print with 9
 significant digits, so serializing a parsed tree reproduces the original text
 byte for byte.
-Parsed trees carry int counts at leaves and rule kinds (or None for "cut") at
-branches.
+Parsed trees carry int counts at leaves and, at branches, rule kinds for
+"axis" and "hyp", a :class:`~opttree.rules.Segment2D` for "seg" and None for
+"cut".
 """
 
 from __future__ import annotations
@@ -129,7 +130,7 @@ class _Parser:
         self.take(")")
         return DNode(left, rule, right)
 
-    def rule_desc(self) -> RuleKind | None:
+    def rule_desc(self) -> RuleKind | Segment2D | None:
         tag = self.take()
         if tag == "axis":
             dim = self.natural()

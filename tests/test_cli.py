@@ -366,6 +366,16 @@ def test_check_guardrails(tmp_path, capsys):
     assert run(capsys, "check", small, "--k", "5")[0] == 2
 
 
+def test_k_above_rule_count_exits_2(tmp_path, capsys):
+    # 1-D data gives one axis rule per distinct value
+    csv = tmp_path / "d.csv"
+    for command, n, k in (("fit", 5, 6), ("check", 3, 4)):
+        write_csv(csv, [(float(x),) for x in range(n)], [x % 2 for x in range(n)])
+        assert run(capsys, command, csv, "--k", k - 1)[0] == 0
+        assert main([command, str(csv), "--k", str(k)]) == 2
+        assert f"error: cannot choose {k} of {n} rules" in capsys.readouterr().err
+
+
 def test_check_rejects_out(tmp_path, capsys):
     # check writes no tree, so --out is a usage error rather than a no-op
     csv = tmp_path / "d.csv"

@@ -47,11 +47,13 @@ def test_classify_hyperplane_hand_values():
     assert classify(rule, (0.0, 0.0)) == -1
 
 
-def test_classify_segment_orientation():
+def test_segment_is_not_a_rule_kind():
+    # a parsed "seg" payload; the bsp solver cuts with SceneSegment
     seg = Segment2D((0.0, 0.0), (1.0, 0.0))
-    assert classify(seg, (0.5, 1.0)) == 1
-    assert classify(seg, (0.5, -1.0)) == -1
-    assert classify(seg, (2.0, 0.0)) == 1  # collinear counts as positive
+    with pytest.raises(TypeError):
+        classify(seg, (0.5, 1.0))
+    with pytest.raises(TypeError):
+        sign_table([AxisParallel(0, 1.0), seg], [(0.5, 1.0)])
 
 
 def test_classify_dimension_mismatch():
@@ -316,24 +318,8 @@ def test_sign_table_equals_classify_lifted_hyperplane():
     _assert_sign_table_is_classify(kinds, points)
 
 
-def test_sign_table_equals_classify_segment():
-    kinds = [
-        Segment2D((0.0, 0.0), (1.0, 0.0)),
-        Segment2D((1.0, 1.0), (0.0, 0.0)),
-        Segment2D((0.3, -2.0), (0.3, 5.0)),
-        Segment2D((-1.5, 2.0), (2.5, -1.0)),
-    ]
-    points = [(0.5, 0.0), (2.0, 0.0), (0.3, 0.3), (0.3, 7.0), (2.5, -1.0), (0.5, 0.5)]
-    for seg in kinds:
-        (sx, sy), (ex, ey) = seg.start, seg.end
-        length = math.hypot(ex - sx, ey - sy)
-        normal = (-(ey - sy) / length, (ex - sx) / length)
-        points += _near([seg.start, seg.end, ((sx + ex) / 2, (sy + ey) / 2)], normal, length)
-    _assert_sign_table_is_classify(kinds, points)
-
-
 def test_sign_table_mixed_kinds_and_empty_sides():
-    kinds = [AxisParallel(1, 0.5), hyperplane((1.0, -1.0), 0.0), Segment2D((0.0, 0.0), (0.0, 1.0))]
+    kinds = [AxisParallel(1, 0.5), hyperplane((1.0, -1.0), 0.0), AxisParallel(0, 0.5)]
     points = [(0.0, 0.0), (1.0, 0.5), (-1.0, 2.0), (0.5, 0.5)]
     _assert_sign_table_is_classify(kinds, points)
     assert sign_table(kinds, []).shape == (3, 0)
@@ -347,8 +333,6 @@ def test_sign_table_dimension_mismatch_raises_like_classify():
             classify(kind, points[0])
         with pytest.raises(ValueError):
             sign_table([AxisParallel(0, 1.0), kind], points)
-    with pytest.raises(ValueError):
-        sign_table([Segment2D((0.0, 0.0), (1.0, 0.0))], [(0.0, 0.0, 0.0)])
 
 
 def test_row_masks_put_column_c_at_bit_c():

@@ -411,6 +411,28 @@ def test_solve_nodes_independent_of_data_and_below_per_combination_sum(k):
     assert counts[0] < per_combination
 
 
+@pytest.mark.parametrize(
+    "k, max_depth, nodes",
+    [(3, 1, 15), (3, 2, 19), (3, 3, 25), (4, 1, 13), (4, 2, 57), (4, 3, 79)],
+)
+def test_solve_nodes_under_max_depth_independent_of_data(k, max_depth, nodes):
+    # the budget checks depend on the depth budget and the rules left, not on
+    # the data; a tree of depth d holds at most 2**d - 1 rules
+    rules = grid_axis_rules()
+    counts = []
+    for n in (20, 200):
+        rng = random.Random(n)
+        data = make_dataset(
+            [(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(n)],
+            [rng.randint(0, 1) for _ in range(n)],
+        )
+        stats = SolveStats()
+        tree = solve(rules, k, data, MISCLASSIFICATION, SolveConstraints(max_depth=max_depth), stats=stats)
+        assert (tree is None) == (max_depth < k.bit_length())
+        counts.append(stats.nodes)
+    assert counts == [nodes, nodes]
+
+
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_solve_nodes_is_one_call_below_three_rules(k):
     for seed in (0, 4):
@@ -620,7 +642,7 @@ def _kd_reference(data, max_depth, objective):
     def leaf(state):
         return DLeaf(state[0]), objective.leaf_cost(state[0])
 
-    return _optimize((seq, 0), splits, leaf, objective)[0]
+    return _optimize((seq, 0), splits, leaf, objective.combine)[0]
 
 
 def test_solve_kd_equals_tuple_state_reference():
