@@ -42,6 +42,7 @@ from .trees import DecisionTree, DNode, leaves
 
 CHECK_MAX_N = 14
 CHECK_MAX_K = 4
+CHECK_MAX_PERMUTATIONS = 1_000_000
 
 
 def load_scene(path: str) -> tuple[SceneSegment, ...]:
@@ -173,12 +174,17 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    _require_non_negative("--k", args.k)
     data = load_csv(args.csv)
     if len(data) > CHECK_MAX_N:
         raise ValueError(f"check is limited to {CHECK_MAX_N} points, got {len(data)}")
     if args.k > CHECK_MAX_K:
         raise ValueError(f"check is limited to k<={CHECK_MAX_K}, got {args.k}")
     rules, space = _build_rules(args, data)
+    n_combos = math.comb(len(rules), args.k)
+    n_perms = n_combos * math.factorial(args.k)
+    if n_perms > CHECK_MAX_PERMUTATIONS:
+        raise ValueError(f"check is limited to {CHECK_MAX_PERMUTATIONS} permutations, got {n_perms}")
     objective = MISCLASSIFICATION
 
     tree = solve(rules, args.k, space, objective)
@@ -190,8 +196,6 @@ def _cmd_check(args) -> int:
     costs = shape_costs((shape for _, shape in pairs), rules, space, objective)
     oracle_score = min(costs) if costs else None
 
-    n_combos = math.comb(len(rules), args.k)
-    n_perms = n_combos * math.factorial(args.k)
     n_trees = count_tree_shapes(itertools.combinations(range(len(rules)), args.k), matrix)
 
     ok = solver_score == oracle_score

@@ -7,11 +7,13 @@ choices before right), so generated lists are reproducible and comparable.
 
 The permutation pipeline runs every ordering of every k-combination of global
 rule ids through :func:`tree_from_permutation` against one ancestry matrix of
-the whole table. Its shapes are completed (:func:`complete_shapes`) or scored
-(:func:`shape_costs`) by routing sample-position bitmasks from the root
-against a sign table filled lazily, one rule at a time; :func:`count_tree_shapes`
-counts what :func:`all_tree_shapes` would build without building it. Nothing
-here imports the solver.
+the whole table. Structure-only trees get their data in one place,
+:func:`_route_fold`: it routes sample-position bitmasks from the root against a
+sign table filled lazily, one rule at a time, and both completes shapes
+(:func:`complete_shapes`, behind :func:`all_trees`) and scores them
+(:func:`shape_costs`). :func:`count_tree_shapes` counts what
+:func:`all_tree_shapes` would build without building it. Nothing here imports
+the solver.
 """
 
 from __future__ import annotations
@@ -70,13 +72,6 @@ def count_tree_shapes(index_sets: Iterable[Iterable[int]], matrix: AncestryMatri
     return sum(count(tuple(sorted(s))) for s in index_sets)
 
 
-def shape_to_tree(shape: BTree, data: Dataset) -> DecisionTree:
-    """Give a structure-only tree dataset leaves, all carrying ``data``."""
-    if isinstance(shape, Leaf):
-        return DLeaf(data)
-    return DNode(shape_to_tree(shape.left, data), shape.rule_id, shape_to_tree(shape.right, data))
-
-
 def _route_fold(
     shapes: Iterable[BTree],
     rules: Sequence[Rule],
@@ -90,8 +85,8 @@ def _route_fold(
     samples keep the data order. A rule's signs over the data are computed
     the first time a shape uses it, so each (rule, sample) pair is classified
     at most once per call, and ``leaf`` runs once per distinct row mask, its
-    value shared by every leaf with those samples. An unknown rule id raises
-    the ValueError :func:`reduce_path` raises.
+    value shared by every leaf with those samples. A rule id that is not an
+    index into ``rules`` raises ValueError.
     """
     samples = tuple(data)
     positive: dict[int, int] = {}
@@ -120,9 +115,9 @@ def complete_shapes(
 ) -> list[DecisionTree]:
     """Give every shape the data reaching each of its leaves.
 
-    Equal, tree for tree, to ``downward_accumulate(shape_to_tree(shape, data),
-    rules)``, which stays the specification. Leaves with the same samples
-    share one value; an unknown rule id raises ValueError.
+    Each leaf holds, in data order, the samples that every rule on its path
+    sends its way: positive to the left, negative to the right. Leaves with
+    the same samples share one value; an unknown rule id raises ValueError.
     """
     return _route_fold(shapes, rules, data, DLeaf, DNode)
 

@@ -10,18 +10,17 @@ richer branch payloads (segments, pivot points, or None).
 A tree consistent with an ancestry matrix is uniquely recoverable from its
 level-order traversal: :func:`tree_from_permutation` inverts
 :func:`level_order` and rejects every ordering that is not the canonical
-traversal of the tree it reaches.
+traversal of the tree it reaches. Nothing here routes data into leaves; see
+:func:`opttree.generator.complete_shapes`.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from enum import Enum
 from typing import Any, Callable, Sequence
 
-from .data import Dataset
-from .rules import AncestryMatrix, Rule, classify
+from .rules import AncestryMatrix
 
 
 @dataclass(frozen=True)
@@ -56,13 +55,6 @@ class DNode:
 DecisionTree = DLeaf | DNode
 
 
-class Turn(Enum):
-    LEFT = 1
-    RIGHT = -1
-
-
-PathStep = tuple[int, Turn]
-Path = tuple[PathStep, ...]
 Permutation = tuple[int, ...]
 
 
@@ -120,51 +112,6 @@ def map_leaves(f: Callable[[Any], Any], tree: DecisionTree) -> DecisionTree:
     if isinstance(tree, DLeaf):
         return DLeaf(f(tree.data))
     return DNode(map_leaves(f, tree.left), tree.rule_id, map_leaves(f, tree.right))
-
-
-def leaf_paths(tree: DecisionTree) -> DecisionTree:
-    """Replace each leaf payload with the root-to-leaf path reaching it."""
-
-    def rec(node: DecisionTree, prefix: Path) -> DecisionTree:
-        if isinstance(node, DLeaf):
-            return DLeaf(prefix)
-        return DNode(
-            rec(node.left, prefix + ((node.rule_id, Turn.LEFT),)),
-            node.rule_id,
-            rec(node.right, prefix + ((node.rule_id, Turn.RIGHT),)),
-        )
-
-    return rec(tree, ())
-
-
-def reduce_path(leaf_init: Dataset, path: Path, rules: Sequence[Rule]) -> Dataset:
-    """Intersect a dataset with the half-space of every step along a path."""
-    data = tuple(leaf_init)
-    for rid, turn in path:
-        if not isinstance(rid, int) or not 0 <= rid < len(rules):
-            raise ValueError(f"path references unknown rule id {rid!r}")
-        rule = rules[rid]
-        want = 1 if turn is Turn.LEFT else -1
-        data = tuple(s for s in data if classify(rule, s.point) == want)
-    return data
-
-
-def downward_accumulate(tree: DecisionTree, rules: Sequence[Rule]) -> DecisionTree:
-    """Turn full-dataset leaves into the data reaching each leaf.
-
-    Composes :func:`leaf_paths` with a leaf-wise :func:`reduce_path`, so each
-    leaf ends up holding its payload intersected with the half-spaces along
-    its own path. This is the specification of
-    :func:`opttree.generator.complete_shapes`, which routes the data once.
-    """
-    pathed = leaf_paths(tree)
-
-    def merge(orig: DecisionTree, withpath: DecisionTree) -> DecisionTree:
-        if isinstance(orig, DLeaf):
-            return DLeaf(reduce_path(orig.data, withpath.data, rules))
-        return DNode(merge(orig.left, withpath.left), orig.rule_id, merge(orig.right, withpath.right))
-
-    return merge(tree, pathed)
 
 
 def depth(tree: BTree | DecisionTree) -> int:

@@ -4,19 +4,20 @@ from __future__ import annotations
 
 import random
 
-from opttree import DLeaf, Leaf, Node, classify, make_dataset
+from opttree import LEAF, DLeaf, Leaf, Node, classify, make_dataset
 
 
 def route_leaf_contents(tree, rules, data):
     """Leaf datasets computed by walking every sample down from the root.
 
-    Returns leaf content lists in left-to-right leaf order. This is the
-    reference semantics for what a completed tree's leaves must hold.
+    ``tree`` is a completed tree or a structure-only shape; its leaf payloads
+    are ignored. Returns leaf content lists in left-to-right leaf order. This
+    is the reference semantics for what a completed tree's leaves must hold.
     """
     buckets = []
 
     def collect(node, samples):
-        if isinstance(node, DLeaf):
+        if isinstance(node, (Leaf, DLeaf)):
             buckets.append(list(samples))
             return
         rule = rules[node.rule_id]
@@ -31,6 +32,13 @@ def leaf_payloads(tree):
     if isinstance(tree, DLeaf):
         return [tree.data]
     return leaf_payloads(tree.left) + leaf_payloads(tree.right)
+
+
+def shape_of(tree):
+    """The structure-only tree of a completed tree: its leaf payloads dropped."""
+    if isinstance(tree, DLeaf):
+        return LEAF
+    return Node(shape_of(tree.left), tree.rule_id, shape_of(tree.right))
 
 
 def relabel(tree, mapping):

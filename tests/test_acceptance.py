@@ -33,8 +33,8 @@ from opttree import (
     ancestry_matrix,
     bsp_tree_from_order,
     classify,
+    complete_shapes,
     depth,
-    downward_accumulate,
     enumerate_axis_rules,
     enumerate_hyperplane_rules,
     enumerate_permutation_trees,
@@ -43,7 +43,6 @@ from opttree import (
     level_order,
     make_dataset,
     node_count,
-    shape_to_tree,
     solve,
     solve_bsp,
     solve_kd,
@@ -245,8 +244,9 @@ def test_criterion_6_leaf_invariant():
                 continue
             signs = sign_table(rules, data)
             matrix = ancestry_matrix(rules)
-            for perm, shape in enumerate_permutation_trees(rules, k, matrix):
-                completed = downward_accumulate(shape_to_tree(shape, data), rules)
+            pairs = enumerate_permutation_trees(rules, k, matrix)
+            completed_trees = complete_shapes([shape for _, shape in pairs], rules, data)
+            for (perm, shape), completed in zip(pairs, completed_trees, strict=True):
                 got = [tuple(leaf) for leaf in leaves(completed)]
                 want = [
                     tuple(data[r] for r in rows) for rows in route_rows(shape, signs, all_rows)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from opttree.cli import main
+from opttree.cli import CHECK_MAX_PERMUTATIONS, main
 
 # Four lines around a square: each line's defining points sit strictly inside
 # every other line's positive half-plane, so all 24 orderings of the four
@@ -137,7 +137,12 @@ def test_fit_rules_file_fractional_dimension_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "command,option,value",
-    [("fit", "--min-leaf", "-3"), ("fit", "--max-depth", "-1"), ("kd", "--max-depth", "-1")],
+    [
+        ("fit", "--min-leaf", "-3"),
+        ("fit", "--max-depth", "-1"),
+        ("kd", "--max-depth", "-1"),
+        ("check", "--k", "-1"),
+    ],
 )
 def test_negative_constraint_exits_2(tmp_path, capsys, command, option, value):
     csv = tmp_path / "d.csv"
@@ -364,6 +369,12 @@ def test_check_guardrails(tmp_path, capsys):
     small = tmp_path / "small.csv"
     seeded_csv(small, 5, n=6)
     assert run(capsys, "check", small, "--k", "5")[0] == 2
+    # 14 points give 1,019 surface2 rules: C(1019, 3) * 3! permutations
+    seeded_csv(csv, 5, n=14)
+    assert main(["check", str(csv), "--rules", "surface2", "--k", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: check is limited to {CHECK_MAX_PERMUTATIONS} permutations, got 1054976814" in captured.err
 
 
 def test_k_above_rule_count_exits_2(tmp_path, capsys):

@@ -21,7 +21,6 @@ from opttree import (
     complete_shapes,
     count_tree_shapes,
     depth,
-    downward_accumulate,
     enumerate_axis_rules,
     enumerate_hyperplane_rules,
     enumerate_permutation_trees,
@@ -34,12 +33,11 @@ from opttree import (
     MISCLASSIFICATION,
     Objective,
     shape_costs,
-    shape_to_tree,
     tree_cost,
     tree_from_permutation,
 )
 import opttree.generator
-from helpers import leaf_payloads, random_instance, relabel, route_leaf_contents
+from helpers import leaf_payloads, random_instance, relabel, route_leaf_contents, shape_of
 
 
 def chain_matrix(k):
@@ -156,7 +154,8 @@ def counted_classify(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["axis", "hyperplane", "surface2"])
 def test_complete_shapes_equals_downward_accumulate(kind, monkeypatch):
-    # the oracle's completion must give every tree the specification gives,
+    # every completed tree keeps its shape and holds, leaf by leaf, the
+    # samples that walking each point down from the root puts there,
     # classifying each (rule, point) pair at most once per call
     calls = counted_classify(monkeypatch)
     compared = Counter()
@@ -167,7 +166,9 @@ def test_complete_shapes_equals_downward_accumulate(kind, monkeypatch):
             calls.clear()
             completed = complete_shapes(shapes, rules, space)
             assert max(calls.values(), default=1) == 1
-            assert completed == [downward_accumulate(shape_to_tree(s, space), rules) for s in shapes]
+            assert [shape_of(t) for t in completed] == shapes
+            routed = [[tuple(leaf) for leaf in route_leaf_contents(s, rules, space)] for s in shapes]
+            assert [leaf_payloads(t) for t in completed] == routed
             compared[k] += len(shapes)
     assert all(compared[k] for k in range(4))
 
@@ -177,14 +178,13 @@ def test_complete_shapes_rejects_unknown_rule_id():
     rules = enumerate_axis_rules(data)
     for rid in (len(rules), -1, "0"):
         shape = Node(Node(LEAF, 0, LEAF), 1, Node(LEAF, rid, LEAF))
-        with pytest.raises(ValueError) as want:
-            downward_accumulate(shape_to_tree(shape, data), rules)
+        want = f"path references unknown rule id {rid!r}"
         with pytest.raises(ValueError) as got:
             complete_shapes([shape], rules, data)
-        assert str(got.value) == str(want.value)
+        assert str(got.value) == want
         with pytest.raises(ValueError) as scored:
             shape_costs([shape], rules, data, MISCLASSIFICATION)
-        assert str(scored.value) == str(want.value)
+        assert str(scored.value) == want
 
 
 @pytest.mark.parametrize("kind", ["axis", "hyperplane", "surface2"])
@@ -355,14 +355,6 @@ def test_generation_properness():
         check(shape)
 
 
-def test_shape_to_tree():
-    data = make_dataset([(0.0,)], [1])
-    shape = all_tree_shapes(range(2), chain_matrix(2))[0]
-    tree = shape_to_tree(shape, data)
-    assert level_order(tree) == level_order(shape)
-    assert all(leaf == data for leaf in leaf_payloads(tree))
-
-
 PACKAGE = Path(opttree.__file__).parent
 
 
@@ -425,7 +417,7 @@ def _names_used(path):
     "path, kept",
     [
         (PACKAGE / "generator.py", {"classify", "ancestry_matrix"}),
-        (PACKAGE / "trees.py", {"classify"}),
+        (PACKAGE / "trees.py", set()),
         (Path(__file__).parent / "helpers.py", {"classify"}),
     ],
     ids=["generator.py", "trees.py", "helpers.py"],

@@ -27,13 +27,13 @@ from opttree import (
     SceneSegment,
     SolveConstraints,
     SolveStats,
-    all_tree_shapes,
+    all_trees,
     all_trees_constrained,
     ancestry_matrix,
     bsp_tree_from_order,
     classify,
+    complete_shapes,
     depth,
-    downward_accumulate,
     enumerate_axis_rules,
     enumerate_hyperplane_rules,
     enumerate_permutation_trees,
@@ -45,7 +45,6 @@ from opttree import (
     misclassification_cost,
     node_count,
     parenthesization,
-    shape_to_tree,
     solve,
     solve_bsp,
     solve_kd,
@@ -114,10 +113,8 @@ def test_chain_cost():
 
 def _oracle_best_score(rules, k, data, objective):
     pairs = enumerate_permutation_trees(rules, k)
-    scores = [
-        tree_cost(downward_accumulate(shape_to_tree(shape, data), rules), objective)
-        for _, shape in pairs
-    ]
+    completed = complete_shapes([shape for _, shape in pairs], rules, data)
+    scores = [tree_cost(tree, objective) for tree in completed]
     return min(scores) if scores else None
 
 
@@ -141,10 +138,7 @@ def test_solve_fixed_combination_matches_per_combination_oracle():
         matrix = ancestry_matrix(rules)
         for combo in itertools.combinations(range(min(len(rules), 6)), 3):
             tree = solve([rules[i] for i in combo], len(combo), data, MISCLASSIFICATION)
-            completed = [
-                downward_accumulate(shape_to_tree(s, data), rules)
-                for s in all_tree_shapes(combo, matrix)
-            ]
+            completed = all_trees(combo, matrix, rules, data)
             assert tree is not None and completed
             want = min(tree_cost(t, MISCLASSIFICATION) for t in completed)
             assert tree_cost(tree, MISCLASSIFICATION) == want

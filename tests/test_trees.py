@@ -1,9 +1,8 @@
-"""Tree values, level-order encoding, paths and downward accumulation."""
+"""Tree values, level-order encoding and leaf payload maps."""
 
 import itertools
 import math
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,18 +14,13 @@ from opttree import (
     DNode,
     Node,
     Rule,
-    Turn,
     all_tree_shapes,
-    depth,
-    downward_accumulate,
-    leaf_paths,
     level_order,
     make_dataset,
     map_leaves,
-    reduce_path,
     tree_from_permutation,
 )
-from helpers import leaf_payloads, route_leaf_contents
+from helpers import leaf_payloads
 
 
 def matrix_of(rows):
@@ -116,10 +110,6 @@ def test_round_trip_and_injectivity(matrix):
         assert tree_from_permutation(order, matrix) == tree
 
 
-def _rules_1d(thresholds):
-    return [Rule(i, AxisParallel(0, t), ((t,),)) for i, t in enumerate(thresholds)]
-
-
 def test_map_leaves_identity_and_constant():
     tree = DNode(DLeaf((1, 2)), 0, DLeaf((3,)))
     assert map_leaves(lambda d: d, tree) == tree
@@ -135,95 +125,3 @@ def test_map_leaves_filter():
 
     filtered = map_leaves(lambda d: split_dataset(rule, d)[0], tree)
     assert leaf_payloads(filtered) == [(data[0],), (data[0],)]
-
-
-def test_leaf_paths_shapes_and_steps():
-    assert leaf_paths(DLeaf(None)) == DLeaf(())
-    one = DNode(DLeaf(None), 7, DLeaf(None))
-    pathed = leaf_paths(one)
-    assert pathed.left.data == ((7, Turn.LEFT),)
-    assert pathed.right.data == ((7, Turn.RIGHT),)
-
-
-def test_leaf_paths_deeper_tree():
-    # two branch levels on the left: the left-left leaf records both left turns
-    tree = DNode(DNode(DLeaf(None), 1, DLeaf(None)), 0, DLeaf(None))
-    pathed = leaf_paths(tree)
-    assert pathed.left.left.data == ((0, Turn.LEFT), (1, Turn.LEFT))
-    assert pathed.left.right.data == ((0, Turn.LEFT), (1, Turn.RIGHT))
-    assert pathed.right.data == ((0, Turn.RIGHT),)
-    assert level_order(pathed) == level_order(tree)
-    assert depth(pathed) == depth(tree)
-
-
-def test_leaf_paths_five_branch_tree():
-    # rule 0 root with rule 1 left; rule 2 right with rules 3 and 4 below it
-    leaf = DLeaf(None)
-    tree = DNode(
-        DNode(leaf, 1, leaf),
-        0,
-        DNode(DNode(leaf, 3, leaf), 2, DNode(leaf, 4, leaf)),
-    )
-    pathed = leaf_paths(tree)
-    L, R = Turn.LEFT, Turn.RIGHT
-    assert pathed.left.left.data == ((0, L), (1, L))
-    assert pathed.left.right.data == ((0, L), (1, R))
-    assert pathed.right.left.left.data == ((0, R), (2, L), (3, L))
-    assert pathed.right.left.right.data == ((0, R), (2, L), (3, R))
-    assert pathed.right.right.left.data == ((0, R), (2, R), (4, L))
-    assert pathed.right.right.right.data == ((0, R), (2, R), (4, R))
-    # shape preserved: same branch multiset, same depth
-    assert sorted(level_order(pathed)) == sorted(level_order(tree))
-    assert depth(pathed) == depth(tree)
-
-
-def test_reduce_path_empty_and_single():
-    data = make_dataset([(1.0,), (3.0,), (5.0,)], [0, 1, 0])
-    rules = _rules_1d([2.0, 4.0])
-    assert reduce_path(data, (), rules) == data
-    assert reduce_path(data, ((0, Turn.LEFT),), rules) == (data[0],)
-    assert reduce_path(data, ((0, Turn.RIGHT),), rules) == (data[1], data[2])
-
-
-def test_reduce_path_matches_pointwise_filter():
-    data = make_dataset([(1.0,), (3.0,), (5.0,)], [0, 1, 0])
-    rules = _rules_1d([4.5, 2.0])
-    from opttree import classify
-
-    path = ((0, Turn.LEFT), (1, Turn.RIGHT))
-    expect = tuple(
-        s
-        for s in data
-        if classify(rules[0], s.point) == 1 and classify(rules[1], s.point) == -1
-    )
-    assert reduce_path(data, path, rules) == expect
-
-
-def test_reduce_path_unknown_rule_id():
-    data = make_dataset([(1.0,)], [0])
-    with pytest.raises(ValueError):
-        reduce_path(data, ((9, Turn.LEFT),), _rules_1d([2.0]))
-
-
-def test_downward_accumulate_leaf_and_single_rule():
-    data = make_dataset([(1.0,), (3.0,)], [0, 1])
-    rules = _rules_1d([2.0])
-    assert downward_accumulate(DLeaf(data), rules) == DLeaf(data)
-    tree = DNode(DLeaf(data), 0, DLeaf(data))
-    done = downward_accumulate(tree, rules)
-    assert leaf_payloads(done) == [(data[0],), (data[1],)]
-
-
-def test_downward_accumulate_equals_point_routing():
-    data = make_dataset([(1.0,), (2.5,), (3.5,), (6.0,)], [0, 1, 0, 1])
-    rules = _rules_1d([3.0, 2.0, 5.0])
-    tree = DNode(
-        DNode(DLeaf(data), 1, DLeaf(data)),
-        0,
-        DNode(DLeaf(data), 2, DLeaf(data)),
-    )
-    done = downward_accumulate(tree, rules)
-    assert [list(leaf) for leaf in leaf_payloads(done)] == route_leaf_contents(tree, rules, data)
-    # leaves partition the input
-    flattened = [s for leaf in leaf_payloads(done) for s in leaf]
-    assert sorted(flattened) == sorted(data)
