@@ -98,7 +98,7 @@ def load_rules_file(path: str, ndims: int) -> list[Rule]:
                 point = tuple(nums[1:])
                 if not 0 <= dim < ndims:
                     raise ValueError(f"{path}:{lineno}: dimension out of range")
-                rules.append(Rule(len(rules), AxisParallel(dim, point[dim]), (point,)))
+                rules.append(Rule(AxisParallel(dim, point[dim]), (point,)))
             elif tag == "hyp":
                 if len(nums) != ndims * ndims:
                     raise ValueError(f"{path}:{lineno}: hyp needs {ndims} points")
@@ -106,7 +106,7 @@ def load_rules_file(path: str, ndims: int) -> list[Rule]:
                 plane = hyperplane_from_points(pts)
                 if plane is None:
                     raise ValueError(f"{path}:{lineno}: points are affinely dependent")
-                rules.append(Rule(len(rules), plane, pts))
+                rules.append(Rule(plane, pts))
             else:
                 raise ValueError(f"{path}:{lineno}: unknown rule tag {tag!r}")
     if not rules:
@@ -194,14 +194,15 @@ def _cmd_check(args) -> int:
     matrix = ancestry_matrix(rules)
     pairs = enumerate_permutation_trees(rules, args.k, matrix)
     costs = shape_costs((shape for _, shape in pairs), rules, space, objective)
-    oracle_score = min(costs) if costs else None
+    oracle_score = min(costs, default=None)
 
     n_trees = count_tree_shapes(itertools.combinations(range(len(rules)), args.k), matrix)
 
-    ok = solver_score == oracle_score
+    # each tree is rebuilt by exactly one permutation, its level order
+    ok = solver_score == oracle_score and len(costs) == n_trees
     print(f"combinations: {n_combos}")
     print(f"permutations: {n_perms}")
-    print(f"valid permutations: {len(pairs)}")
+    print(f"valid permutations: {len(costs)}")
     print(f"trees generated: {n_trees}")
     print(f"solver score: {'-' if solver_score is None else f'{solver_score:g}'}")
     print(f"oracle score: {'-' if oracle_score is None else f'{oracle_score:g}'}")

@@ -3,41 +3,32 @@
 These generators are the reference semantics the solver is checked against:
 they materialize every admissible tree instead of fusing the minimum into the
 recursion. Output order is deterministic (root index ascending, left subtree
-choices before right), so generated lists are reproducible and comparable.
+choices before right), so generated sequences are reproducible and comparable.
 
-The permutation pipeline runs every ordering of every k-combination of global
-rule ids through :func:`tree_from_permutation` against one ancestry matrix of
-the whole table. Structure-only trees get their data in one place,
-:func:`_route_fold`: it routes sample-position bitmasks from the root against a
-sign table filled lazily, one rule at a time, and both completes shapes
-(:func:`complete_shapes`, behind :func:`all_trees`) and scores them
-(:func:`shape_costs`). :func:`count_tree_shapes` counts what
-:func:`all_tree_shapes` would build without building it. Nothing here imports
-the solver.
+The permutation pipeline streams the shapes (trees of rule ids with
+:data:`~opttree.trees.LEAF` leaves) that :func:`tree_from_permutation` rebuilds
+from every ordering of every k-combination, against one ancestry matrix of the
+whole table. :func:`_route_fold` routes sample-position bitmasks from the root
+against a sign table filled lazily, one rule at a time, to complete shapes
+(:func:`complete_shapes`, behind :func:`all_trees`) or score them
+(:func:`shape_costs`); :func:`all_trees_constrained` splits samples with
+:func:`~opttree.rules.split_dataset` as it recurses, so it can prune.
+:func:`count_tree_shapes` counts what :func:`all_tree_shapes` would build
+without building it. Nothing here imports the solver.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .data import Dataset
 from .rules import AncestryMatrix, Rule, ancestry_matrix, classify, split_dataset
 from .rule_systems import MatrixDim, splits_generic, splits_mcmp
-from .trees import (
-    LEAF,
-    BTree,
-    DecisionTree,
-    DLeaf,
-    DNode,
-    Leaf,
-    Node,
-    Permutation,
-    tree_from_permutation,
-)
+from .trees import LEAF, DecisionTree, DLeaf, DNode, Permutation, tree_from_permutation
 
 
-def all_tree_shapes(indices: Iterable[int], matrix: AncestryMatrix) -> list[BTree]:
+def all_tree_shapes(indices: Iterable[int], matrix: AncestryMatrix) -> list[DecisionTree]:
     """Every tree over ``indices`` consistent with the ancestry matrix.
 
     An empty index set yields the bare leaf; otherwise each feasible root is
@@ -47,11 +38,11 @@ def all_tree_shapes(indices: Iterable[int], matrix: AncestryMatrix) -> list[BTre
     idx = tuple(sorted(indices))
     if not idx:
         return [LEAF]
-    out: list[BTree] = []
+    out: list[DecisionTree] = []
     for left, rid, right in splits_generic(idx, matrix):
         for u in all_tree_shapes(left, matrix):
             for v in all_tree_shapes(right, matrix):
-                out.append(Node(u, rid, v))
+                out.append(DNode(u, rid, v))
     return out
 
 
@@ -73,7 +64,7 @@ def count_tree_shapes(index_sets: Iterable[Iterable[int]], matrix: AncestryMatri
 
 
 def _route_fold(
-    shapes: Iterable[BTree],
+    shapes: Iterable[DecisionTree],
     rules: Sequence[Rule],
     data: Dataset,
     leaf: Callable[[Dataset], Any],
@@ -92,8 +83,8 @@ def _route_fold(
     positive: dict[int, int] = {}
     leaves: dict[int, Any] = {}
 
-    def fold(shape: BTree, rows: int) -> Any:
-        if isinstance(shape, Leaf):
+    def fold(shape: DecisionTree, rows: int) -> Any:
+        if isinstance(shape, DLeaf):
             if rows not in leaves:
                 leaves[rows] = leaf(tuple(s for r, s in enumerate(samples) if rows >> r & 1))
             return leaves[rows]
@@ -111,7 +102,7 @@ def _route_fold(
 
 
 def complete_shapes(
-    shapes: Iterable[BTree], rules: Sequence[Rule], data: Dataset
+    shapes: Iterable[DecisionTree], rules: Sequence[Rule], data: Dataset
 ) -> list[DecisionTree]:
     """Give every shape the data reaching each of its leaves.
 
@@ -122,7 +113,9 @@ def complete_shapes(
     return _route_fold(shapes, rules, data, DLeaf, DNode)
 
 
-def shape_costs(shapes: Iterable[BTree], rules: Sequence[Rule], data: Dataset, objective: Any) -> list:
+def shape_costs(
+    shapes: Iterable[DecisionTree], rules: Sequence[Rule], data: Dataset, objective: Any
+) -> list:
     """The objective's cost of every shape, completed with ``data``.
 
     Equal, shape for shape, to ``tree_cost(complete_shapes([shape], rules,
@@ -176,28 +169,31 @@ def all_trees_constrained(
 
 def enumerate_permutation_trees(
     rules: Sequence[Rule], k: int, matrix: AncestryMatrix | None = None
-) -> list[tuple[Permutation, BTree]]:
+) -> Iterator[tuple[Permutation, DecisionTree]]:
     """Brute-force reference: try all orderings of every k-subset of rules.
 
     Every ordering of every k-combination of global rule ids is run through
     :func:`tree_from_permutation` against ``matrix``, the ancestry matrix of
     the whole table (built from the defining points when not given); a
     matrix entry depends only on its two rules, so this is the tree each
-    combination's own matrix gives. The survivors are returned as (ordering,
-    tree) pairs, combinations in lexicographic order and orderings in
-    :func:`itertools.permutations` order within each.
+    combination's own matrix gives. The survivors stream out as (ordering,
+    shape) pairs, combinations in lexicographic order and orderings in
+    :func:`itertools.permutations` order within each. A k above the table
+    size raises ValueError at the call, before anything is generated.
     """
     if k > len(rules):
         raise ValueError(f"cannot choose {k} of {len(rules)} rules")
     if matrix is None:
         matrix = ancestry_matrix(rules)
-    results: list[tuple[Permutation, BTree]] = []
-    for combo in itertools.combinations(range(len(rules)), k):
-        for perm in itertools.permutations(combo):
-            tree = tree_from_permutation(perm, matrix)
-            if tree is not None:
-                results.append((perm, tree))
-    return results
+
+    def pairs() -> Iterator[tuple[Permutation, DecisionTree]]:
+        for combo in itertools.combinations(range(len(rules)), k):
+            for perm in itertools.permutations(combo):
+                tree = tree_from_permutation(perm, matrix)
+                if tree is not None:
+                    yield perm, tree
+
+    return pairs()
 
 
 def all_chain_trees(items: Sequence[MatrixDim]) -> list[DecisionTree]:

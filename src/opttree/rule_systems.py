@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -34,11 +35,12 @@ _COMBINATION_BATCH = 4096
 
 @dataclass(frozen=True)
 class SceneSegment:
-    """A scene segment; ``payload`` identifies the original object it came from."""
+    """A scene segment; ``payload`` identifies the original object it came
+    from, and is None for a segment parsed from tree text."""
 
     start: Point
     end: Point
-    payload: int
+    payload: int | None = None
 
 
 @dataclass(frozen=True)
@@ -48,24 +50,21 @@ class MatrixDim:
 
 
 def enumerate_axis_rules(data: Dataset) -> list[Rule]:
-    """One axis-aligned rule per (dimension, distinct coordinate value) pair.
+    """One axis-aligned rule per (dimension, distinct data point) pair.
 
-    Thresholds sit exactly on data coordinates so every rule stays
-    point-defined; the defining point is the first sample carrying the value.
+    The threshold is the defining point's coordinate. Points tied in a
+    dimension split the data alike, but other rules can see their defining
+    points on different sides, so merging their rules could lose the optimum.
+    Within a dimension rules run by threshold, ties in data order.
     """
     if not data:
         raise ValueError("cannot enumerate rules for an empty dataset")
-    d = dimension(data)
-    rules: list[Rule] = []
-    for dim in range(d):
-        first_at: dict[float, Point] = {}
-        for s in data:
-            v = s.point[dim]
-            if v not in first_at:
-                first_at[v] = s.point
-        for v in sorted(first_at):
-            rules.append(Rule(len(rules), AxisParallel(dim, v), (first_at[v],)))
-    return rules
+    points = list(dict.fromkeys(s.point for s in data))
+    return [
+        Rule(AxisParallel(dim, p[dim]), (p,))
+        for dim in range(dimension(data))
+        for p in sorted(points, key=itemgetter(dim))
+    ]
 
 
 def enumerate_hyperplane_rules(data: Dataset, *, diagnostics: dict | None = None) -> list[Rule]:
@@ -103,7 +102,7 @@ def enumerate_hyperplane_rules(data: Dataset, *, diagnostics: dict | None = None
                 duplicate += 1
                 continue
             seen.add(key)
-            rules.append(Rule(len(rules), plane, tuple(data[i].point for i in combo)))
+            rules.append(Rule(plane, tuple(data[i].point for i in combo)))
     if diagnostics is not None:
         diagnostics["degenerate"] = degenerate
         diagnostics["duplicate"] = duplicate

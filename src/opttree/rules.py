@@ -1,5 +1,9 @@
 """Splitting rules: geometric sign predicates, ancestry matrices, axiom checks.
 
+A :class:`Rule` is a kind (:class:`AxisParallel` or :class:`Hyperplane`) plus
+the data points that define its boundary. Rules live in a table, a sequence,
+and everything downstream names a rule by its position there.
+
 A rule cuts the ambient space into a positive and a negative region. Which
 region a point falls in is decided by :func:`classify`; points exactly on a
 boundary count as positive so that every predicate is two-valued and
@@ -48,25 +52,14 @@ class Hyperplane:
     bias: float
 
 
-@dataclass(frozen=True)
-class Segment2D:
-    """Two endpoints, the branch payload :func:`opttree.treefmt.parse` returns
-    for a ``seg`` description. Not a rule kind: :func:`classify` and
-    :func:`sign_table` reject it; the bsp solver cuts with
-    :class:`~opttree.rule_systems.SceneSegment` instead."""
-
-    start: Point
-    end: Point
-
-
 RuleKind = AxisParallel | Hyperplane
 
 
 @dataclass(frozen=True)
 class Rule:
-    """A splitting rule plus the data points that define its boundary."""
+    """A splitting rule plus the data points that define its boundary. It has
+    no id: trees, matrices and the solver name it by its table position."""
 
-    id: int
     kind: RuleKind
     defining_points: tuple[Point, ...] = ()
 

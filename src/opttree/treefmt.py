@@ -12,8 +12,8 @@ Leaves store only their payload size. Reals must be finite and print with 9
 significant digits, so serializing a parsed tree reproduces the original text
 byte for byte.
 Parsed trees carry int counts at leaves and, at branches, rule kinds for
-"axis" and "hyp", a :class:`~opttree.rules.Segment2D` for "seg" and None for
-"cut".
+"axis" and "hyp", a :class:`~opttree.rule_systems.SceneSegment` with no
+payload for "seg" and None for "cut".
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import math
 from typing import Any, Sequence
 
 from .data import plain_number
-from .rules import AxisParallel, Hyperplane, Rule, RuleKind, Segment2D
+from .rules import AxisParallel, Hyperplane, Rule, RuleKind
 from .rule_systems import SceneSegment
 from .trees import DecisionTree, DLeaf, DNode
 
@@ -47,14 +47,12 @@ def _rule_desc(payload: Any, rules: Sequence[Rule] | None) -> str:
         if rules is None:
             raise ValueError("serializing an index-labeled tree needs the rule table")
         payload = rules[payload].kind
-    if isinstance(payload, Rule):
-        payload = payload.kind
     if isinstance(payload, AxisParallel):
         return f"axis {payload.dim} {format_real(payload.threshold)}"
     if isinstance(payload, Hyperplane):
         coeffs = " ".join(format_real(w) for w in payload.weights)
         return f"hyp {coeffs} {format_real(payload.bias)}"
-    if isinstance(payload, (Segment2D, SceneSegment)):
+    if isinstance(payload, SceneSegment):
         (x1, y1), (x2, y2) = payload.start, payload.end
         return f"seg {format_real(x1)} {format_real(y1)} {format_real(x2)} {format_real(y2)}"
     if isinstance(payload, tuple) and len(payload) == 2 and isinstance(payload[1], int):
@@ -130,7 +128,7 @@ class _Parser:
         self.take(")")
         return DNode(left, rule, right)
 
-    def rule_desc(self) -> RuleKind | Segment2D | None:
+    def rule_desc(self) -> RuleKind | SceneSegment | None:
         tag = self.take()
         if tag == "axis":
             dim = self.natural()
@@ -142,7 +140,7 @@ class _Parser:
             return Hyperplane(tuple(vals[:-1]), vals[-1])
         if tag == "seg":
             x1, y1, x2, y2 = (self.real() for _ in range(4))
-            return Segment2D((x1, y1), (x2, y2))
+            return SceneSegment((x1, y1), (x2, y2))
         if tag == "cut":
             return None
         raise ValueError(f"unknown rule tag {tag!r}")

@@ -1,11 +1,11 @@
-"""Immutable tree values and the structure/permutation transforms.
+"""Immutable tree values and the permutation transform.
 
-Two tree flavors share one shape: :class:`Node`/:class:`Leaf` carry structure
-only (branch nodes hold rule indices, leaves nothing), while
-:class:`DNode`/:class:`DLeaf` additionally carry payloads at the leaves
-(usually a dataset subset). Branch payloads are rule-table indices for
-classification trees; the application solvers reuse the same node types with
-richer branch payloads (segments, pivot points, or None).
+One tree type serves every use: a :class:`DNode` holds a branch payload
+between two subtrees and a :class:`DLeaf` holds a leaf payload. A shape is a
+tree whose branch payloads are rule-table indices and whose leaves are the
+payload-free :data:`LEAF`; a completed classification tree holds at its
+leaves the samples reaching them. The application solvers use the same types
+with other branch payloads (segments, pivot points, or None).
 
 A tree consistent with an ancestry matrix is uniquely recoverable from its
 level-order traversal: :func:`tree_from_permutation` inverts
@@ -24,23 +24,6 @@ from .rules import AncestryMatrix
 
 
 @dataclass(frozen=True)
-class Leaf:
-    pass
-
-
-@dataclass(frozen=True)
-class Node:
-    left: "BTree"
-    rule_id: int
-    right: "BTree"
-
-
-BTree = Leaf | Node
-
-LEAF = Leaf()
-
-
-@dataclass(frozen=True)
 class DLeaf:
     data: Any
 
@@ -54,49 +37,47 @@ class DNode:
 
 DecisionTree = DLeaf | DNode
 
+LEAF = DLeaf(None)
+
 
 Permutation = tuple[int, ...]
 
 
-def is_leaf(tree: BTree | DecisionTree) -> bool:
-    return isinstance(tree, (Leaf, DLeaf))
-
-
-def level_order(tree: BTree | DecisionTree) -> Permutation:
+def level_order(tree: DecisionTree) -> Permutation:
     """Branch payloads in breadth-first order, left child before right."""
     order: list[int] = []
     queue: deque = deque([tree])
     while queue:
         node = queue.popleft()
-        if not is_leaf(node):
+        if isinstance(node, DNode):
             order.append(node.rule_id)
             queue.append(node.left)
             queue.append(node.right)
     return tuple(order)
 
 
-def _insert(tree: BTree, rid: int, matrix: AncestryMatrix) -> BTree | None:
-    if isinstance(tree, Leaf):
-        return Node(LEAF, rid, LEAF)
+def _insert(tree: DecisionTree, rid: int, matrix: AncestryMatrix) -> DecisionTree | None:
+    if isinstance(tree, DLeaf):
+        return DNode(LEAF, rid, LEAF)
     side = matrix.entry(tree.rule_id, rid)
     if side == 0:
         return None
     if side > 0:
         sub = _insert(tree.left, rid, matrix)
-        return None if sub is None else Node(sub, tree.rule_id, tree.right)
+        return None if sub is None else DNode(sub, tree.rule_id, tree.right)
     sub = _insert(tree.right, rid, matrix)
-    return None if sub is None else Node(tree.left, tree.rule_id, sub)
+    return None if sub is None else DNode(tree.left, tree.rule_id, sub)
 
 
-def tree_from_permutation(perm: Sequence[int], matrix: AncestryMatrix) -> BTree | None:
-    """Rebuild the tree whose level-order traversal is ``perm``, or None.
+def tree_from_permutation(perm: Sequence[int], matrix: AncestryMatrix) -> DecisionTree | None:
+    """Rebuild the shape whose level-order traversal is ``perm``, or None.
 
     Each rule descends from the root along matrix entries (+1 left, -1 right).
     The permutation is valid only if no descent hits a 0 entry and the result
     traverses back to exactly ``perm``; the second check makes each tree
     correspond to a single canonical ordering.
     """
-    tree: BTree = LEAF
+    tree: DecisionTree = LEAF
     for rid in perm:
         nxt = _insert(tree, rid, matrix)
         if nxt is None:
@@ -114,21 +95,21 @@ def map_leaves(f: Callable[[Any], Any], tree: DecisionTree) -> DecisionTree:
     return DNode(map_leaves(f, tree.left), tree.rule_id, map_leaves(f, tree.right))
 
 
-def depth(tree: BTree | DecisionTree) -> int:
+def depth(tree: DecisionTree) -> int:
     """Branch nodes on the longest root-to-leaf path; a bare leaf has depth 0."""
-    if is_leaf(tree):
+    if isinstance(tree, DLeaf):
         return 0
     return 1 + max(depth(tree.left), depth(tree.right))
 
 
-def node_count(tree: BTree | DecisionTree) -> int:
-    if is_leaf(tree):
+def node_count(tree: DecisionTree) -> int:
+    if isinstance(tree, DLeaf):
         return 1
     return 1 + node_count(tree.left) + node_count(tree.right)
 
 
 def leaves(tree: DecisionTree) -> list:
     """Leaf payloads in left-to-right order."""
-    if isinstance(tree, (Leaf, DLeaf)):
-        return [tree.data] if isinstance(tree, DLeaf) else [None]
+    if isinstance(tree, DLeaf):
+        return [tree.data]
     return leaves(tree.left) + leaves(tree.right)

@@ -4,20 +4,20 @@ from __future__ import annotations
 
 import random
 
-from opttree import LEAF, DLeaf, Leaf, Node, classify, make_dataset
+from opttree import LEAF, DLeaf, DNode, classify, make_dataset
 
 
 def route_leaf_contents(tree, rules, data):
     """Leaf datasets computed by walking every sample down from the root.
 
-    ``tree`` is a completed tree or a structure-only shape; its leaf payloads
-    are ignored. Returns leaf content lists in left-to-right leaf order. This
-    is the reference semantics for what a completed tree's leaves must hold.
+    ``tree`` is a completed tree or a shape; its leaf payloads are ignored.
+    Returns leaf content lists in left-to-right leaf order. This is the
+    reference semantics for what a completed tree's leaves must hold.
     """
     buckets = []
 
     def collect(node, samples):
-        if isinstance(node, (Leaf, DLeaf)):
+        if isinstance(node, DLeaf):
             buckets.append(list(samples))
             return
         rule = rules[node.rule_id]
@@ -35,17 +35,17 @@ def leaf_payloads(tree):
 
 
 def shape_of(tree):
-    """The structure-only tree of a completed tree: its leaf payloads dropped."""
+    """The shape of a completed tree: its leaf payloads replaced by LEAF."""
     if isinstance(tree, DLeaf):
         return LEAF
-    return Node(shape_of(tree.left), tree.rule_id, shape_of(tree.right))
+    return DNode(shape_of(tree.left), tree.rule_id, shape_of(tree.right))
 
 
 def relabel(tree, mapping):
     """Map every branch rule index of a shape through ``mapping`` (local -> global ids)."""
-    if isinstance(tree, Leaf):
+    if isinstance(tree, DLeaf):
         return tree
-    return Node(relabel(tree.left, mapping), mapping[tree.rule_id], relabel(tree.right, mapping))
+    return DNode(relabel(tree.left, mapping), mapping[tree.rule_id], relabel(tree.right, mapping))
 
 
 def random_instance(seed, n_min=4, n_max=10):

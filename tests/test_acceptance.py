@@ -18,8 +18,8 @@ from collections import Counter
 from opttree import (
     AncestryMatrix,
     AxisParallel,
+    DLeaf,
     DNode,
-    Leaf,
     MISCLASSIFICATION,
     MatrixDim,
     Rule,
@@ -82,8 +82,8 @@ def sign_table(rules, data):
 
 
 def route_rows(shape, signs, rows):
-    """Leaf row-index tuples of a structure tree, routed from the root."""
-    if isinstance(shape, Leaf):
+    """Leaf row-index tuples of a shape, routed from the root."""
+    if isinstance(shape, DLeaf):
         return [rows]
     s = signs[shape.rule_id]
     left = tuple(r for r in rows if s[r] > 0)
@@ -180,9 +180,9 @@ FOUR_LINES = [
 
 def test_criterion_4_four_hyperplane_reproduction():
     rules = []
-    for i, (p, q) in enumerate(FOUR_LINES):
+    for p, q in FOUR_LINES:
         plane = hyperplane_from_points([p, q])
-        rules.append(Rule(i, plane, (p, q)))
+        rules.append(Rule(plane, (p, q)))
     matrix = ancestry_matrix(rules)
     valid = [
         p for p in itertools.permutations(range(4)) if tree_from_permutation(p, matrix) is not None
@@ -244,7 +244,7 @@ def test_criterion_6_leaf_invariant():
                 continue
             signs = sign_table(rules, data)
             matrix = ancestry_matrix(rules)
-            pairs = enumerate_permutation_trees(rules, k, matrix)
+            pairs = list(enumerate_permutation_trees(rules, k, matrix))
             completed_trees = complete_shapes([shape for _, shape in pairs], rules, data)
             for (perm, shape), completed in zip(pairs, completed_trees, strict=True):
                 got = [tuple(leaf) for leaf in leaves(completed)]
@@ -294,7 +294,7 @@ def fixed_axis_rules():
         for pos in range(10):
             t = float(pos + 0.5)
             point = (t, 0.0) if dim == 0 else (0.0, t)
-            rules.append(Rule(len(rules), AxisParallel(dim, t), (point,)))
+            rules.append(Rule(AxisParallel(dim, t), (point,)))
     return rules
 
 

@@ -226,6 +226,25 @@ def test_check_three_tree_configuration(tmp_path, capsys):
     assert grab(out, "result") == "PASS"
 
 
+def test_check_fails_when_permutations_and_trees_disagree(tmp_path, capsys, monkeypatch):
+    # each tree is rebuilt by exactly one permutation, so a tree count one
+    # above the valid permutations is a mismatch even when the scores agree
+    import opttree.cli
+
+    count = opttree.cli.count_tree_shapes
+    monkeypatch.setattr(opttree.cli, "count_tree_shapes", lambda *a: count(*a) + 1)
+    csv = tmp_path / "d.csv"
+    write_csv(csv, [(0.0, 0.0), (2.0, 2.0), (-2.0, 1.0), (1.0, -2.0)], [0, 1, 1, 0])
+    rules = tmp_path / "rules.txt"
+    rules.write_text(THREE_TREE_RULES)
+    code, out = run(capsys, "check", csv, "--k", "4", "--rules-file", rules)
+    assert code == 1
+    assert grab(out, "valid permutations") == "3"
+    assert grab(out, "trees generated") == "4"
+    assert grab(out, "solver score") == grab(out, "oracle score")
+    assert grab(out, "result") == "FAIL"
+
+
 # Every line `check` prints for four seeded inputs. The counts and the oracle
 # score come from the permutation pipeline alone, so these pin the oracle
 # itself, not only its agreement with the solver. Keys: rules, seed, n, k.
@@ -257,11 +276,12 @@ CHECK_OUTPUTS = {
         "oracle score: 1",
         "result: PASS",
     ],
+    # two points tie at y=1.124, so the axis table holds 14 rules, not 13
     ("axis", 31, 7, 4): [
-        "combinations: 715",
-        "permutations: 17160",
-        "valid permutations: 9838",
-        "trees generated: 9838",
+        "combinations: 1001",
+        "permutations: 24024",
+        "valid permutations: 13538",
+        "trees generated: 13538",
         "solver score: 0",
         "oracle score: 0",
         "result: PASS",

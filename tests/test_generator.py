@@ -4,6 +4,7 @@ import ast
 import itertools
 import math
 from collections import Counter
+from collections.abc import Iterator
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from opttree import (
     LEAF,
     AncestryMatrix,
     DLeaf,
-    Node,
+    DNode,
     Rule,
     all_tree_shapes,
     all_trees,
@@ -69,10 +70,10 @@ FOUR_LINES = [
 
 def four_line_rules():
     rules = []
-    for i, (p, q) in enumerate(FOUR_LINES):
+    for p, q in FOUR_LINES:
         plane = hyperplane_from_points([p, q])
         assert plane is not None
-        rules.append(Rule(i, plane, (p, q)))
+        rules.append(Rule(plane, (p, q)))
     return rules
 
 
@@ -97,10 +98,21 @@ def test_four_line_configuration_has_three_trees():
 
 
 def test_oracle_base_case():
-    assert enumerate_permutation_trees([], 0) == [((), LEAF)]
+    assert list(enumerate_permutation_trees([], 0)) == [((), LEAF)]
+
+
+def test_oracle_streams():
+    # the pairs come one at a time, never held as a list
+    rules = four_line_rules()
+    pairs = enumerate_permutation_trees(rules, 4)
+    assert isinstance(pairs, Iterator)
+    perm, shape = next(pairs)
+    assert level_order(shape) == perm
+    assert 1 + sum(1 for _ in pairs) == count_tree_shapes([range(4)], ancestry_matrix(rules))
 
 
 def test_oracle_rejects_oversized_k():
+    # at the call, before any pair is drawn
     with pytest.raises(ValueError):
         enumerate_permutation_trees([], 1)
 
@@ -145,7 +157,7 @@ def counted_classify(monkeypatch):
     classify = opttree.generator.classify
 
     def counted(rule, point):
-        calls[rule.id, point] += 1
+        calls[id(rule), point] += 1
         return classify(rule, point)
 
     monkeypatch.setattr(opttree.generator, "classify", counted)
@@ -177,7 +189,7 @@ def test_complete_shapes_rejects_unknown_rule_id():
     data = random_instance(5, n_min=4, n_max=5)
     rules = enumerate_axis_rules(data)
     for rid in (len(rules), -1, "0"):
-        shape = Node(Node(LEAF, 0, LEAF), 1, Node(LEAF, rid, LEAF))
+        shape = DNode(DNode(LEAF, 0, LEAF), 1, DNode(LEAF, rid, LEAF))
         want = f"path references unknown rule id {rid!r}"
         with pytest.raises(ValueError) as got:
             complete_shapes([shape], rules, data)
@@ -281,8 +293,8 @@ def test_permutation_trees_equal_sliced_and_relabeled_reference(kind):
         matrix = ancestry_matrix(rules)
         for k in range(4):
             want = reference(rules, k, matrix)
-            assert enumerate_permutation_trees(rules, k) == want
-            assert enumerate_permutation_trees(rules, k, matrix) == want
+            assert list(enumerate_permutation_trees(rules, k)) == want
+            assert list(enumerate_permutation_trees(rules, k, matrix)) == want
             compared[k] += len(want)
     assert all(compared[k] for k in range(4))
 
@@ -330,9 +342,8 @@ def test_generation_properness():
     matrix = ancestry_matrix(rules)
 
     def check(shape):
-        if shape is LEAF or isinstance(shape, DLeaf):
+        if isinstance(shape, DLeaf):
             return
-        from opttree import Node
 
         def descendants(node, side):
             sub = node.left if side > 0 else node.right
@@ -340,7 +351,7 @@ def test_generation_properness():
             stack = [sub]
             while stack:
                 cur = stack.pop()
-                if isinstance(cur, Node):
+                if isinstance(cur, DNode):
                     out.append(cur.rule_id)
                     stack.extend([cur.left, cur.right])
             return out

@@ -32,7 +32,9 @@ from opttree import rule_systems
 
 def test_axis_rules_counts():
     assert len(enumerate_axis_rules(make_dataset([(1, 2), (3, 4), (5, 6)]))) == 6
-    assert len(enumerate_axis_rules(make_dataset([(1, 2), (1, 5)]))) == 3
+    # one rule per (dimension, distinct point): the tie at x=1 keeps both rules
+    assert len(enumerate_axis_rules(make_dataset([(1, 2), (1, 5)]))) == 4
+    assert len(enumerate_axis_rules(make_dataset([(1, 2), (1, 2)]))) == 2
     assert len(enumerate_axis_rules(make_dataset([(7,)]))) == 1
     with pytest.raises(ValueError):
         enumerate_axis_rules(())
@@ -87,7 +89,7 @@ def _per_combination_rules(data):
             diag["duplicate"] += 1
             continue
         seen.add(signature)
-        rules.append(Rule(len(rules), plane, pts))
+        rules.append(Rule(plane, pts))
     return rules, diag
 
 

@@ -14,7 +14,7 @@ from opttree import (
     AxisParallel,
     Hyperplane,
     Rule,
-    Segment2D,
+    SceneSegment,
     ancestry_matrix,
     ancestry_tables,
     classify,
@@ -48,8 +48,8 @@ def test_classify_hyperplane_hand_values():
 
 
 def test_segment_is_not_a_rule_kind():
-    # a parsed "seg" payload; the bsp solver cuts with SceneSegment
-    seg = Segment2D((0.0, 0.0), (1.0, 0.0))
+    # a parsed "seg" payload, which the bsp solver also cuts with
+    seg = SceneSegment((0.0, 0.0), (1.0, 0.0))
     with pytest.raises(TypeError):
         classify(seg, (0.5, 1.0))
     with pytest.raises(TypeError):
@@ -91,42 +91,42 @@ def test_hyperplane_from_points_unit_norm():
         assert abs(sum(w * c for w, c in zip(rule.weights, p)) + rule.bias) < 1e-9
 
 
-def _vertical(rid, x, positive_left=True):
+def _vertical(x, positive_left=True):
     # positive side is x <= threshold when weights point left
     sign = -1.0 if positive_left else 1.0
-    return Rule(rid, hyperplane((sign, 0.0), -sign * x), ((x, 0.0),))
+    return Rule(hyperplane((sign, 0.0), -sign * x), ((x, 0.0),))
 
 
 def test_ancestry_matrix_single_rule():
-    m = ancestry_matrix([_vertical(0, 1.0)])
+    m = ancestry_matrix([_vertical(1.0)])
     assert m.entries == ((0,),)
 
 
 def test_ancestry_matrix_parallel_lines():
     # two vertical lines, left-of-line positive: the x=1 line sees the x=3
     # defining point on its negative side and vice versa
-    r1 = _vertical(0, 1.0)
-    r2 = _vertical(1, 3.0)
+    r1 = _vertical(1.0)
+    r2 = _vertical(3.0)
     m = ancestry_matrix([r1, r2])
     assert m.entry(0, 1) == -1
     assert m.entry(1, 0) == 1
 
 
 def test_ancestry_matrix_requires_defining_points():
-    bare = Rule(0, AxisParallel(0, 1.0))
+    bare = Rule(AxisParallel(0, 1.0))
     with pytest.raises(ValueError):
-        ancestry_matrix([bare, _vertical(1, 2.0)])
+        ancestry_matrix([bare, _vertical(2.0)])
 
 
 def test_ancestry_tables_equal_ancestry_matrix():
     # ties: the x=3 line's defining point (3, 3) sits on the y=3 line, and
     # the diagonal through (3, 3) meets both
     rules = [
-        _vertical(0, 1.0),
-        _vertical(1, 3.0, positive_left=False),
-        Rule(2, AxisParallel(1, 3.0), ((3.0, 3.0),)),
-        Rule(3, hyperplane_from_points([(0.0, 0.0), (3.0, 3.0)]), ((0.0, 0.0), (3.0, 3.0))),
-        Rule(4, hyperplane_from_points([(1.0, 0.0), (1.0, 5.0)]), ((1.0, 0.0), (1.0, 5.0))),
+        _vertical(1.0),
+        _vertical(3.0, positive_left=False),
+        Rule(AxisParallel(1, 3.0), ((3.0, 3.0),)),
+        Rule(hyperplane_from_points([(0.0, 0.0), (3.0, 3.0)]), ((0.0, 0.0), (3.0, 3.0))),
+        Rule(hyperplane_from_points([(1.0, 0.0), (1.0, 5.0)]), ((1.0, 0.0), (1.0, 5.0))),
     ]
     for table in ([], rules[:1], rules):
         left, right = ancestry_tables(table)
@@ -134,9 +134,9 @@ def test_ancestry_tables_equal_ancestry_matrix():
         assert left.tolist() == [[e > 0 for e in row] for row in entries]
         assert right.tolist() == [[e < 0 for e in row] for row in entries]
     assert {-1, 0, 1} <= {e for row in entries for e in row}
-    assert ancestry_tables([Rule(0, AxisParallel(0, 1.0))])[0].tolist() == [[False]]
+    assert ancestry_tables([Rule(AxisParallel(0, 1.0))])[0].tolist() == [[False]]
     with pytest.raises(ValueError):
-        ancestry_tables([Rule(0, AxisParallel(0, 1.0)), _vertical(1, 2.0)])
+        ancestry_tables([Rule(AxisParallel(0, 1.0)), _vertical(2.0)])
 
 
 def test_validate_axioms():
@@ -155,13 +155,13 @@ def test_validate_axioms():
 def test_constructed_matrices_always_pass_axioms(xs):
     rules = []
     for i, (x, y) in enumerate(xs):
-        rules.append(Rule(i, AxisParallel(i % 2, (x, y)[i % 2]), ((x, y),)))
+        rules.append(Rule(AxisParallel(i % 2, (x, y)[i % 2]), ((x, y),)))
     assert validate_axioms(ancestry_matrix(rules)).passed
 
 
 def test_matrix_antisymmetry_recheck():
     # +1 entries really mean every defining point classifies positive
-    rules = [_vertical(0, 1.0), _vertical(1, 3.0), _vertical(2, 5.0)]
+    rules = [_vertical(1.0), _vertical(3.0), _vertical(5.0)]
     m = ancestry_matrix(rules)
     for i in range(3):
         for j in range(3):
@@ -171,11 +171,11 @@ def test_matrix_antisymmetry_recheck():
 
 def test_epsilon_stability():
     # nudging defining points well below the tolerance keeps the matrix fixed
-    rules = [_vertical(0, 1.0), _vertical(1, 3.0), _vertical(2, 5.0)]
+    rules = [_vertical(1.0), _vertical(3.0), _vertical(5.0)]
     m = ancestry_matrix(rules)
     delta = 4e-10
     nudged = [
-        Rule(r.id, r.kind, tuple((p[0] + delta, p[1] - delta) for p in r.defining_points))
+        Rule(r.kind, tuple((p[0] + delta, p[1] - delta) for p in r.defining_points))
         for r in rules
     ]
     assert ancestry_matrix(nudged).entries == m.entries

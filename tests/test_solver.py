@@ -144,6 +144,48 @@ def test_solve_fixed_combination_matches_per_combination_oracle():
             assert tree_cost(tree, MISCLASSIFICATION) == want
 
 
+def _per_sample_axis_rules(data):
+    """One axis rule per (dimension, sample), tied thresholds and all."""
+    return [
+        Rule(AxisParallel(dim, s.point[dim]), (s.point,))
+        for dim in range(len(data[0].point))
+        for s in data
+    ]
+
+
+def _brute_force_score(rules, k, data):
+    matrix = ancestry_matrix(rules)
+    trees = (
+        tree
+        for combo in itertools.combinations(range(len(rules)), k)
+        for tree in all_trees(combo, matrix, rules, data)
+    )
+    return min((tree_cost(tree, MISCLASSIFICATION) for tree in trees), default=None)
+
+
+def test_axis_table_keeps_tied_thresholds():
+    # y <= 0 splits the data alike whether (2, 0) or (1, 0) defines it, but
+    # only (1, 0) lies left of x <= 1, where the optimum puts it
+    data = make_dataset([(1, 1), (2, 0), (1, 0), (3, 2), (1, 3)], [1, 1, 0, 1, 1])
+    tree = solve(enumerate_axis_rules(data), 2, data, MISCLASSIFICATION)
+    assert tree_cost(tree, MISCLASSIFICATION) == 0
+    assert _brute_force_score(_per_sample_axis_rules(data), 2, data) == 0
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_axis_solve_equals_brute_force_on_grid_ties(k):
+    # 5-8 distinct points of the grid {0..3}^2 tie in most coordinates; the
+    # solve must reach the optimum over one rule per (dimension, sample)
+    cells = [(x, y) for x in range(4) for y in range(4)]
+    for seed in range(60):
+        rng = random.Random(seed)
+        points = rng.sample(cells, rng.randint(5, 8))
+        data = make_dataset(points, [rng.randint(0, 1) for _ in points])
+        tree = solve(enumerate_axis_rules(data), k, data, MISCLASSIFICATION)
+        want = _brute_force_score(_per_sample_axis_rules(data), k, data)
+        assert tree_cost(tree, MISCLASSIFICATION) == want, f"seed {seed}"
+
+
 def test_solve_k_zero_and_oversized():
     data = random_instance(3)
     tree = solve([], 0, data, MISCLASSIFICATION)
@@ -307,7 +349,7 @@ def grid_axis_rules():
     for dim in range(2):
         for t in (2.5, 5.0, 7.5):
             point = (t, 0.0) if dim == 0 else (0.0, t)
-            rules.append(Rule(len(rules), AxisParallel(dim, t), (point,)))
+            rules.append(Rule(AxisParallel(dim, t), (point,)))
     return rules
 
 
@@ -317,8 +359,8 @@ def _boundary_tables():
     grid = make_dataset(cells, [(x + y) % 2 for x, y in cells])
     # both rules at threshold t are defined by (t, t), on each other's boundary
     diagonal = [
-        Rule(2 * i + dim, AxisParallel(dim, t), ((t, t),))
-        for i, t in enumerate((2.5, 5.0, 7.5))
+        Rule(AxisParallel(dim, t), ((t, t),))
+        for t in (2.5, 5.0, 7.5)
         for dim in (0, 1)
     ]
     # the defining points of the diagonals straddle the vertical and
@@ -326,10 +368,9 @@ def _boundary_tables():
     cross = make_dataset([(0, 0), (2, 2), (0, 2), (2, 0), (1, 0), (1, 2), (0, 1), (2, 1)])
     small = make_dataset([(x % 3, x // 3) for x in range(8)], [x % 2 for x in range(8)])
     # a rules-file table: axis rules have one defining point, hyperplanes two
-    mixed = [Rule(0, AxisParallel(0, 1.0), ((1.0, 1.0),))]
-    mixed.append(Rule(1, AxisParallel(1, 1.0), ((2.0, 1.0),)))
-    for rule in enumerate_hyperplane_rules(grid)[:12]:
-        mixed.append(Rule(len(mixed), rule.kind, rule.defining_points))
+    mixed = [Rule(AxisParallel(0, 1.0), ((1.0, 1.0),))]
+    mixed.append(Rule(AxisParallel(1, 1.0), ((2.0, 1.0),)))
+    mixed += enumerate_hyperplane_rules(grid)[:12]
     return {
         "axis-grid": (enumerate_axis_rules(grid), grid),
         "axis-ties": (diagonal, make_dataset([(t, 5.0) for t in (0.0, 2.5, 5.0, 7.5, 9.0)])),
@@ -369,7 +410,7 @@ def _on_boundary(kind, q):
 
 
 def test_rule_masks_below_two_rules_skip_ancestry():
-    rules = grid_axis_rules() + [Rule(6, AxisParallel(0, 1.0))]
+    rules = grid_axis_rules() + [Rule(AxisParallel(0, 1.0))]
     data = make_dataset([(1.0, 2.0), (6.0, 8.0)])
     front = _RuleMasks(rules, data, 1, MISCLASSIFICATION, SolveConstraints())
     assert front.left == front.right == [0] * len(rules)
@@ -473,7 +514,7 @@ def test_solvers_leave_no_cyclic_garbage():
 
 
 def chain_rules(k):
-    return [Rule(i, hyperplane((1.0, 0.0), -float(i)), ((float(i), 0.0),)) for i in range(k)]
+    return [Rule(hyperplane((1.0, 0.0), -float(i)), ((float(i), 0.0),)) for i in range(k)]
 
 
 def test_recursion_nodes_independent_of_data_size():

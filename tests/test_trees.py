@@ -12,7 +12,6 @@ from opttree import (
     AxisParallel,
     DLeaf,
     DNode,
-    Node,
     Rule,
     all_tree_shapes,
     level_order,
@@ -29,7 +28,7 @@ def matrix_of(rows):
 
 # r1 at the root, r2 left, r3 right (0-indexed ids 0, 1, 2)
 SPLIT_MATRIX = matrix_of([[0, 1, -1], [0, 0, 0], [0, 0, 0]])
-BALANCED = Node(Node(LEAF, 1, LEAF), 0, Node(LEAF, 2, LEAF))
+BALANCED = DNode(DNode(LEAF, 1, LEAF), 0, DNode(LEAF, 2, LEAF))
 
 
 def test_level_order_balanced():
@@ -41,7 +40,7 @@ def test_level_order_empty():
 
 
 def test_level_order_left_chain():
-    chain = Node(Node(Node(LEAF, 2, LEAF), 1, LEAF), 0, LEAF)
+    chain = DNode(DNode(DNode(LEAF, 2, LEAF), 1, LEAF), 0, LEAF)
     assert level_order(chain) == (0, 1, 2)
 
 
@@ -119,7 +118,7 @@ def test_map_leaves_identity_and_constant():
 
 def test_map_leaves_filter():
     data = make_dataset([(1.0,), (5.0,)], [0, 1])
-    rule = Rule(0, AxisParallel(0, 2.0), ((2.0,),))
+    rule = Rule(AxisParallel(0, 2.0), ((2.0,),))
     tree = DNode(DLeaf(data), 0, DLeaf(data))
     from opttree import split_dataset
 
