@@ -55,6 +55,8 @@ def load_csv(path: str, require_label: bool = True) -> Dataset:
     """Read a dataset from CSV with header f0..f{D-1} plus a final 'label' column.
 
     With require_label=False the label column may be omitted (labels default to 0).
+    A row whose point repeats an earlier row's point is rejected: a rule
+    cannot separate the two, whatever their labels.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -72,6 +74,7 @@ def load_csv(path: str, require_label: bool = True) -> Dataset:
             raise ValueError(f"{path}: header must be f0..f{d - 1}" + (",label" if require_label else ""))
         points: list[Point] = []
         labels: list[int] = []
+        first_line: dict[Point, int] = {}
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
@@ -84,6 +87,9 @@ def load_csv(path: str, require_label: bool = True) -> Dataset:
                 raise ValueError(f"{path}:{lineno}: malformed numeric value") from None
             if not all(math.isfinite(c) for c in point):
                 raise ValueError(f"{path}:{lineno}: non-finite value")
+            if point in first_line:
+                raise ValueError(f"{path}:{lineno}: duplicate point (first on line {first_line[point]})")
+            first_line[point] = lineno
             points.append(point)
     if not points:
         raise ValueError(f"{path}: no data rows")

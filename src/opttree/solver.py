@@ -17,9 +17,13 @@ by ancestor side-set: a subproblem shared by many combinations is solved once.
 A state with one or two rules left is a leaf of the recursion, solved in
 closed form (the cheapest stump over its allowed roots, or the cheapest root
 over a leaf and such a stump); leaves are costed once per row mask, and
-samples are gathered only for the returned tree.
+samples are gathered only for the returned tree. For an objective with a
+count form, the root's one- and two-rule states are solved first, in numpy,
+from per-label count tables (see :class:`_RuleMasks`); the recursion then
+finds them memoized.
 :class:`SolveStats` counts recursion calls (memo hits included), a number
-that depends on the rule table and k but not on the data. Ties compare the
+that depends on the rule table and k but not on the data, and the
+closed-form states solved, in Python or from count tables. Ties compare the
 rule combination (the lexicographically smallest wins), then the root (the
 earliest wins): the recursion minimizes (cost, -combination mask) pairs,
 which only ``_RuleMasks.combine`` and the closed forms build. That is the
@@ -42,8 +46,10 @@ from functools import partial
 from itertools import compress
 from typing import Any, Callable, Sequence
 
+import numpy as np
+
 from .data import Dataset
-from .rules import Rule, ancestry_tables, row_masks, sign_table
+from .rules import _BLOCK, Rule, ancestry_tables, row_masks, sign_table
 from .rule_systems import MatrixDim, SceneSegment, split_segments, splits_bsp, splits_mcmp
 from .trees import DecisionTree, DLeaf, DNode, map_leaves
 
@@ -57,10 +63,18 @@ class Objective:
     which licenses minimizing inside the recursion. The chain cost
     ``(total, rows, cols)`` orders by total: the candidates of one sub-chain
     share rows and cols.
+
+    ``count_cost``, when given, is the leaf cost as a function of per-label
+    counts, vectorized: an array with one entry per label on axis 0 maps to
+    the float64 costs of the leaves indexed by its other axes, each equal to
+    ``leaf_cost`` of a leaf with those label counts. ``combine`` must then
+    also apply elementwise to float64 arrays of costs, with an array of rule
+    indices as its context. :func:`solve` uses it to cost many leaves at once.
     """
 
     leaf_cost: Callable[[Any], Any]
     combine: Callable[[Any, Any, Any], Any]
+    count_cost: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -71,15 +85,27 @@ class SolveConstraints:
 
 @dataclass
 class SolveStats:
-    """Instrumentation: the number of recursion calls a solve made.
+    """Instrumentation: bounded counters of what a solve did.
 
-    Memo hits count; a state with at most two rules left is a leaf and counts
-    once, so a solve with k < 3 makes exactly one call. The count depends on
-    the rule table, k and the depth budget; without ``min_leaf`` it does not
-    depend on the data (an infeasible left side skips its right side).
+    ``nodes`` is the number of recursion calls. Memo hits count; a state with
+    at most two rules left is a leaf and counts once, so a solve with k < 3
+    makes exactly one call. The count depends on the rule table, k and the
+    depth budget; without ``min_leaf`` it does not depend on the data (an
+    infeasible left side skips its right side), nor on how closed forms are
+    solved. ``closed_forms`` is the number of one- and two-rule states
+    (allowed rules, rows) solved in closed form, the sizes of the stump and
+    pair memos, and ``batched`` how many of those came from label-count
+    tables (see :class:`_RuleMasks`). Unlike ``nodes``, ``closed_forms``
+    depends on how the states were solved: the Python two-rule closed form
+    memoizes every stump it tries, while the count tables memoize the root's
+    closed-form children and, from four rules to place on, the stumps those
+    children try, including some the recursion never reaches because a
+    sibling or a leaf beside them is infeasible.
     """
 
     nodes: int = 0
+    closed_forms: int = 0
+    batched: int = 0
 
 
 def majority_label(data: Dataset) -> int | None:
@@ -123,10 +149,22 @@ def _balance_leaf(data: Dataset) -> float:
     return float(len(data)) ** 2
 
 
-MISCLASSIFICATION = Objective(misclassification_cost, _add)
-TREE_SIZE = Objective(lambda data: 1.0, _add_plus_one)
+def _misclassification_counts(counts: np.ndarray) -> np.ndarray:
+    return (counts.sum(axis=0) - counts.max(axis=0, initial=0)).astype(float)
+
+
+def _balance_counts(counts: np.ndarray) -> np.ndarray:
+    return counts.sum(axis=0).astype(float) ** 2
+
+
+def _size_counts(counts: np.ndarray) -> np.ndarray:
+    return np.ones(counts.shape[1:])
+
+
+MISCLASSIFICATION = Objective(misclassification_cost, _add, _misclassification_counts)
+TREE_SIZE = Objective(lambda data: 1.0, _add_plus_one, _size_counts)
 CHAIN_COST = Objective(_chain_leaf, _chain_combine)
-LEAF_BALANCE = Objective(_balance_leaf, _add)
+LEAF_BALANCE = Objective(_balance_leaf, _add, _balance_counts)
 
 
 def tree_cost(tree: DecisionTree, objective: Objective) -> Any:
@@ -136,6 +174,14 @@ def tree_cost(tree: DecisionTree, objective: Objective) -> Any:
     u = tree_cost(tree.left, objective)
     v = tree_cost(tree.right, objective)
     return objective.combine(u, v, tree.rule_id)
+
+
+def _unpack(masks: Sequence[int], width: int) -> np.ndarray:
+    """len(masks) x width booleans: entry [s, c] is bit c of masks[s]."""
+    nbytes = (width + 7) // 8
+    buf = b"".join(mask.to_bytes(nbytes, "little") for mask in masks)
+    bits = np.frombuffer(buf, dtype=np.uint8).reshape(len(masks), nbytes)
+    return np.unpackbits(bits, axis=1, count=width, bitorder="little").view(bool)
 
 
 # bin() digits to compress() selectors
@@ -239,6 +285,37 @@ class _RuleMasks:
     pairs: a leaf ranks (cost, 0), and :meth:`combine` is the recursion's
     combine step on them. ``objective`` is the plain one.
 
+    For an objective with a count form, :meth:`batch` solves the root's one-
+    and two-rule states before the recursion starts: the root itself when it
+    has at most two rules to place, else those of its children that
+    :meth:`leaf` would solve. Every leaf count comes from products of 0/1
+    float64 tables: a state's per-label counts on each rule's positive side
+    are one product of its label-masked rows with the sign table, and the
+    stumps a two-rule state tries under a root (its rows on one side of the
+    root, its rules on that side) are states too, deduplicated and counted
+    the same way; negative sides follow by subtraction. A sum of at most N
+    products of 0 and 1 is exact in float64 whatever order BLAS adds in, the
+    count form equals ``leaf_cost`` leaf for leaf, and ``combine`` meets the
+    same values elementwise, so every cost compared equals the Python closed
+    forms'. Winners are picked in their order too: a stump's is the first
+    cheapest root in ascending order; a two-rule state's is the first by
+    cost, then sorted rule combination, then root (which, with the
+    combination, fixes the side the second rule is on). The results go into
+    the memos of :meth:`stump` and :meth:`pair`.
+
+    The tables pay only against a cold memo. On uniform 2-D data with two
+    labels, a root batch breaks even near 14 rules at k=3 (axis N=7) and
+    wins from 16 (axis N=8: 0.80-0.87x the time; N=12: 0.43x); k=2 breaks even
+    near 16 rules and k=1 near 20. Smaller tables are batched too, and lose
+    a fraction of a millisecond per solve (axis N=4, K=8: 0.06 to 0.11 ms at
+    k=1, 0.53 to 0.91 ms at k=3; K=16 at k=1: 0.11 to 0.13 ms). Below the
+    root, a Python two-rule state finds most of its stumps memoized and pays
+    one lookup per root, and batching such states lost at every size tried
+    (axis N=12, k=4: 1.16x; hyperplane N=14, k=4: 1.11x). So only the root
+    is batched. At k=4, memoizing the stumps below the root's two-rule
+    children keeps the batch even with the Python path (axis N=12: 18.8
+    against 18.9 ms); without them it took 1.13-1.23x the time.
+
     The allowed rules, the rows and the depth budget are functions of the
     side-set, so a memo keyed on the state shares a subproblem exactly
     between paths with the same ancestors on the same sides, whatever the
@@ -260,7 +337,8 @@ class _RuleMasks:
         self.objective = objective
         self.min_leaf = constraints.min_leaf
         kinds = [rule.kind for rule in rules]
-        self.pos = row_masks(sign_table(kinds, [s.point for s in self.data]))
+        signs = sign_table(kinds, [s.point for s in self.data])
+        self.pos = row_masks(signs)
         # a tree with fewer than two rules places no rule below another
         if k >= 2:
             left, right = ancestry_tables(rules)
@@ -268,6 +346,17 @@ class _RuleMasks:
             self.left, self.right = row_masks(left[:, ::-1]), row_masks(right[:, ::-1])
         else:
             self.left = self.right = [0] * self.size
+        # the tables batch counts from: rule signs, the ancestry sides and the
+        # labels one-hot
+        self.labels = None
+        if objective.count_cost is not None:
+            self.signs = signs
+            self.sides = np.stack([right, left]) if k >= 2 else None
+            codes: dict = {}
+            label_of = [codes.setdefault(s.label, len(codes)) for s in self.data]
+            self.labels = np.zeros((len(codes), len(self.data)))
+            self.labels[label_of, np.arange(len(self.data))] = 1.0
+        self.batched = 0
         self.root = ((1 << self.size) - 1, (1 << len(self.data)) - 1, k, constraints.max_depth, 0)
         self._costs: dict[int, Any] = {}
         self._stumps: dict[tuple[int, int], tuple[DecisionTree, Any] | None] = {}
@@ -352,10 +441,7 @@ class _RuleMasks:
             candidate = combine(u, v, i)
             if best is None or candidate < best:
                 best, winner = candidate, i
-        result = None
-        if best is not None:
-            pos = rows & self.pos[winner]
-            result = DNode(DLeaf(pos), winner, DLeaf(rows ^ pos)), (best, -(1 << last - winner))
+        result = None if best is None else (self._stump_tree(rows, winner), (best, -(1 << last - winner)))
         self._stumps[key] = result
         return result
 
@@ -400,6 +486,165 @@ class _RuleMasks:
         self._pairs[key] = result
         return result
 
+    def batch(self) -> None:
+        """Solve the root's one- and two-rule states from label-count tables.
+
+        Those are the root itself when it has at most two rules to place, and
+        otherwise its children that :meth:`leaf` would solve; with four or
+        more rules to place, the stumps each two-rule child tries under each
+        root are memoized too, since they are the children of the three-rule
+        child with the same rows. Results go into the memos of :meth:`stump`
+        and :meth:`pair`, equal to what those would compute. Every temporary
+        is blocked to about ``_BLOCK`` entries over states and roots.
+        """
+        states = [self.root]
+        if self.root[2] > 2:
+            states = [child for left, _, right in self.splits(self.root) for child in (left, right)]
+        stumps: dict = {}
+        pairs: dict = {}
+        for allowed, rows, n, budget, _ in states:
+            if n == 1 and (budget is None or budget >= 1):
+                stumps[allowed, rows] = None
+            elif n == 2 and (budget is None or budget >= 2):
+                pairs[allowed, rows] = None
+        last = self.size - 1
+        # a root in a block stands for two stumps, each a row over rules and samples
+        step = max(1, _BLOCK // (2 * max(1, len(self.labels)) * (self.size + len(self.data))))
+        for memo, keys in ((self._stumps, list(stumps)), (self._pairs, list(pairs))):
+            for lo in range(0, len(keys), step):
+                block = keys[lo : lo + step]
+                # rule j is bit size-1-j of a rule mask
+                allowed = _unpack([a for a, _ in block], self.size)[:, ::-1].copy()
+                rows = _unpack([r for _, r in block], len(self.data))
+                if memo is self._stumps:
+                    found, best, win = self._cheapest(allowed, rows)
+                    results = [
+                        (self._stump_tree(mask, i), (cost, -(1 << last - i))) if hit else None
+                        for (_, mask), hit, cost, i in zip(block, found.tolist(), best.tolist(), win.tolist())
+                    ]
+                else:
+                    results = self._pair_block(block, allowed, rows, step)
+                memo.update(zip(block, results))
+        self.batched += len(stumps) + len(pairs)
+
+    def _leaf_counts(self, flat: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-label counts of the two leaves of each (state, root) in ``flat``.
+
+        Entry s * size + i of ``flat`` stands for state s's rows ``rows[s]``
+        split by rule i. Returns [label, entry] counts on the rule's positive
+        side and on its negative side.
+        """
+        labels = self.labels
+        # [label, state, rule]: the state's rows on the rule's positive side
+        cpos = (labels[:, None, :] * rows) @ self.signs.T
+        pos = cpos.reshape(len(labels), len(rows) * self.size).take(flat, axis=1)
+        return pos, (labels @ rows.T).take(flat // self.size, axis=1) - pos
+
+    def _cheapest(self, allowed: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The first cheapest feasible stump of each state.
+
+        State s holds the rows ``rows[s]`` and may root its stump at the
+        rules ``allowed[s]``. Returns, per state, whether a feasible stump
+        exists, its least cost and the first rule reaching it.
+        """
+        flat = np.flatnonzero(allowed)
+        state, root = np.divmod(flat, self.size)
+        pos, neg = self._leaf_counts(flat, rows)
+        if self.min_leaf:
+            keep = np.flatnonzero((pos.sum(axis=0) >= self.min_leaf) & (neg.sum(axis=0) >= self.min_leaf))
+            pos, neg, state, root = pos[:, keep], neg[:, keep], state[keep], root[keep]
+        found = np.zeros(len(rows), dtype=bool)
+        best = np.full(len(rows), np.inf)
+        win = np.zeros(len(rows), dtype=np.intp)
+        if len(state):
+            leaf = self.objective.count_cost
+            cost = self.objective.combine(leaf(pos), leaf(neg), root)
+            start = np.flatnonzero(np.diff(state, prepend=-1))
+            present = state[start]
+            found[present] = True
+            best[present] = np.minimum.reduceat(cost, start)
+            at_best = np.where(cost == best[state], np.arange(len(cost)), len(cost))
+            win[present] = root[np.minimum.reduceat(at_best, start)]
+        return found, best, win
+
+    def _stump_tree(self, rows: int, i: int) -> DecisionTree:
+        pos = rows & self.pos[i]
+        return DNode(DLeaf(pos), i, DLeaf(rows ^ pos))
+
+    def _pair_block(self, block: list, allowed: np.ndarray, rows: np.ndarray, step: int) -> list:
+        """:meth:`pair` of each (allowed rules, rows) in ``block``.
+
+        Each allowed root j of state s brings two stumps: on j's negative
+        side over its right set, and on its positive side over its left set.
+        Many (state, root, side) share one such stump, so each distinct one
+        is solved once by :meth:`_cheapest`. With four or more rules to
+        place, these stumps are memoized as well: the recursion meets them
+        below the root's three-rule children.
+        """
+        last = self.size - 1
+        flat = np.flatnonzero(allowed)
+        state, root = np.divmod(flat, self.size)  # by state, then ascending root
+        found = np.zeros((2, len(state)), dtype=bool)
+        best, win = np.empty((2, len(state))), np.empty((2, len(state)), dtype=np.intp)
+        nested = self.root[2] >= 4
+        fresh = []
+        for lo in range(0, len(state), step):
+            s, j = state[lo : lo + step], root[lo : lo + step]
+            under = (allowed.take(s, axis=0) & self.sides.take(j, axis=1)).reshape(2 * len(s), -1)
+            positive, rows_s = self.signs.take(j, axis=0), rows.take(s, axis=0)
+            sub_rows = np.concatenate([rows_s & ~positive, rows_s & positive])
+            key = np.concatenate([np.packbits(under, axis=1), np.packbits(sub_rows, axis=1)], axis=1)
+            key = key.view(np.dtype((np.void, key.shape[1]))).ravel()
+            _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+            for out, part in zip((found, best, win), self._cheapest(under[first], sub_rows[first])):
+                out[:, lo : lo + len(s)] = part[inverse].reshape(2, -1)
+            if nested:
+                first = first[under[first].any(axis=1)]
+                fresh.append((first // len(s), lo + first % len(s)))
+        if nested:
+            side, q = (np.concatenate(part) for part in zip(*fresh))
+            masks = (self.right, self.left)
+            for d, s, j, hit, c, m in zip(
+                side.tolist(),
+                state[q].tolist(),
+                root[q].tolist(),
+                found[side, q].tolist(),
+                best[side, q].tolist(),
+                win[side, q].tolist(),
+            ):
+                under = block[s][1] & self.pos[j]
+                key = block[s][0] & masks[d][j], under if d else block[s][1] ^ under
+                if key not in self._stumps:
+                    self._stumps[key] = (self._stump_tree(key[1], m), (c, -(1 << last - m))) if hit else None
+                    self.batched += 1
+        leaves = np.stack(self._leaf_counts(flat, rows), 1)
+        leaf_cost = self.objective.count_cost(leaves)
+        if self.min_leaf:
+            found &= leaves.sum(axis=0) >= self.min_leaf
+        # side 0: a leaf on j's positive side and a stump on its negative
+        # side; side 1 the other way round, as the recursion orders them
+        u, v = np.stack([leaf_cost[0], best[1]]), np.stack([best[0], leaf_cost[1]])
+        cost = self.objective.combine(u, v, root).ravel()
+        partner, side = win.ravel(), np.repeat([0, 1], len(root))
+        state, root = np.tile(state, 2), np.tile(root, 2)
+        # ranked as pair ranks them: cost, then the sorted combination, then
+        # the root; the first of each state wins (a root and its partner fix
+        # the side, the partner being in the root's left set or right set)
+        sel = np.flatnonzero(found.ravel())
+        low, high = np.minimum(root, partner), np.maximum(root, partner)
+        order = sel[np.lexsort((root[sel], high[sel], low[sel], cost[sel], state[sel]))]
+        win = order[np.flatnonzero(np.diff(state[order], prepend=-1))]
+        results: list = [None] * len(block)
+        for s, j, m, d, c in zip(*(a[win].tolist() for a in (state, root, partner, side, cost))):
+            pos = block[s][1] & self.pos[j]
+            neg = block[s][1] ^ pos
+            if d == 0:
+                tree = DNode(DLeaf(pos), j, self._stump_tree(neg, m))
+            else:
+                tree = DNode(self._stump_tree(pos, m), j, DLeaf(neg))
+            results[s] = tree, (c, -(1 << last - m) - (1 << last - j))
+        return results
+
 
 def solve(
     rules: Sequence[Rule],
@@ -426,12 +671,18 @@ def solve(
     :class:`_RuleMasks`). ``stats.nodes`` counts the recursion calls, memo
     hits included, with states of at most two rules left as leaves (so
     k < 3 makes one call); see :class:`SolveStats`. ``leaf_cost`` is called
-    once per distinct leaf row set.
+    at most once per distinct leaf row set, and not for the leaves of states
+    solved from count tables.
     """
     if not 0 <= k <= len(rules):
         raise ValueError(f"cannot choose {k} of {len(rules)} rules")
     front = _RuleMasks(rules, data, k, objective, constraints or SolveConstraints())
+    if objective.count_cost is not None:
+        front.batch()
     best = _optimize(front.root, front.splits, front.leaf, front.combine, stats=stats)
+    if stats is not None:
+        stats.closed_forms += len(front._stumps) + len(front._pairs)
+        stats.batched += front.batched
     return None if best is None else map_leaves(partial(_members, front.data), best[0])
 
 

@@ -104,6 +104,15 @@ def test_fit_malformed_csv_exits_2(tmp_path, capsys):
         assert f"{csv}:3:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["fit", "--k", "1"], ["kd", "--max-depth", "2"]])
+def test_duplicate_point_exits_2(tmp_path, capsys, argv):
+    # no rule separates two rows at one point, whatever their labels
+    csv = tmp_path / "d.csv"
+    write_csv(csv, [(1, 2), (3, 4), (1, 2)], [0, 1, 1] if argv[0] == "fit" else None)
+    assert main([argv[0], str(csv), *argv[1:]]) == 2
+    assert capsys.readouterr().err == f"error: {csv}:4: duplicate point (first on line 2)\n"
+
+
 def test_fit_rules_file_non_finite_exits_2(tmp_path, capsys):
     csv = tmp_path / "d.csv"
     write_csv(csv, [(0.0, 0.0), (1.0, 1.0), (2.0, 0.5)], [0, 1, 0])

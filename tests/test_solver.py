@@ -5,11 +5,13 @@ recursion: the generator's constrained trees of each combination, scored one
 by one.
 """
 
+import dataclasses
 import gc
 import itertools
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from opttree import (
@@ -272,10 +274,17 @@ def _per_combination_reference(rules, k, data, objective, constraints):
     return best
 
 
+def closed_form_paths(objective):
+    """The objective as given, whose count form solves the root's one- and
+    two-rule states from count tables, and without it, so that the Python
+    closed forms solve every state."""
+    return objective, dataclasses.replace(objective, count_cost=None)
+
+
 @pytest.mark.parametrize("kind", ["axis", "hyperplane", "surface2"])
 def test_solve_equals_per_combination_reference(kind):
     # the combination-free solve must return the very tree the brute force
-    # returns, not just one with the same score
+    # returns, not just one with the same score, on either closed-form path
     constraint_sets = [
         None,
         SolveConstraints(min_leaf=2),
@@ -295,7 +304,8 @@ def test_solve_equals_per_combination_reference(kind):
             for cons in constraint_sets:
                 for objective in (MISCLASSIFICATION, TREE_SIZE, LEAF_BALANCE):
                     want = _per_combination_reference(rules, k, space, objective, cons)
-                    assert solve(rules, k, space, objective, cons) == want
+                    for path in closed_form_paths(objective):
+                        assert solve(rules, k, space, path, cons) == want
 
 
 def _tie_heavy_instances():
@@ -315,9 +325,9 @@ def _tie_heavy_instances():
 @pytest.mark.parametrize("name", ["single-label", "duplicates", "three-labels"])
 @pytest.mark.parametrize("kind", ["axis", "hyperplane"])
 def test_solve_equals_reference_on_tie_heavy_inputs(kind, name):
-    # one- and two-rule states are solved in closed form; the winner must
-    # still be the brute force's tree, with MISCLASSIFICATION and
-    # LEAF_BALANCE, and at k=3 and k=4 two-rule states sit below the root
+    # one- and two-rule states are solved in closed form, from count tables
+    # or in Python; the winner must still be the brute force's tree, and at
+    # k=3 and k=4 two-rule states sit below the root
     data = _tie_heavy_instances()[name]
     enumerate_rules = enumerate_axis_rules if kind == "axis" else enumerate_hyperplane_rules
     rules = enumerate_rules(data)[:8]
@@ -334,9 +344,10 @@ def test_solve_equals_reference_on_tie_heavy_inputs(kind, name):
     ]
     for k in (1, 2, 3, 4):
         for cons in constraint_sets:
-            for objective in (MISCLASSIFICATION, LEAF_BALANCE):
+            for objective in (MISCLASSIFICATION, LEAF_BALANCE, TREE_SIZE):
                 want = _per_combination_reference(rules, k, data, objective, cons)
-                assert solve(rules, k, data, objective, cons) == want
+                for path in closed_form_paths(objective):
+                    assert solve(rules, k, data, path, cons) == want
                 if cons is None:
                     assert want is not None
                 elif cons == SolveConstraints(max_depth=1):
@@ -497,6 +508,82 @@ def test_solve_costs_each_leaf_row_set_once():
             assert tree == solve(rules, k, data, MISCLASSIFICATION, cons)
             assert costed
             assert len(costed) == len(set(costed))
+
+
+def _distinct_points(seed, n):
+    # distinct x and distinct y on a 0.01 grid, two labels
+    rng = random.Random(seed)
+    xs, ys = rng.sample(range(1000), n), rng.sample(range(1000), n)
+    return make_dataset([(x / 100, y / 100) for x, y in zip(xs, ys)], [rng.randint(0, 1) for _ in range(n)])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_closed_form_paths_agree_on_large_hyperplane_table(k):
+    # a table too large for the brute force: both closed-form paths must
+    # return the same tree after the same recursion
+    data = _distinct_points(20, 20)
+    rules = enumerate_hyperplane_rules(data)
+    if k == 3:
+        rules = rules[:40]
+    for cons in (None, SolveConstraints(min_leaf=3)):
+        for objective in (MISCLASSIFICATION, LEAF_BALANCE, TREE_SIZE):
+            results = []
+            for path in closed_form_paths(objective):
+                stats = SolveStats()
+                results.append((solve(rules, k, data, path, cons, stats=stats), stats.nodes))
+            assert results[0] == results[1]
+
+
+def test_closed_form_paths_agree_without_data():
+    # no rows leave the count tables without a label
+    rules = enumerate_axis_rules(_distinct_points(3, 10))
+    for k in (1, 2, 3):
+        trees = [solve(rules, k, (), path) for path in closed_form_paths(MISCLASSIFICATION)]
+        assert trees[0] == trees[1] is not None
+
+
+def test_solve_stats_count_closed_forms():
+    data = _distinct_points(1, 26)
+    stats = SolveStats()
+    solve(enumerate_hyperplane_rules(data), 1, data, MISCLASSIFICATION, stats=stats)
+    # the root is the one one-rule state, solved from count tables
+    assert stats.batched == stats.closed_forms == 1
+    rules = enumerate_axis_rules(data[:12])
+    for k in (1, 2, 3, 4, 5):
+        tables, python = SolveStats(), SolveStats()
+        for path, stats in zip(closed_form_paths(MISCLASSIFICATION), (tables, python)):
+            solve(rules, k, data, path, stats=stats)
+        # the path changes no recursion call
+        assert tables.nodes == python.nodes
+        # without a count form nothing comes from count tables
+        assert python.batched == 0 < python.closed_forms
+        if k <= 3:
+            # below a root with at most three rules to place, every closed
+            # form comes from count tables, and only the states the recursion
+            # meets are memoized; the Python pair also memoizes the stumps it
+            # tries, so from two rules on its memos hold more
+            assert tables.batched == tables.closed_forms
+            assert (tables.closed_forms == 1) == (k <= 2)
+            assert (tables.closed_forms == python.closed_forms) == (k == 1)
+        else:
+            # from four rules on, the count tables also memoize the stumps
+            # below the root's two-rule children, which are the states the
+            # Python closed forms would have solved
+            assert 0 < tables.batched < tables.closed_forms == python.closed_forms
+
+
+@pytest.mark.parametrize("objective", [MISCLASSIFICATION, LEAF_BALANCE, TREE_SIZE])
+def test_count_cost_equals_leaf_cost(objective):
+    # labels on axis 0; any leaf shape after it; int or float counts
+    rng = random.Random(5)
+    for alphabet in ((3,), (0, -1), (-4, 2, 9)):
+        leaves = [()] + [tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 9))) for _ in range(20)]
+        want = [objective.leaf_cost(make_dataset([(0.0,)] * len(leaf), leaf)) for leaf in leaves]
+        counts = np.array([[leaf.count(label) for leaf in leaves] for label in alphabet])
+        for table in (counts, counts.astype(float), counts.reshape(len(alphabet), 3, 7)):
+            got = objective.count_cost(table)
+            assert got.dtype == np.float64
+            assert got.ravel().tolist() == want
 
 
 def test_solvers_leave_no_cyclic_garbage():
