@@ -124,11 +124,10 @@ def _build_rules(args, data: Dataset) -> tuple[list[Rule], Dataset]:
         return enumerate_axis_rules(data), data
     if args.rules == "hyperplane":
         return enumerate_hyperplane_rules(data), data
-    if args.rules == "surface2":
-        if dimension(data) != 2:
-            raise ValueError("surface2 rules require 2D data")
-        return enumerate_surface2_rules(data), lift_dataset(data)
-    raise ValueError(f"unknown rule kind {args.rules!r}")
+    # argparse's choices leave surface2
+    if dimension(data) != 2:
+        raise ValueError("surface2 rules require 2D data")
+    return enumerate_surface2_rules(data), lift_dataset(data)
 
 
 def _leaf_report(tree: DecisionTree) -> list[str]:
@@ -190,8 +189,9 @@ def _cmd_check(args) -> int:
     tree = solve(rules, args.k, space, objective)
     solver_score = None if tree is None else tree_cost(tree, objective)
 
-    # one matrix for the whole table, read by global rule ids
-    matrix = ancestry_matrix(rules)
+    # one matrix for the whole table, read by global rule ids; a tree of
+    # fewer than two rules reads no entry, so none is built for it
+    matrix = ancestry_matrix(rules) if args.k >= 2 else None
     pairs = enumerate_permutation_trees(rules, args.k, matrix)
     costs = shape_costs((shape for _, shape in pairs), rules, space, objective)
     oracle_score = min(costs, default=None)
@@ -222,7 +222,7 @@ def _cmd_bsp(args) -> int:
 
 def _cmd_mcmp(args) -> int:
     try:
-        values = [int(plain_number(v)) for v in args.dims.split(",") if v.strip()]
+        values = [int(plain_number(v)) for v in args.dims.split(",")]
     except ValueError:
         raise ValueError(f"malformed dimension list {args.dims!r}") from None
     if len(values) < 2:

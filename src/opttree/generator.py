@@ -174,16 +174,17 @@ def enumerate_permutation_trees(
 
     Every ordering of every k-combination of global rule ids is run through
     :func:`tree_from_permutation` against ``matrix``, the ancestry matrix of
-    the whole table (built from the defining points when not given); a
-    matrix entry depends only on its two rules, so this is the tree each
-    combination's own matrix gives. The survivors stream out as (ordering,
-    shape) pairs, combinations in lexicographic order and orderings in
-    :func:`itertools.permutations` order within each. A k above the table
-    size raises ValueError at the call, before anything is generated.
+    the whole table (built from the defining points when not given and k is
+    at least 2; a tree of fewer rules reads no entry); a matrix entry depends
+    only on its two rules, so this is the tree each combination's own matrix
+    gives. The survivors stream out as (ordering, shape) pairs, combinations
+    in lexicographic order and orderings in :func:`itertools.permutations`
+    order within each. A k above the table size raises ValueError at the
+    call, before anything is generated.
     """
     if k > len(rules):
         raise ValueError(f"cannot choose {k} of {len(rules)} rules")
-    if matrix is None:
+    if matrix is None and k >= 2:
         matrix = ancestry_matrix(rules)
 
     def pairs() -> Iterator[tuple[Permutation, DecisionTree]]:

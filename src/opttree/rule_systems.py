@@ -142,8 +142,8 @@ def splits_generic(
     for i in idx:
         if not root_feasible(i, idx, matrix):
             continue
-        left = tuple(j for j in idx if j != i and matrix.entry(i, j) > 0)
-        right = tuple(j for j in idx if j != i and matrix.entry(i, j) < 0)
+        left = tuple(j for j in idx if j != i and matrix[i][j] > 0)
+        right = tuple(j for j in idx if j != i and matrix[i][j] < 0)
         out.append((left, i, right))
     return out
 

@@ -1,4 +1,4 @@
-"""Splitting rules: geometric sign predicates, ancestry matrices, axiom checks.
+"""Splitting rules: geometric sign predicates and ancestry matrices.
 
 A :class:`Rule` is a kind (:class:`AxisParallel` or :class:`Hyperplane`) plus
 the data points that define its boundary. Rules live in a table, a sequence,
@@ -8,9 +8,10 @@ A rule cuts the ambient space into a positive and a negative region. Which
 region a point falls in is decided by :func:`classify`; points exactly on a
 boundary count as positive so that every predicate is two-valued and
 deterministic. The pairwise placement constraints between rules are recorded
-in an :class:`AncestryMatrix`: entry ``(i, j)`` is +1 when rule ``j`` may only
-live in the left (positive) subtree of rule ``i``, -1 for the right subtree,
-and 0 when neither placement is admissible.
+in an ancestry matrix, a plain K x K tuple of rows (:data:`AncestryMatrix`):
+entry ``matrix[i][j]`` is +1 when rule ``j`` may only live in the left
+(positive) subtree of rule ``i``, -1 for the right subtree, and 0 when
+neither placement is admissible; the diagonal is 0.
 
 :func:`classify` and :func:`ancestry_matrix` are the specification, one point
 at a time; the brute-force oracles use them. :func:`sign_table` computes the
@@ -202,21 +203,9 @@ def split_dataset(rule: Rule | RuleKind, data: Dataset) -> tuple[Dataset, Datase
     return pos, neg
 
 
-@dataclass(frozen=True)
-class AncestryMatrix:
-    """K x K placement constraints with entries in {-1, 0, +1}.
-
-    Indices refer to positions in the rule sequence the matrix was built from.
-    """
-
-    entries: tuple[tuple[int, ...], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i][j]
+# K x K placement constraints in {-1, 0, +1}; row and column indices are
+# positions in the rule table the matrix was built from.
+AncestryMatrix = tuple[tuple[int, ...], ...]
 
 
 def ancestry_matrix(rules: Sequence[Rule]) -> AncestryMatrix:
@@ -237,7 +226,7 @@ def ancestry_matrix(rules: Sequence[Rule]) -> AncestryMatrix:
             signs = {classify(ri, q) for q in rj.defining_points}
             row.append(1 if signs == {1} else -1 if signs == {-1} else 0)
         rows.append(tuple(row))
-    return AncestryMatrix(tuple(rows))
+    return tuple(rows)
 
 
 def ancestry_tables(rules: Sequence[Rule]) -> tuple[np.ndarray, np.ndarray]:
@@ -267,39 +256,6 @@ def ancestry_tables(rules: Sequence[Rule]) -> tuple[np.ndarray, np.ndarray]:
     return left, right
 
 
-@dataclass(frozen=True)
-class AxiomReport:
-    """Outcome of the structural checks on an ancestry matrix."""
-
-    diagonal_offenders: tuple[tuple[int, int], ...]
-    range_offenders: tuple[tuple[int, int], ...]
-
-    @property
-    def diagonal_ok(self) -> bool:
-        return not self.diagonal_offenders
-
-    @property
-    def range_ok(self) -> bool:
-        return not self.range_offenders
-
-    @property
-    def passed(self) -> bool:
-        return self.diagonal_ok and self.range_ok
-
-
-def validate_axioms(matrix: AncestryMatrix) -> AxiomReport:
-    """Check the zero diagonal and the {-1, 0, +1} value range."""
-    diagonal = []
-    valrange = []
-    for i, row in enumerate(matrix.entries):
-        for j, v in enumerate(row):
-            if i == j and v != 0:
-                diagonal.append((i, j))
-            if v not in (-1, 0, 1):
-                valrange.append((i, j))
-    return AxiomReport(tuple(diagonal), tuple(valrange))
-
-
 def root_feasible(i: int, indices: Iterable[int], matrix: AncestryMatrix) -> bool:
     """True when rule i relates to every other index, so it can head the set."""
-    return all(matrix.entry(i, j) != 0 for j in indices if j != i)
+    return all(matrix[i][j] != 0 for j in indices if j != i)

@@ -263,8 +263,8 @@ class _RuleMasks:
     least two rules are to be placed, the left and right sets from
     :func:`~opttree.rules.ancestry_tables`, sign tables over the defining
     points. They equal what :func:`~opttree.rules.classify` and
-    :func:`~opttree.rules.ancestry_matrix` give, bit for bit, and no
-    :class:`~opttree.rules.AncestryMatrix` tuple is built.
+    :func:`~opttree.rules.ancestry_matrix` give, bit for bit, and that
+    tuple table is never built.
 
     A state with no rule left, or with one or two rules left and depth to
     place them, is a leaf of the recursion. One rule left is solved in closed
@@ -579,7 +579,11 @@ class _RuleMasks:
         Many (state, root, side) share one such stump, so each distinct one
         is solved once by :meth:`_cheapest`. With four or more rules to
         place, these stumps are memoized as well: the recursion meets them
-        below the root's three-rule children.
+        below the root's three-rule children. On uniform 2-D data with two
+        labels (axis N=12, seeds 1-3, 20 alternating in-process pairs, 2-vCPU
+        VM), that memo took the median solve at k=4 from 19.4-23.3 ms to
+        17.9-21.8 ms, faster in 16-19 of 20 pairs; at k=5 it is even (67.8-94.1
+        ms with it, 66.1-93.6 ms without, faster in 10-11 of 20 pairs).
         """
         last = self.size - 1
         flat = np.flatnonzero(allowed)

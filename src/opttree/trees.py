@@ -59,7 +59,7 @@ def level_order(tree: DecisionTree) -> Permutation:
 def _insert(tree: DecisionTree, rid: int, matrix: AncestryMatrix) -> DecisionTree | None:
     if isinstance(tree, DLeaf):
         return DNode(LEAF, rid, LEAF)
-    side = matrix.entry(tree.rule_id, rid)
+    side = matrix[tree.rule_id][rid]
     if side == 0:
         return None
     if side > 0:

@@ -16,7 +16,6 @@ from collections import Counter
 
 
 from opttree import (
-    AncestryMatrix,
     AxisParallel,
     DLeaf,
     DNode,
@@ -161,7 +160,7 @@ def test_criterion_2_generator_matches_oracle_sets():
 
 
 def all_positive_matrix(k):
-    return AncestryMatrix(tuple(tuple(0 if i == j else 1 for j in range(k)) for i in range(k)))
+    return tuple(tuple(0 if i == j else 1 for j in range(k)) for i in range(k))
 
 
 def test_criterion_3_factorial_worst_case():
@@ -189,7 +188,7 @@ def test_criterion_4_four_hyperplane_reproduction():
     ]
     shapes = all_tree_shapes(range(4), matrix)
     ok = (
-        matrix.entry(0, 2) == 0
+        matrix[0][2] == 0
         and len(valid) == 3
         and len(shapes) == 3
         and math.factorial(4) == 24

@@ -102,6 +102,15 @@ def test_fit_malformed_csv_exits_2(tmp_path, capsys):
         csv.write_text(f"f0,f1,label\n1,2,0\n{row}\n")
         assert main(["fit", str(csv), "--k", "1"]) == 2
         assert f"{csv}:3:" in capsys.readouterr().err
+    for text, message in (
+        ("", f"{csv}: empty file"),
+        ("a,b,label\n1,2,0\n", f"{csv}: header must be f0..f1,label"),
+        ("f0,f1,label\n1,2,0\n1,2\n", f"{csv}:3: expected 3 columns"),
+        ("f0,f1,label\n", f"{csv}: no data rows"),
+    ):
+        csv.write_text(text)
+        assert main(["fit", str(csv), "--k", "1"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [["fit", "--k", "1"], ["kd", "--max-depth", "2"]])
@@ -142,6 +151,40 @@ def test_fit_rules_file_fractional_dimension_exits_2(tmp_path, capsys):
         rules.write_text(f"axis 1 0 0\n{line}\n")
         assert main(["fit", str(csv), "--k", "1", "--rules-file", str(rules)]) == 2
         assert f"{rules}:2: dimension must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("axis 1 0 0\naxis 0 1\n", "{rules}:2: axis needs a dimension and one point"),
+        ("axis 1 0 0\naxis 2 1 1\n", "{rules}:2: dimension out of range"),
+        ("axis 1 0 0\nhyp 0 0 1\n", "{rules}:2: hyp needs 2 points"),
+        ("axis 1 0 0\nhyp 0 0 2 2 1 1\n", "{rules}:2: hyp needs 2 points"),
+        ("axis 1 0 0\nhyp 1 1 1 1\n", "{rules}:2: points are affinely dependent"),
+        ("axis 1 0 0\nsplit 0 1 1\n", "{rules}:2: unknown rule tag 'split'"),
+        ("\n", "{rules}: no rules"),
+    ],
+)
+def test_fit_rules_file_malformed_exits_2(tmp_path, capsys, text, message):
+    csv = tmp_path / "d.csv"
+    write_csv(csv, [(0.0, 0.0), (1.0, 1.0), (2.0, 0.5)], [0, 1, 0])
+    rules = tmp_path / "r.txt"
+    rules.write_text(text)
+    assert main(["fit", str(csv), "--k", "1", "--rules-file", str(rules)]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(rules=rules)}\n"
+
+
+def test_surface2_rule_table_errors_exit_2(tmp_path, capsys):
+    csv, line, rules = tmp_path / "d.csv", tmp_path / "line.csv", tmp_path / "r.txt"
+    write_csv(csv, [(0.0, 0.0), (1.0, 1.0), (2.0, 0.5)], [0, 1, 0])
+    write_csv(line, [(0.0,), (1.0,), (2.0,)], [0, 1, 0])
+    rules.write_text("axis 1 0 0\n")
+    for argv, message in (
+        ([csv, "--rules-file", rules], "--rules-file cannot be combined with surface2"),
+        ([line], "surface2 rules require 2D data"),
+    ):
+        assert main(["fit", *map(str, argv), "--k", "1", "--rules", "surface2"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -311,6 +354,34 @@ def test_check_output_is_pinned(tmp_path, capsys, rules, seed, n, k):
     assert out.splitlines() == CHECK_OUTPUTS[rules, seed, n, k]
 
 
+# `check` at k=0 and k=1 on 14 seeded points (seed 5), where no tree of
+# fewer than two rules reads an ancestry entry. Keys: rules, k; values: the
+# combination count (every count line equals it at k <= 1) and the score.
+CHECK_ONE_RULE_OUTPUTS = {("axis", 1): (28, 2), ("surface2", 0): (1, 5), ("surface2", 1): (1019, 0)}
+
+
+def test_check_below_two_rules_builds_no_ancestry_matrix(tmp_path, capsys, monkeypatch):
+    import opttree.cli
+    import opttree.generator
+
+    def refuse(rules):
+        raise AssertionError("ancestry matrix built for a tree of fewer than two rules")
+
+    monkeypatch.setattr(opttree.cli, "ancestry_matrix", refuse)
+    monkeypatch.setattr(opttree.generator, "ancestry_matrix", refuse)
+    csv = tmp_path / "d.csv"
+    seeded_csv(csv, 5, n=14)
+    for (rules, k), (n, score) in CHECK_ONE_RULE_OUTPUTS.items():
+        code, out = run(capsys, "check", csv, "--rules", rules, "--k", k)
+        assert code == 0
+        assert out.splitlines() == [
+            *(f"{key}: {n}" for key in ("combinations", "permutations", "valid permutations", "trees generated")),
+            f"solver score: {score}",
+            f"oracle score: {score}",
+            "result: PASS",
+        ]
+
+
 # A scene of five segments; three of them cross others and are fragmented.
 PINNED_SCENE = "0 0 4 0\n1 -2 1 3\n3 -1 3 2\n-1 1 5 2\n2 -3 2 -1\n"
 
@@ -455,6 +526,10 @@ def test_bsp_malformed_scene(tmp_path, capsys):
         scene.write_text(f"1 1 2 2\n{line}\n")
         assert main(["bsp", str(scene)]) == 2
         assert f"{scene}:2:" in capsys.readouterr().err
+    for text, message in (("1 1 2 2\n1 1 1 1\n", f"{scene}:2: degenerate segment"), ("\n", f"{scene}: no segments")):
+        scene.write_text(text)
+        assert main(["bsp", str(scene)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_mcmp_command(capsys):
@@ -476,6 +551,13 @@ def test_mcmp_malformed(capsys):
     assert run(capsys, "mcmp", "10,x,3")[0] == 2
     assert run(capsys, "mcmp", "10,3_0,3")[0] == 2
     assert run(capsys, "mcmp", "10,\u0663,3")[0] == 2
+    # an empty field is malformed, not skipped
+    for dims in ("10,,30", "10,30,", ",10,30"):
+        assert main(["mcmp", dims]) == 2
+        assert capsys.readouterr().err == f"error: malformed dimension list {dims!r}\n"
+    for dims in ("10,0,3", "10,-3,3"):
+        assert main(["mcmp", dims]) == 2
+        assert capsys.readouterr().err == "error: dimensions must be positive\n"
 
 
 def test_kd_command(tmp_path, capsys):

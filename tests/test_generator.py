@@ -11,7 +11,6 @@ import pytest
 
 from opttree import (
     LEAF,
-    AncestryMatrix,
     DLeaf,
     DNode,
     Rule,
@@ -43,11 +42,11 @@ from helpers import leaf_payloads, random_instance, relabel, route_leaf_contents
 
 def chain_matrix(k):
     """Every off-diagonal entry +1: any rule roots, all others go left."""
-    return AncestryMatrix(tuple(tuple(0 if i == j else 1 for j in range(k)) for i in range(k)))
+    return tuple(tuple(0 if i == j else 1 for j in range(k)) for i in range(k))
 
 
 def test_all_tree_shapes_empty():
-    assert all_tree_shapes((), AncestryMatrix(())) == [LEAF]
+    assert all_tree_shapes((), ()) == [LEAF]
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
@@ -82,7 +81,7 @@ def test_four_line_configuration_has_three_trees():
 
     rules = four_line_rules()
     matrix = ancestry_matrix(rules)
-    assert matrix.entry(0, 2) == 0  # rule 0 cannot head the full set
+    assert matrix[0][2] == 0  # rule 0 cannot head the full set
     assert not root_feasible(0, range(4), matrix)
     assert 0 not in [root for _, root, _ in splits_generic(range(4), matrix)]
     shapes = all_tree_shapes(range(4), matrix)
@@ -263,7 +262,7 @@ def test_count_tree_shapes_catalan_and_factorial():
         data = make_dataset([(float(x),) for x in range(k)], [0] * k)
         rules = enumerate_axis_rules(data) if k else []
         matrix = ancestry_matrix(rules)
-        assert all(matrix.entry(i, j) == (1 if j < i else -1) for i in range(k) for j in range(k) if i != j)
+        assert all(matrix[i][j] == (1 if j < i else -1) for i in range(k) for j in range(k) if i != j)
         assert count_tree_shapes([range(k)], matrix) == math.comb(2 * k, k) // (k + 1)
     # every entry +1: any rule roots and all others go left, k! chains
     for k in range(6):
@@ -279,7 +278,7 @@ def test_permutation_trees_equal_sliced_and_relabeled_reference(kind):
         out = []
         for combo in itertools.combinations(range(len(rules)), k):
             local = ancestry_matrix([rules[i] for i in combo])
-            sliced = AncestryMatrix(tuple(tuple(matrix.entry(i, j) for j in combo) for i in combo))
+            sliced = tuple(tuple(matrix[i][j] for j in combo) for i in combo)
             assert local == sliced
             for perm in itertools.permutations(range(k)):
                 tree = tree_from_permutation(perm, local)
@@ -301,7 +300,7 @@ def test_permutation_trees_equal_sliced_and_relabeled_reference(kind):
 
 def test_all_trees_empty_and_single():
     data = make_dataset([(1.0,), (3.0,)], [0, 1])
-    assert all_trees((), AncestryMatrix(()), [], data) == [DLeaf(data)]
+    assert all_trees((), (), [], data) == [DLeaf(data)]
     rules = enumerate_axis_rules(data)
     matrix = ancestry_matrix(rules)
     (tree,) = all_trees((0,), matrix, rules, data)
@@ -358,7 +357,7 @@ def test_generation_properness():
 
         for side in (1, -1):
             for rid in descendants(shape, side):
-                assert matrix.entry(shape.rule_id, rid) == side
+                assert matrix[shape.rule_id][rid] == side
         check(shape.left)
         check(shape.right)
 

@@ -7,7 +7,6 @@ import random
 import pytest
 
 from opttree import (
-    AncestryMatrix,
     Hyperplane,
     MatrixDim,
     Rule,
@@ -143,7 +142,7 @@ def test_lifted_rules_match_polynomial_sign():
 
 
 def test_splits_generic_partition():
-    m = AncestryMatrix(((0, 1, -1), (-1, 0, -1), (1, 1, 0)))
+    m = ((0, 1, -1), (-1, 0, -1), (1, 1, 0))
     triples = splits_generic((0, 1, 2), m)
     assert [t[1] for t in triples] == [0, 1, 2]  # ascending roots
     for left, root, right in triples:
@@ -152,13 +151,13 @@ def test_splits_generic_partition():
 
 
 def test_splits_generic_singleton_and_infeasible():
-    m = AncestryMatrix(((0, 0), (0, 0)))
+    m = ((0, 0), (0, 0))
     assert splits_generic((0,), m) == [((), 0, ())]
     assert splits_generic((0, 1), m) == []
 
 
 def test_splits_generic_all_positive():
-    m = AncestryMatrix(tuple(tuple(0 if i == j else 1 for j in range(3)) for i in range(3)))
+    m = tuple(tuple(0 if i == j else 1 for j in range(3)) for i in range(3))
     triples = splits_generic((0, 1, 2), m)
     assert len(triples) == 3
     for left, root, right in triples:

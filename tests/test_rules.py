@@ -1,4 +1,4 @@
-"""Classification predicates, ancestry matrices, axiom validation."""
+"""Classification predicates and ancestry matrices."""
 
 import math
 import random
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from opttree import (
     EPS,
-    AncestryMatrix,
     AxisParallel,
     Hyperplane,
     Rule,
@@ -25,7 +24,6 @@ from opttree import (
     root_feasible,
     row_masks,
     sign_table,
-    validate_axioms,
 )
 
 
@@ -99,7 +97,7 @@ def _vertical(x, positive_left=True):
 
 def test_ancestry_matrix_single_rule():
     m = ancestry_matrix([_vertical(1.0)])
-    assert m.entries == ((0,),)
+    assert m == ((0,),)
 
 
 def test_ancestry_matrix_parallel_lines():
@@ -108,8 +106,8 @@ def test_ancestry_matrix_parallel_lines():
     r1 = _vertical(1.0)
     r2 = _vertical(3.0)
     m = ancestry_matrix([r1, r2])
-    assert m.entry(0, 1) == -1
-    assert m.entry(1, 0) == 1
+    assert m[0][1] == -1
+    assert m[1][0] == 1
 
 
 def test_ancestry_matrix_requires_defining_points():
@@ -130,7 +128,7 @@ def test_ancestry_tables_equal_ancestry_matrix():
     ]
     for table in ([], rules[:1], rules):
         left, right = ancestry_tables(table)
-        entries = ancestry_matrix(table).entries
+        entries = ancestry_matrix(table)
         assert left.tolist() == [[e > 0 for e in row] for row in entries]
         assert right.tolist() == [[e < 0 for e in row] for row in entries]
     assert {-1, 0, 1} <= {e for row in entries for e in row}
@@ -139,24 +137,18 @@ def test_ancestry_tables_equal_ancestry_matrix():
         ancestry_tables([Rule(AxisParallel(0, 1.0)), _vertical(2.0)])
 
 
-def test_validate_axioms():
-    assert validate_axioms(AncestryMatrix(((0,),))).passed
-    bad_diag = AncestryMatrix(((1, 0), (0, 0)))
-    report = validate_axioms(bad_diag)
-    assert not report.passed
-    assert report.diagonal_offenders == ((0, 0),)
-    bad_range = AncestryMatrix(((0, 2), (0, 0)))
-    report = validate_axioms(bad_range)
-    assert report.range_offenders == ((0, 1),)
-
-
 @given(st.lists(st.tuples(st.floats(0, 10), st.floats(0, 10)), min_size=2, max_size=5))
 @settings(max_examples=60, deadline=None)
 def test_constructed_matrices_always_pass_axioms(xs):
     rules = []
     for i, (x, y) in enumerate(xs):
         rules.append(Rule(AxisParallel(i % 2, (x, y)[i % 2]), ((x, y),)))
-    assert validate_axioms(ancestry_matrix(rules)).passed
+    m = ancestry_matrix(rules)
+    # a tuple of K rows of K entries in {-1, 0, +1}, zero on the diagonal
+    assert type(m) is tuple and len(m) == len(rules)
+    assert all(type(row) is tuple and len(row) == len(rules) for row in m)
+    assert all(m[i][i] == 0 for i in range(len(m)))
+    assert {e for row in m for e in row} <= {-1, 0, 1}
 
 
 def test_matrix_antisymmetry_recheck():
@@ -165,7 +157,7 @@ def test_matrix_antisymmetry_recheck():
     m = ancestry_matrix(rules)
     for i in range(3):
         for j in range(3):
-            if m.entry(i, j) == 1:
+            if m[i][j] == 1:
                 assert all(classify(rules[i], q) == 1 for q in rules[j].defining_points)
 
 
@@ -178,11 +170,11 @@ def test_epsilon_stability():
         Rule(r.kind, tuple((p[0] + delta, p[1] - delta) for p in r.defining_points))
         for r in rules
     ]
-    assert ancestry_matrix(nudged).entries == m.entries
+    assert ancestry_matrix(nudged) == m
 
 
 def test_root_feasible():
-    m = AncestryMatrix(((0, 1, 0), (-1, 0, 1), (0, -1, 0)))
+    m = ((0, 1, 0), (-1, 0, 1), (0, -1, 0))
     assert root_feasible(1, (0, 1, 2), m)
     assert not root_feasible(0, (0, 1, 2), m)  # entry (0, 2) is 0
     assert root_feasible(0, (0,), m)  # vacuous on a singleton

@@ -398,12 +398,12 @@ def test_rule_masks_equal_ancestry_matrix_and_classify(name):
     matrix = ancestry_matrix(rules)
     front = _RuleMasks(rules, data, 2, MISCLASSIFICATION, SolveConstraints())
     size = len(rules)
-    for i, row in enumerate(matrix.entries):
+    for i, row in enumerate(matrix):
         assert front.left[i] == sum(1 << (size - 1 - j) for j, e in enumerate(row) if e > 0)
         assert front.right[i] == sum(1 << (size - 1 - j) for j, e in enumerate(row) if e < 0)
         positive = [classify(rules[i], s.point) > 0 for s in data]
         assert front.pos[i] == sum(1 << r for r, p in enumerate(positive) if p)
-    assert len({e for row in matrix.entries for e in row}) == 3 or name == "surface2-grid"
+    assert len({e for row in matrix for e in row}) == 3 or name == "surface2-grid"
     # some defining point sits on another rule's boundary, within EPS
     assert any(
         _on_boundary(ri.kind, q)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from opttree import (
     LEAF,
-    AncestryMatrix,
     AxisParallel,
     DLeaf,
     DNode,
@@ -23,7 +22,7 @@ from helpers import leaf_payloads
 
 
 def matrix_of(rows):
-    return AncestryMatrix(tuple(tuple(r) for r in rows))
+    return tuple(tuple(r) for r in rows)
 
 
 # r1 at the root, r2 left, r3 right (0-indexed ids 0, 1, 2)
@@ -84,7 +83,7 @@ def small_matrices(max_k=4):
         it = iter(draw)
         for i in range(k):
             rows.append(tuple(0 if i == j else next(it) for j in range(k)))
-        return AncestryMatrix(tuple(rows))
+        return tuple(rows)
 
     return st.integers(min_value=1, max_value=max_k).flatmap(
         lambda k: st.tuples(
@@ -99,9 +98,9 @@ def small_matrices(max_k=4):
 @given(small_matrices())
 @settings(max_examples=120, deadline=None)
 def test_round_trip_and_injectivity(matrix):
-    shapes = all_tree_shapes(range(matrix.size), matrix)
+    shapes = all_tree_shapes(range(len(matrix)), matrix)
     # injectivity into the orderings bounds the tree count by k!
-    assert len(shapes) <= math.factorial(matrix.size)
+    assert len(shapes) <= math.factorial(len(matrix))
     orders = [level_order(t) for t in shapes]
     # distinct trees yield distinct traversals
     assert len(set(orders)) == len(orders)
