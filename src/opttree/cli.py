@@ -13,7 +13,7 @@ import sys
 from typing import Sequence
 
 from .data import Dataset, dimension, load_csv, plain_number
-from .generator import count_tree_shapes, enumerate_permutation_trees, shape_costs
+from .generator import count_tree_shapes, permutation_costs
 from .rules import AxisParallel, Rule, ancestry_matrix, hyperplane_from_points
 from .rule_systems import (
     SceneSegment,
@@ -192,8 +192,7 @@ def _cmd_check(args) -> int:
     # one matrix for the whole table, read by global rule ids; a tree of
     # fewer than two rules reads no entry, so none is built for it
     matrix = ancestry_matrix(rules) if args.k >= 2 else None
-    pairs = enumerate_permutation_trees(rules, args.k, matrix)
-    costs = shape_costs((shape for _, shape in pairs), rules, space, objective)
+    costs = permutation_costs(rules, args.k, space, objective, matrix)
     oracle_score = min(costs, default=None)
 
     n_trees = count_tree_shapes(itertools.combinations(range(len(rules)), args.k), matrix)

@@ -5,13 +5,16 @@ they materialize every admissible tree instead of fusing the minimum into the
 recursion. Output order is deterministic (root index ascending, left subtree
 choices before right), so generated sequences are reproducible and comparable.
 
-The permutation pipeline streams the shapes (trees of rule ids with
-:data:`~opttree.trees.LEAF` leaves) that :func:`tree_from_permutation` rebuilds
-from every ordering of every k-combination, against one ancestry matrix of the
-whole table. :func:`_route_fold` routes sample-position bitmasks from the root
-against a sign table filled lazily, one rule at a time, to complete shapes
-(:func:`complete_shapes`, behind :func:`all_trees`) or score them
-(:func:`shape_costs`); :func:`all_trees_constrained` splits samples with
+The permutation pipeline walks the orderings of every k-combination depth
+first against one ancestry matrix of the whole table, placing each rule at a
+heap position as :func:`~opttree.trees.tree_from_permutation` does and
+dropping a prefix, with all its extensions, at its first invalid step.
+:func:`enumerate_permutation_trees` streams the surviving orderings with
+their shapes (trees of rule ids with :data:`~opttree.trees.LEAF` leaves);
+:func:`permutation_costs` scores the same placements without building a
+tree. It and :func:`complete_shapes` (behind :func:`all_trees`) route
+sample-position bitmasks from the root against sign masks computed lazily,
+one rule at a time; :func:`all_trees_constrained` splits samples with
 :func:`~opttree.rules.split_dataset` as it recurses, so it can prune.
 :func:`count_tree_shapes` counts what :func:`all_tree_shapes` would build
 without building it. Nothing here imports the solver.
@@ -25,7 +28,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 from .data import Dataset
 from .rules import AncestryMatrix, Rule, ancestry_matrix, classify, split_dataset
 from .rule_systems import MatrixDim, splits_generic, splits_mcmp
-from .trees import LEAF, DecisionTree, DLeaf, DNode, Permutation, tree_from_permutation
+from .trees import LEAF, DecisionTree, DLeaf, DNode, Permutation, Placement, descend, placement_shape
 
 
 def all_tree_shapes(indices: Iterable[int], matrix: AncestryMatrix) -> list[DecisionTree]:
@@ -63,42 +66,26 @@ def count_tree_shapes(index_sets: Iterable[Iterable[int]], matrix: AncestryMatri
     return sum(count(tuple(sorted(s))) for s in index_sets)
 
 
-def _route_fold(
-    shapes: Iterable[DecisionTree],
-    rules: Sequence[Rule],
-    data: Dataset,
-    leaf: Callable[[Dataset], Any],
-    node: Callable[[Any, int, Any], Any],
-) -> list:
-    """Fold every shape bottom up, each leaf given the data reaching it.
+def _positive_masks(rules: Sequence[Rule], samples: Dataset) -> Callable[[int], int]:
+    """Rule id to the bitmask of sample positions it classifies positive.
 
-    Sample positions are routed from the root down as bitmasks, so a leaf's
-    samples keep the data order. A rule's signs over the data are computed
-    the first time a shape uses it, so each (rule, sample) pair is classified
-    at most once per call, and ``leaf`` runs once per distinct row mask, its
-    value shared by every leaf with those samples. A rule id that is not an
-    index into ``rules`` raises ValueError.
+    Each rule's mask is computed the first time it is asked for, one
+    :func:`classify` call per sample, and kept.
     """
-    samples = tuple(data)
-    positive: dict[int, int] = {}
-    leaves: dict[int, Any] = {}
+    masks: dict[int, int] = {}
 
-    def fold(shape: DecisionTree, rows: int) -> Any:
-        if isinstance(shape, DLeaf):
-            if rows not in leaves:
-                leaves[rows] = leaf(tuple(s for r, s in enumerate(samples) if rows >> r & 1))
-            return leaves[rows]
-        rid = shape.rule_id
-        if not isinstance(rid, int) or not 0 <= rid < len(rules):
-            raise ValueError(f"path references unknown rule id {rid!r}")
-        if rid not in positive:
+    def positive(rid: int) -> int:
+        if rid not in masks:
             signs = (classify(rules[rid], s.point) for s in samples)
-            positive[rid] = sum(1 << r for r, sign in enumerate(signs) if sign > 0)
-        pos = positive[rid]
-        return node(fold(shape.left, rows & pos), rid, fold(shape.right, rows & ~pos))
+            masks[rid] = sum(1 << r for r, sign in enumerate(signs) if sign > 0)
+        return masks[rid]
 
-    every = (1 << len(samples)) - 1
-    return [fold(shape, every) for shape in shapes]
+    return positive
+
+
+def _members(samples: Dataset, rows: int) -> Dataset:
+    """The samples at the positions set in ``rows``, in data order."""
+    return tuple(s for r, s in enumerate(samples) if rows >> r & 1)
 
 
 def complete_shapes(
@@ -107,24 +94,30 @@ def complete_shapes(
     """Give every shape the data reaching each of its leaves.
 
     Each leaf holds, in data order, the samples that every rule on its path
-    sends its way: positive to the left, negative to the right. Leaves with
-    the same samples share one value; an unknown rule id raises ValueError.
+    sends its way: positive to the left, negative to the right. Sample
+    positions are routed from the root down as bitmasks. A rule's signs over
+    the data are computed the first time a shape uses it, so each (rule,
+    sample) pair is classified at most once per call, and leaves with the
+    same samples share one value. A rule id that is not an index into
+    ``rules`` raises ValueError.
     """
-    return _route_fold(shapes, rules, data, DLeaf, DNode)
+    samples = tuple(data)
+    positive = _positive_masks(rules, samples)
+    leaves: dict[int, DLeaf] = {}
 
+    def complete(shape: DecisionTree, rows: int) -> DecisionTree:
+        if isinstance(shape, DLeaf):
+            if rows not in leaves:
+                leaves[rows] = DLeaf(_members(samples, rows))
+            return leaves[rows]
+        rid = shape.rule_id
+        if not isinstance(rid, int) or not 0 <= rid < len(rules):
+            raise ValueError(f"path references unknown rule id {rid!r}")
+        pos = positive(rid)
+        return DNode(complete(shape.left, rows & pos), rid, complete(shape.right, rows & ~pos))
 
-def shape_costs(
-    shapes: Iterable[DecisionTree], rules: Sequence[Rule], data: Dataset, objective: Any
-) -> list:
-    """The objective's cost of every shape, completed with ``data``.
-
-    Equal, shape for shape, to ``tree_cost(complete_shapes([shape], rules,
-    data)[0], objective)``: the same fold of ``objective.combine`` over the
-    same leaves, but no tree is built, and ``objective.leaf_cost`` runs once
-    per distinct set of samples reaching a leaf.
-    """
-    combine = objective.combine
-    return _route_fold(shapes, rules, data, objective.leaf_cost, lambda u, rid, v: combine(u, v, rid))
+    every = (1 << len(samples)) - 1
+    return [complete(shape, every) for shape in shapes]
 
 
 def all_trees(
@@ -167,34 +160,107 @@ def all_trees_constrained(
     return rec(tuple(sorted(indices)), tuple(data), max_depth)
 
 
-def enumerate_permutation_trees(
-    rules: Sequence[Rule], k: int, matrix: AncestryMatrix | None = None
-) -> Iterator[tuple[Permutation, DecisionTree]]:
-    """Brute-force reference: try all orderings of every k-subset of rules.
+def _valid_orderings(
+    combo: Sequence[int], matrix: AncestryMatrix | None
+) -> list[tuple[Permutation, Placement]]:
+    """Every valid ordering of ``combo`` with its placement, depth first.
 
-    Every ordering of every k-combination of global rule ids is run through
-    :func:`tree_from_permutation` against ``matrix``, the ancestry matrix of
-    the whole table (built from the defining points when not given and k is
-    at least 2; a tree of fewer rules reads no entry); a matrix entry depends
-    only on its two rules, so this is the tree each combination's own matrix
-    gives. The survivors stream out as (ordering, shape) pairs, combinations
-    in lexicographic order and orderings in :func:`itertools.permutations`
-    order within each. A k above the table size raises ValueError at the
-    call, before anything is generated.
+    Orderings come in :func:`itertools.permutations` order. Each rule of an
+    ordering is placed at the heap position it descends to
+    (:func:`~opttree.trees.descend`), and an ordering is valid when each
+    position is above the previous one. Every prefix of a valid ordering is
+    valid, so orderings sharing a prefix share the work of placing it, and a
+    prefix is dropped with all its extensions as soon as it is invalid. Each
+    placement returned is its own dict.
+    """
+    out: list[tuple[Permutation, Placement]] = []
+    placed: Placement = {}
+    order: list[int] = []
+
+    def extend(rest: tuple[int, ...], last: int) -> None:
+        if not rest:
+            out.append((tuple(order), dict(placed)))
+            return
+        for i, rid in enumerate(rest):
+            p = descend(placed, rid, matrix)
+            if p is None or p <= last:
+                continue
+            placed[p] = rid
+            order.append(rid)
+            extend(rest[:i] + rest[i + 1 :], p)
+            order.pop()
+            del placed[p]
+
+    extend(tuple(combo), -1)
+    return out
+
+
+def _orderings(
+    rules: Sequence[Rule], k: int, matrix: AncestryMatrix | None
+) -> Iterator[tuple[Permutation, Placement]]:
+    """:func:`_valid_orderings` of every k-combination, in lexicographic order.
+
+    A k above the table size raises ValueError here, at the call. The matrix
+    is built from the defining points when not given and k is at least 2; a
+    tree of fewer rules reads no entry.
     """
     if k > len(rules):
         raise ValueError(f"cannot choose {k} of {len(rules)} rules")
     if matrix is None and k >= 2:
         matrix = ancestry_matrix(rules)
+    combos = itertools.combinations(range(len(rules)), k)
+    return itertools.chain.from_iterable(_valid_orderings(combo, matrix) for combo in combos)
 
-    def pairs() -> Iterator[tuple[Permutation, DecisionTree]]:
-        for combo in itertools.combinations(range(len(rules)), k):
-            for perm in itertools.permutations(combo):
-                tree = tree_from_permutation(perm, matrix)
-                if tree is not None:
-                    yield perm, tree
 
-    return pairs()
+def enumerate_permutation_trees(
+    rules: Sequence[Rule], k: int, matrix: AncestryMatrix | None = None
+) -> Iterator[tuple[Permutation, DecisionTree]]:
+    """Brute-force reference: every valid ordering of every k-subset of rules.
+
+    The orderings of every k-combination of global rule ids are tried against
+    ``matrix``, the ancestry matrix of the whole table (built from the
+    defining points when not given and k is at least 2; a tree of fewer
+    rules reads no entry); a matrix entry depends only on its two rules, so
+    this is the tree each combination's own matrix gives. The survivors, the
+    orderings :func:`tree_from_permutation` accepts, stream out as
+    (ordering, shape) pairs, combinations in lexicographic order and
+    orderings in :func:`itertools.permutations` order within each. A k above
+    the table size raises ValueError at the call, before anything is
+    generated.
+    """
+    return ((perm, placement_shape(placed)) for perm, placed in _orderings(rules, k, matrix))
+
+
+def permutation_costs(
+    rules: Sequence[Rule], k: int, data: Dataset, objective: Any, matrix: AncestryMatrix | None = None
+) -> list:
+    """The objective's cost of every tree :func:`enumerate_permutation_trees` yields, in its order.
+
+    Equal, pair for pair, to ``tree_cost(complete_shapes([shape], rules,
+    data)[0], objective)``: the same fold of ``objective.combine`` over the
+    same leaves, read off each placement with no tree built. Sample
+    positions are routed from the root as bitmasks, each rule's positive
+    mask is computed the first time a placement uses it, and
+    ``objective.leaf_cost`` runs once per distinct set of samples reaching a
+    leaf. Raises ValueError at the call as :func:`enumerate_permutation_trees`.
+    """
+    pairs = _orderings(rules, k, matrix)
+    samples = tuple(data)
+    positive = _positive_masks(rules, samples)
+    leaf_costs: dict[int, Any] = {}
+    leaf_cost, combine = objective.leaf_cost, objective.combine
+
+    def cost(placed: Placement, p: int, rows: int) -> Any:
+        rid = placed.get(p)
+        if rid is None:
+            if rows not in leaf_costs:
+                leaf_costs[rows] = leaf_cost(_members(samples, rows))
+            return leaf_costs[rows]
+        pos = positive(rid)
+        return combine(cost(placed, 2 * p + 1, rows & pos), cost(placed, 2 * p + 2, rows & ~pos), rid)
+
+    every = (1 << len(samples)) - 1
+    return [cost(placed, 0, every) for _, placed in pairs]
 
 
 def all_chain_trees(items: Sequence[MatrixDim]) -> list[DecisionTree]:

@@ -239,8 +239,11 @@ def ancestry_tables(rules: Sequence[Rule]) -> tuple[np.ndarray, np.ndarray]:
     positive, -1 when none is; the diagonal is 0.
     """
     counts = [len(rule.defining_points) for rule in rules]
-    if len(rules) > 1 and 0 in counts:
-        j = counts.index(0)
+    bare = [j for j, n in enumerate(counts) if n == 0]
+    if len(rules) > 1 and bare:
+        # the rule ancestry_matrix meets first: row 0 reads every other
+        # column, and rule 0's own column is read from row 1
+        j = next((j for j in bare if j), 0)
         raise ValueError(f"rule {j} has no defining points; matrix entry undefined")
     kinds = [rule.kind for rule in rules]
     left = np.ones((len(rules), len(rules)), dtype=bool)

@@ -8,9 +8,14 @@ leaves the samples reaching them. The application solvers use the same types
 with other branch payloads (segments, pivot points, or None).
 
 A tree consistent with an ancestry matrix is uniquely recoverable from its
-level-order traversal: :func:`tree_from_permutation` inverts
-:func:`level_order` and rejects every ordering that is not the canonical
-traversal of the tree it reaches. Nothing here routes data into leaves; see
+level-order traversal. :func:`tree_from_permutation` inverts
+:func:`level_order` by heap position: each rule descends from the root
+(position 0; the children of p are 2p + 1 and 2p + 2) to a free position,
+and an ordering is the canonical traversal of the tree it reaches exactly
+when those positions increase, so it is rejected at its first 0 entry or
+first non-increasing position. :func:`descend` and :func:`placement_shape`
+are its two steps, shared with the permutation walk in
+:mod:`opttree.generator`. Nothing here routes data into leaves; see
 :func:`opttree.generator.complete_shapes`.
 """
 
@@ -56,36 +61,53 @@ def level_order(tree: DecisionTree) -> Permutation:
     return tuple(order)
 
 
-def _insert(tree: DecisionTree, rid: int, matrix: AncestryMatrix) -> DecisionTree | None:
-    if isinstance(tree, DLeaf):
-        return DNode(LEAF, rid, LEAF)
-    side = matrix[tree.rule_id][rid]
-    if side == 0:
-        return None
-    if side > 0:
-        sub = _insert(tree.left, rid, matrix)
-        return None if sub is None else DNode(sub, tree.rule_id, tree.right)
-    sub = _insert(tree.right, rid, matrix)
-    return None if sub is None else DNode(tree.left, tree.rule_id, sub)
+# A placement: rule ids keyed by heap position. The root is position 0 and
+# the children of position p are 2p + 1 (left) and 2p + 2 (right), so
+# ascending positions are level order.
+Placement = dict[int, int]
+
+
+def descend(placed: Placement, rid: int, matrix: AncestryMatrix) -> int | None:
+    """The free heap position that rule ``rid`` reaches from the root.
+
+    It goes left past a placed rule whose matrix entry for it is +1 and right
+    past one whose entry is -1; None when it meets a 0 entry.
+    """
+    p = 0
+    while p in placed:
+        side = matrix[placed[p]][rid]
+        if side == 0:
+            return None
+        p = 2 * p + 1 if side > 0 else 2 * p + 2
+    return p
+
+
+def placement_shape(placed: Placement, p: int = 0) -> DecisionTree:
+    """The shape whose node at heap position q holds ``placed[q]``, rooted at ``p``."""
+    if p not in placed:
+        return LEAF
+    return DNode(placement_shape(placed, 2 * p + 1), placed[p], placement_shape(placed, 2 * p + 2))
 
 
 def tree_from_permutation(perm: Sequence[int], matrix: AncestryMatrix) -> DecisionTree | None:
     """Rebuild the shape whose level-order traversal is ``perm``, or None.
 
-    Each rule descends from the root along matrix entries (+1 left, -1 right).
-    The permutation is valid only if no descent hits a 0 entry and the result
-    traverses back to exactly ``perm``; the second check makes each tree
-    correspond to a single canonical ordering.
+    Each rule descends from the root along matrix entries (+1 left, -1 right)
+    to a free heap position. Rules keep their positions as later ones are
+    placed, so the shape traverses back to ``perm`` exactly when every rule
+    lands above the previous one's position; this makes each tree correspond
+    to a single canonical ordering. The first 0 entry or non-increasing
+    position rejects ``perm``.
     """
-    tree: DecisionTree = LEAF
+    placed: Placement = {}
+    last = -1
     for rid in perm:
-        nxt = _insert(tree, rid, matrix)
-        if nxt is None:
+        p = descend(placed, rid, matrix)
+        if p is None or p <= last:
             return None
-        tree = nxt
-    if level_order(tree) != tuple(perm):
-        return None
-    return tree
+        placed[p] = rid
+        last = p
+    return placement_shape(placed)
 
 
 def map_leaves(f: Callable[[Any], Any], tree: DecisionTree) -> DecisionTree:

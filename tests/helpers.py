@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from opttree import LEAF, DLeaf, DNode, classify, make_dataset
+from opttree import LEAF, DLeaf, DNode, classify, level_order, make_dataset
 
 
 def route_leaf_contents(tree, rules, data):
@@ -26,6 +26,35 @@ def route_leaf_contents(tree, rules, data):
 
     collect(tree, list(data))
     return buckets
+
+
+def spec_tree_from_permutation(perm, matrix):
+    """The permutation transform by its definition, independent of heap positions.
+
+    Each rule is inserted by copying its root-to-leaf path: it goes left past
+    a rule whose matrix entry for it is +1 and right past one whose entry is
+    -1, and a 0 entry rejects the ordering. The tree built is kept only when
+    its level-order traversal is ``perm`` itself.
+    """
+
+    def insert(tree, rid):
+        if isinstance(tree, DLeaf):
+            return DNode(LEAF, rid, LEAF)
+        side = matrix[tree.rule_id][rid]
+        if side == 0:
+            return None
+        if side > 0:
+            sub = insert(tree.left, rid)
+            return None if sub is None else DNode(sub, tree.rule_id, tree.right)
+        sub = insert(tree.right, rid)
+        return None if sub is None else DNode(tree.left, tree.rule_id, sub)
+
+    tree = LEAF
+    for rid in perm:
+        tree = insert(tree, rid)
+        if tree is None:
+            return None
+    return tree if level_order(tree) == tuple(perm) else None
 
 
 def leaf_payloads(tree):

@@ -3,6 +3,7 @@
 import ast
 import itertools
 import math
+import random
 from collections import Counter
 from collections.abc import Iterator
 from pathlib import Path
@@ -31,8 +32,10 @@ from opttree import (
     make_dataset,
     misclassification_cost,
     MISCLASSIFICATION,
+    LEAF_BALANCE,
     Objective,
-    shape_costs,
+    permutation_costs,
+    TREE_SIZE,
     tree_cost,
     tree_from_permutation,
 )
@@ -193,43 +196,83 @@ def test_complete_shapes_rejects_unknown_rule_id():
         with pytest.raises(ValueError) as got:
             complete_shapes([shape], rules, data)
         assert str(got.value) == want
-        with pytest.raises(ValueError) as scored:
-            shape_costs([shape], rules, data, MISCLASSIFICATION)
-        assert str(scored.value) == want
 
 
-@pytest.mark.parametrize("kind", ["axis", "hyperplane", "surface2"])
-def test_shape_costs_equals_tree_cost_of_completed_shapes(kind, monkeypatch):
-    # an order- and rule-sensitive combine, so swapped sides or a dropped
-    # branch payload show; leaf costs are counted per leaf dataset
-    leaf_calls = Counter()
+def grid_instance(seed):
+    """A 3 x 3 integer grid with seeded labels: rows, columns and diagonals of
+    collinear points, so many defining points sit on other rules' lines."""
+    rng = random.Random(seed)
+    points = [(float(x), float(y)) for x in range(3) for y in range(3)]
+    return make_dataset(points, [rng.randint(0, 1) for _ in points])
 
+
+def costed_table(kind, seed, k):
+    """A rule table, the dataset it classifies, and the table cut to its first
+    twelve rules at k = 4, so every ordering can be rebuilt and completed."""
+    if kind == "grid":
+        space = grid_instance(seed)
+        rules = enumerate_hyperplane_rules(space)
+    else:
+        # surface2 tables of six or seven points admit no four-rule tree
+        n_min, n_max = (8, 8) if kind == "surface2" else (6, 7)
+        rules, space = rule_table(kind, random_instance(seed, n_min=n_min, n_max=n_max))
+    return (rules[:12] if k == 4 else rules), space
+
+
+def _order_sensitive(leaf_calls):
+    # swapped sides or a dropped branch payload show; leaf costs are counted
+    # per leaf dataset
     def leaf_cost(data):
         leaf_calls[data] += 1
         return misclassification_cost(data) + 0.25 * len(data)
 
-    def combine(a, b, rule_id):
-        return 2 * a + 3 * b + rule_id
+    return Objective(leaf_cost, lambda a, b, rule_id: 2 * a + 3 * b + rule_id)
 
-    objective = Objective(leaf_cost, combine)
+
+@pytest.mark.parametrize("kind", ["axis", "hyperplane", "surface2", "grid"])
+def test_permutation_costs_equals_tree_cost_of_completed_shapes(kind, monkeypatch):
+    leaf_calls = Counter()
+    objectives = [MISCLASSIFICATION, TREE_SIZE, LEAF_BALANCE, _order_sensitive(leaf_calls)]
     calls = counted_classify(monkeypatch)
     compared = Counter()
     for seed in (3, 11):
-        rules, space = rule_table(kind, random_instance(seed, n_min=6, n_max=7))
-        for k in range(4):
+        for k in range(5):
+            rules, space = costed_table(kind, seed, k)
             shapes = [shape for _, shape in enumerate_permutation_trees(rules, k)]
-            calls.clear()
-            leaf_calls.clear()
-            got = shape_costs(shapes, rules, space, objective)
-            assert max(calls.values(), default=1) == 1
-            assert max(leaf_calls.values(), default=1) == 1
-            costed = set(leaf_calls)
-            want = [tree_cost(complete_shapes([s], rules, space)[0], objective) for s in shapes]
-            assert got == want
             completed = complete_shapes(shapes, rules, space)
-            assert costed == {leaf for tree in completed for leaf in leaf_payloads(tree)}
+            for objective in objectives:
+                calls.clear()
+                leaf_calls.clear()
+                got = permutation_costs(rules, k, space, objective)
+                assert max(calls.values(), default=1) == 1
+                assert max(leaf_calls.values(), default=1) == 1
+                want = [tree_cost(complete_shapes([s], rules, space)[0], objective) for s in shapes]
+                assert got == want
+                if leaf_calls:
+                    assert set(leaf_calls) == {leaf for tree in completed for leaf in leaf_payloads(tree)}
             compared[k] += len(shapes)
-    assert all(compared[k] for k in range(4))
+    assert all(compared[k] for k in range(5))
+
+
+def test_permutation_costs_rejects_oversized_k():
+    data = random_instance(5, n_min=4, n_max=5)
+    rules = enumerate_axis_rules(data)[:3]
+    for table, k in (([], 1), (rules, 4)):
+        with pytest.raises(ValueError) as got:
+            permutation_costs(table, k, data, MISCLASSIFICATION)
+        assert str(got.value) == f"cannot choose {k} of {len(table)} rules"
+
+
+def test_below_two_rules_no_ancestry_matrix_is_built(monkeypatch):
+    def refuse(rules):
+        raise AssertionError("ancestry matrix built for a tree of fewer than two rules")
+
+    monkeypatch.setattr(opttree.generator, "ancestry_matrix", refuse)
+    data = random_instance(5, n_min=5, n_max=6)
+    rules = enumerate_hyperplane_rules(data)
+    for k in (0, 1):
+        assert len(list(enumerate_permutation_trees(rules, k))) == math.comb(len(rules), k)
+        assert len(permutation_costs(rules, k, data, MISCLASSIFICATION)) == math.comb(len(rules), k)
 
 
 @pytest.mark.parametrize("kind", ["axis", "hyperplane", "surface2"])

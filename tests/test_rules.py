@@ -110,10 +110,19 @@ def test_ancestry_matrix_parallel_lines():
     assert m[1][0] == 1
 
 
+def _error(build, table):
+    with pytest.raises(ValueError) as got:
+        build(table)
+    return str(got.value)
+
+
 def test_ancestry_matrix_requires_defining_points():
-    bare = Rule(AxisParallel(0, 1.0))
-    with pytest.raises(ValueError):
-        ancestry_matrix([bare, _vertical(2.0)])
+    # the twin names the rule the one-entry-at-a-time spec meets first
+    for bare_at, size in [((0,), 2), ((1,), 2), ((0, 1), 2), ((1, 2), 3), ((0, 2), 3), ((0, 1, 2), 3)]:
+        table = [Rule(AxisParallel(0, float(i))) if i in bare_at else _vertical(float(i)) for i in range(size)]
+        want = _error(ancestry_matrix, table)
+        assert want == f"rule {next((j for j in bare_at if j), 0)} has no defining points; matrix entry undefined"
+        assert _error(ancestry_tables, table) == want
 
 
 def test_ancestry_tables_equal_ancestry_matrix():
@@ -133,8 +142,6 @@ def test_ancestry_tables_equal_ancestry_matrix():
         assert right.tolist() == [[e < 0 for e in row] for row in entries]
     assert {-1, 0, 1} <= {e for row in entries for e in row}
     assert ancestry_tables([Rule(AxisParallel(0, 1.0))])[0].tolist() == [[False]]
-    with pytest.raises(ValueError):
-        ancestry_tables([Rule(AxisParallel(0, 1.0)), _vertical(2.0)])
 
 
 @given(st.lists(st.tuples(st.floats(0, 10), st.floats(0, 10)), min_size=2, max_size=5))

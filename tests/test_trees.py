@@ -13,12 +13,13 @@ from opttree import (
     DNode,
     Rule,
     all_tree_shapes,
+    enumerate_permutation_trees,
     level_order,
     make_dataset,
     map_leaves,
     tree_from_permutation,
 )
-from helpers import leaf_payloads
+from helpers import leaf_payloads, spec_tree_from_permutation
 
 
 def matrix_of(rows):
@@ -77,7 +78,7 @@ def test_valid_permutations_match_generated_trees():
     assert valid  # the matrix admits at least one tree
 
 
-def small_matrices(max_k=4):
+def small_matrices(max_k=4, entries=(-1, 0, 1)):
     def build(k, draw):
         rows = []
         it = iter(draw)
@@ -89,7 +90,7 @@ def small_matrices(max_k=4):
         lambda k: st.tuples(
             st.just(k),
             st.lists(
-                st.sampled_from([-1, 0, 1]), min_size=k * (k - 1), max_size=k * (k - 1)
+                st.sampled_from(entries), min_size=k * (k - 1), max_size=k * (k - 1)
             ),
         )
     ).map(lambda kv: build(kv[0], kv[1]))
@@ -106,6 +107,43 @@ def test_round_trip_and_injectivity(matrix):
     assert len(set(orders)) == len(orders)
     for tree, order in zip(shapes, orders):
         assert tree_from_permutation(order, matrix) == tree
+
+
+def matrices_and_k(max_k=7, max_len=5):
+    """A {-1, 0, +1} matrix over up to ``max_k`` rules, holding an off-diagonal
+    0 when it has two rules, and an ordering length. Zeros are drawn one time
+    in five, so long orderings survive often enough to test the walk deep."""
+    return (
+        small_matrices(max_k, entries=(-1, -1, 0, 1, 1))
+        .flatmap(lambda m: st.tuples(st.just(m), st.integers(0, min(max_len, len(m)))))
+        .filter(lambda mk: any(0 in row[:i] + row[i + 1 :] for i, row in enumerate(mk[0])) or len(mk[0]) < 2)
+    )
+
+
+@given(matrices_and_k())
+@settings(max_examples=100, deadline=None)
+def test_tree_from_permutation_equals_spec(mk):
+    # heap placement with its two early rejections against path-copying
+    # insertion plus a full level-order check, on every k-ordering
+    matrix, k = mk
+    for perm in itertools.permutations(range(len(matrix)), k):
+        assert tree_from_permutation(perm, matrix) == spec_tree_from_permutation(perm, matrix)
+
+
+@given(matrices_and_k())
+@settings(max_examples=100, deadline=None)
+def test_permutation_walk_equals_spec_brute_force(mk):
+    # the walk cuts a prefix at its first invalid step; the brute force
+    # tries every ordering of every combination in full. With the matrix
+    # given, the rule table is only counted.
+    matrix, k = mk
+    want = [
+        (perm, tree)
+        for combo in itertools.combinations(range(len(matrix)), k)
+        for perm in itertools.permutations(combo)
+        if (tree := spec_tree_from_permutation(perm, matrix)) is not None
+    ]
+    assert list(enumerate_permutation_trees([None] * len(matrix), k, matrix)) == want
 
 
 def test_map_leaves_identity_and_constant():
