@@ -9,26 +9,26 @@ shipped objective combines child costs monotonically, taking the minimum
 inside the recursion is exact, and each state keeps one candidate.
 
 The rule-set front end works on bitmasks: a state is (allowed rules, rows,
-rules still to place, depth budget, ancestor side-set), a root's ancestry row
-supplies the rules allowed on each side and its sign pattern the rows; both
-are bitmasks read off numpy sign tables.
+rules still to place, depth budget), a root's ancestry row supplies the rules
+allowed on each side and its sign pattern the rows; both are bitmasks read
+off numpy sign tables.
 :func:`solve` covers every k-combination in one recursion whose memo is keyed
-by ancestor side-set: a subproblem shared by many combinations is solved once.
-A state with one or two rules left is a leaf of the recursion, solved in
-closed form (the cheapest stump over its allowed roots, or the cheapest root
-over a leaf and such a stump); leaves are costed once per row mask, and
+by that state: a subproblem shared by many combinations or paths is solved
+once. A state with one or two rules left is a leaf of the recursion, solved
+in closed form (the cheapest stump over its allowed roots, or the cheapest
+root over a leaf and such a stump); leaves are costed once per row mask, and
 samples are gathered only for the returned tree. For an objective with a
-count form, the root's one- and two-rule states are solved first, in numpy,
-from per-label count tables (see :class:`_RuleMasks`); the recursion then
-finds them memoized.
-:class:`SolveStats` counts recursion calls (memo hits included), a number
-that depends on the rule table and k but not on the data, and the
-closed-form states solved, in Python or from count tables. Ties compare the
-rule combination (the lexicographically smallest wins), then the root (the
-earliest wins): the recursion minimizes (cost, -combination mask) pairs,
-which only ``_RuleMasks.combine`` and the closed forms build. That is the
-brute-force answer: the first strictly better cost over the combinations in
-lexicographic order, each combination's trees generated root-first.
+count form and at most three rules to place, the root's one- and two-rule
+states are solved first, in numpy, from per-label count tables (see
+:class:`_RuleMasks`); the recursion then finds them memoized.
+:class:`SolveStats` counts recursion calls (memo hits included), distinct
+states, and the closed-form states solved, in Python or from count tables.
+Ties compare the rule combination (the lexicographically smallest wins),
+then the root (the earliest wins): the recursion minimizes (cost,
+-combination mask) pairs, which only ``_RuleMasks.combine`` and the closed
+forms build. That is the brute-force answer: the first strictly better cost
+over the combinations in lexicographic order, each combination's trees
+generated root-first.
 
 The bsp, mcmp and kd front ends key the memo by state (fragment set, sub-chain,
 point mask and depth): the optimum of a state does not depend on how the
@@ -90,20 +90,23 @@ class SolveStats:
     ``nodes`` is the number of recursion calls. Memo hits count; a state with
     at most two rules left is a leaf and counts once, so a solve with k < 3
     makes exactly one call. The count depends on the rule table, k and the
-    depth budget; without ``min_leaf`` it does not depend on the data (an
-    infeasible left side skips its right side), nor on how closed forms are
-    solved. ``closed_forms`` is the number of one- and two-rule states
-    (allowed rules, rows) solved in closed form, the sizes of the stump and
-    pair memos, and ``batched`` how many of those came from label-count
-    tables (see :class:`_RuleMasks`). Unlike ``nodes``, ``closed_forms``
-    depends on how the states were solved: the Python two-rule closed form
-    memoizes every stump it tries, while the count tables memoize the root's
-    closed-form children and, from four rules to place on, the stumps those
-    children try, including some the recursion never reaches because a
-    sibling or a leaf beside them is infeasible.
+    depth budget, not on how closed forms are solved. It depends on the data
+    under ``min_leaf`` (an infeasible left side skips its right side), and
+    once states coincide: two paths reach one state when they leave the same
+    rules and rows, which happens from k=5 on typical tables, and earlier
+    when two rules have equal rows and equal ancestry sides. ``states`` is
+    the number of distinct states the recursion solved, its memo's size on
+    return, so ``nodes - states`` are memo hits. ``closed_forms`` is the
+    number of one- and two-rule states (allowed rules, rows) solved in closed
+    form, the sizes of the stump and pair memos, and ``batched`` how many of
+    those came from label-count tables (see :class:`_RuleMasks`). Unlike ``nodes`` and
+    ``states``, ``closed_forms`` depends on how the states were solved: the
+    Python two-rule closed form memoizes every stump it tries, while the
+    count tables memoize only the root's closed-form children.
     """
 
     nodes: int = 0
+    states: int = 0
     closed_forms: int = 0
     batched: int = 0
 
@@ -240,6 +243,8 @@ def _optimize(
     try:
         return rec(root)
     finally:
+        if stats is not None:
+            stats.states += len(memo)
         # rec reaches itself through its closure; emptying the cell frees the
         # memo on return instead of at the next cyclic collection
         del rec
@@ -248,12 +253,11 @@ def _optimize(
 class _RuleMasks:
     """Rule-set front end on bitmasks.
 
-    A state is (allowed rules, rows, rules still to place, depth budget,
-    ancestor side-set). Rule i of a table of K rules is bit K-1-i of a rule
-    mask, so of two combinations of equal size the lexicographically smaller
-    one is the larger integer; row r is bit r of a row mask; the side-set has
-    bit 2i for "left of rule i" and bit 2i+1 for "right of rule i". Roots are
-    tried in ascending order. A root i splits the remaining rules into its
+    A state is (allowed rules, rows, rules still to place, depth budget).
+    Rule i of a table of K rules is bit K-1-i of a rule mask, so of two
+    combinations of equal size the lexicographically smaller one is the
+    larger integer; row r is bit r of a row mask. Roots are tried in
+    ascending order. A root i splits the remaining rules into its
     left and right sets (the +1 and -1 entries of its ancestry row) and the
     rows into its positive and negative sides, and every division of the
     rules still to place that fits on both sides is a candidate.
@@ -285,23 +289,23 @@ class _RuleMasks:
     pairs: a leaf ranks (cost, 0), and :meth:`combine` is the recursion's
     combine step on them. ``objective`` is the plain one.
 
-    For an objective with a count form, :meth:`batch` solves the root's one-
-    and two-rule states before the recursion starts: the root itself when it
-    has at most two rules to place, else those of its children that
-    :meth:`leaf` would solve. Every leaf count comes from products of 0/1
-    float64 tables: a state's per-label counts on each rule's positive side
-    are one product of its label-masked rows with the sign table, and the
-    stumps a two-rule state tries under a root (its rows on one side of the
-    root, its rules on that side) are states too, deduplicated and counted
-    the same way; negative sides follow by subtraction. A sum of at most N
-    products of 0 and 1 is exact in float64 whatever order BLAS adds in, the
-    count form equals ``leaf_cost`` leaf for leaf, and ``combine`` meets the
-    same values elementwise, so every cost compared equals the Python closed
-    forms'. Winners are picked in their order too: a stump's is the first
-    cheapest root in ascending order; a two-rule state's is the first by
-    cost, then sorted rule combination, then root (which, with the
-    combination, fixes the side the second rule is on). The results go into
-    the memos of :meth:`stump` and :meth:`pair`.
+    For an objective with a count form and at most three rules to place,
+    :meth:`batch` solves the root's one- and two-rule states before the
+    recursion starts: the root itself when it has at most two rules to place,
+    else those of its children that :meth:`leaf` would solve. Every leaf count
+    comes from products of 0/1 float64 tables: a state's per-label counts on
+    each rule's positive side are one product of its label-masked rows with
+    the sign table, and the stumps a two-rule state tries under a root (its
+    rows on one side of the root, its rules on that side) are states too,
+    deduplicated and counted the same way; negative sides follow by
+    subtraction. A sum of at most N products of 0 and 1 is exact in float64
+    whatever order BLAS adds in, the count form equals ``leaf_cost`` leaf for
+    leaf, and ``combine`` meets the same values elementwise, so every cost
+    compared equals the Python closed forms'. Winners are picked in their
+    order too: a stump's is the first cheapest root in ascending order; a
+    two-rule state's is the first by cost, then sorted rule combination, then
+    root (which, with the combination, fixes the side the second rule is on).
+    The results go into the memos of :meth:`stump` and :meth:`pair`.
 
     The tables pay only against a cold memo. On uniform 2-D data with two
     labels, a root batch breaks even near 14 rules at k=3 (axis N=7) and
@@ -312,16 +316,13 @@ class _RuleMasks:
     root, a Python two-rule state finds most of its stumps memoized and pays
     one lookup per root, and batching such states lost at every size tried
     (axis N=12, k=4: 1.16x; hyperplane N=14, k=4: 1.11x). So only the root
-    is batched. At k=4, memoizing the stumps below the root's two-rule
-    children keeps the batch even with the Python path (axis N=12: 18.8
-    against 18.9 ms); without them it took 1.13-1.23x the time.
+    is batched, and only with at most three rules to place: from four on, a
+    root batch is even with the Python closed forms or slower (axis N=12,
+    k=4: 9.7 against 9.2 ms), so they solve every state.
 
-    The allowed rules, the rows and the depth budget are functions of the
-    side-set, so a memo keyed on the state shares a subproblem exactly
-    between paths with the same ancestors on the same sides, whatever the
-    combination they belong to, and the number of states does not depend on
-    the data. (A key of allowed rules and rows alone would share more, but
-    which states coincide would then depend on the data.)
+    :meth:`splits` and :meth:`leaf` read nothing but the four fields, so a
+    state's answer is a function of them, and the memo shares it between
+    every path and combination that reaches it.
     """
 
     def __init__(
@@ -349,7 +350,7 @@ class _RuleMasks:
         # the tables batch counts from: rule signs, the ancestry sides and the
         # labels one-hot
         self.labels = None
-        if objective.count_cost is not None:
+        if objective.count_cost is not None and k <= 3:
             self.signs = signs
             self.sides = np.stack([right, left]) if k >= 2 else None
             codes: dict = {}
@@ -357,13 +358,13 @@ class _RuleMasks:
             self.labels = np.zeros((len(codes), len(self.data)))
             self.labels[label_of, np.arange(len(self.data))] = 1.0
         self.batched = 0
-        self.root = ((1 << self.size) - 1, (1 << len(self.data)) - 1, k, constraints.max_depth, 0)
+        self.root = ((1 << self.size) - 1, (1 << len(self.data)) - 1, k, constraints.max_depth)
         self._costs: dict[int, Any] = {}
         self._stumps: dict[tuple[int, int], tuple[DecisionTree, Any] | None] = {}
         self._pairs: dict[tuple[int, int], tuple[DecisionTree, Any] | None] = {}
 
     def splits(self, state: tuple) -> list | None:
-        allowed, rows, count, budget, sides = state
+        allowed, rows, count, budget = state
         if not count:
             return None
         if budget is not None and budget <= 0:
@@ -381,10 +382,9 @@ class _RuleMasks:
             left, right = allowed & self.left[i], allowed & self.right[i]
             n_right = right.bit_count()
             pos = rows & self.pos[i]
-            left_sides, right_sides = sides | 1 << 2 * i, sides | 1 << 2 * i + 1
             for n in range(max(0, rest - n_right), min(rest, left.bit_count()) + 1):
-                left_state = (left, pos, n, sub_budget, left_sides)
-                out.append((left_state, i, (right, rows ^ pos, rest - n, sub_budget, right_sides)))
+                left_state = (left, pos, n, sub_budget)
+                out.append((left_state, i, (right, rows ^ pos, rest - n, sub_budget)))
         return out
 
     def combine(self, a: tuple, b: tuple, rule: int) -> tuple[Any, int]:
@@ -396,7 +396,7 @@ class _RuleMasks:
         return self.objective.combine(a[0], b[0], rule), a[1] + b[1] - (1 << self.size - 1 - rule)
 
     def leaf(self, state: tuple) -> tuple[DecisionTree, Any] | None:
-        allowed, rows, count, budget = state[:4]
+        allowed, rows, count, budget = state
         if count == 2:
             # the second rule needs a level below the root
             return None if budget == 1 else self.pair(allowed, rows)
@@ -490,19 +490,17 @@ class _RuleMasks:
         """Solve the root's one- and two-rule states from label-count tables.
 
         Those are the root itself when it has at most two rules to place, and
-        otherwise its children that :meth:`leaf` would solve; with four or
-        more rules to place, the stumps each two-rule child tries under each
-        root are memoized too, since they are the children of the three-rule
-        child with the same rows. Results go into the memos of :meth:`stump`
-        and :meth:`pair`, equal to what those would compute. Every temporary
-        is blocked to about ``_BLOCK`` entries over states and roots.
+        otherwise (three rules) its children that :meth:`leaf` would solve.
+        Results go into the memos of :meth:`stump` and :meth:`pair`, equal to
+        what those would compute. Every temporary is blocked to about
+        ``_BLOCK`` entries over states and roots.
         """
         states = [self.root]
         if self.root[2] > 2:
             states = [child for left, _, right in self.splits(self.root) for child in (left, right)]
         stumps: dict = {}
         pairs: dict = {}
-        for allowed, rows, n, budget, _ in states:
+        for allowed, rows, n, budget in states:
             if n == 1 and (budget is None or budget >= 1):
                 stumps[allowed, rows] = None
             elif n == 2 and (budget is None or budget >= 2):
@@ -577,21 +575,13 @@ class _RuleMasks:
         Each allowed root j of state s brings two stumps: on j's negative
         side over its right set, and on its positive side over its left set.
         Many (state, root, side) share one such stump, so each distinct one
-        is solved once by :meth:`_cheapest`. With four or more rules to
-        place, these stumps are memoized as well: the recursion meets them
-        below the root's three-rule children. On uniform 2-D data with two
-        labels (axis N=12, seeds 1-3, 20 alternating in-process pairs, 2-vCPU
-        VM), that memo took the median solve at k=4 from 19.4-23.3 ms to
-        17.9-21.8 ms, faster in 16-19 of 20 pairs; at k=5 it is even (67.8-94.1
-        ms with it, 66.1-93.6 ms without, faster in 10-11 of 20 pairs).
+        is solved once by :meth:`_cheapest`.
         """
         last = self.size - 1
         flat = np.flatnonzero(allowed)
         state, root = np.divmod(flat, self.size)  # by state, then ascending root
         found = np.zeros((2, len(state)), dtype=bool)
         best, win = np.empty((2, len(state))), np.empty((2, len(state)), dtype=np.intp)
-        nested = self.root[2] >= 4
-        fresh = []
         for lo in range(0, len(state), step):
             s, j = state[lo : lo + step], root[lo : lo + step]
             under = (allowed.take(s, axis=0) & self.sides.take(j, axis=1)).reshape(2 * len(s), -1)
@@ -602,25 +592,6 @@ class _RuleMasks:
             _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
             for out, part in zip((found, best, win), self._cheapest(under[first], sub_rows[first])):
                 out[:, lo : lo + len(s)] = part[inverse].reshape(2, -1)
-            if nested:
-                first = first[under[first].any(axis=1)]
-                fresh.append((first // len(s), lo + first % len(s)))
-        if nested:
-            side, q = (np.concatenate(part) for part in zip(*fresh))
-            masks = (self.right, self.left)
-            for d, s, j, hit, c, m in zip(
-                side.tolist(),
-                state[q].tolist(),
-                root[q].tolist(),
-                found[side, q].tolist(),
-                best[side, q].tolist(),
-                win[side, q].tolist(),
-            ):
-                under = block[s][1] & self.pos[j]
-                key = block[s][0] & masks[d][j], under if d else block[s][1] ^ under
-                if key not in self._stumps:
-                    self._stumps[key] = (self._stump_tree(key[1], m), (c, -(1 << last - m))) if hit else None
-                    self.batched += 1
         leaves = np.stack(self._leaf_counts(flat, rows), 1)
         leaf_cost = self.objective.count_cost(leaves)
         if self.min_leaf:
@@ -660,28 +631,29 @@ def solve(
 ) -> DecisionTree | None:
     """Optimal tree with exactly k rules drawn from the table, or None.
 
-    One recursion covers every k-combination at once: a state is
-    solved once per ancestor side-set and reused by every combination that
-    reaches it, and a state with one or two rules left is solved in closed
-    form. Candidates compare by cost, then by rule combination (the
-    lexicographically smallest wins), then by root (the earliest wins). The
-    result is the brute-force answer: the first strictly better cost over
-    the combinations in lexicographic order, each combination's trees
-    generated root-first: the recursion combines with
-    :meth:`_RuleMasks.combine`, which ranks (cost, -combination mask)
-    pairs. The rule masks come from numpy sign tables that equal
-    :func:`~opttree.rules.classify` and
-    :func:`~opttree.rules.ancestry_matrix` entry for entry (see
-    :class:`_RuleMasks`). ``stats.nodes`` counts the recursion calls, memo
-    hits included, with states of at most two rules left as leaves (so
-    k < 3 makes one call); see :class:`SolveStats`. ``leaf_cost`` is called
-    at most once per distinct leaf row set, and not for the leaves of states
-    solved from count tables.
+    One recursion covers every k-combination at once: a state (allowed rules,
+    rows, rules left, depth budget) is solved once and reused by every path
+    and combination that reaches it, and a state with one or two rules left is
+    solved in closed form, from count tables for an objective with a count
+    form and k <= 3, else in Python. Candidates compare by cost, then by rule
+    combination (the lexicographically smallest wins), then by root (the
+    earliest wins). The result is the brute-force answer: the first strictly
+    better cost over the combinations in lexicographic order, each
+    combination's trees generated root-first: the recursion combines with
+    :meth:`_RuleMasks.combine`, which ranks (cost, -combination mask) pairs.
+    The rule masks come from numpy sign tables that equal
+    :func:`~opttree.rules.classify` and :func:`~opttree.rules.ancestry_matrix`
+    entry for entry (see :class:`_RuleMasks`). ``stats.nodes`` counts the
+    recursion calls, memo hits included, with states of at most two rules left
+    as leaves (so k < 3 makes one call), and ``stats.states`` the distinct
+    states; see :class:`SolveStats`. ``leaf_cost`` is called at most once per
+    distinct leaf row set, and not for the leaves of states solved from count
+    tables.
     """
     if not 0 <= k <= len(rules):
         raise ValueError(f"cannot choose {k} of {len(rules)} rules")
     front = _RuleMasks(rules, data, k, objective, constraints or SolveConstraints())
-    if objective.count_cost is not None:
+    if front.labels is not None:
         front.batch()
     best = _optimize(front.root, front.splits, front.leaf, front.combine, stats=stats)
     if stats is not None:

@@ -276,8 +276,8 @@ def _per_combination_reference(rules, k, data, objective, constraints):
 
 def closed_form_paths(objective):
     """The objective as given, whose count form solves the root's one- and
-    two-rule states from count tables, and without it, so that the Python
-    closed forms solve every state."""
+    two-rule states from count tables at k <= 3, and without it, so that the
+    Python closed forms solve every state."""
     return objective, dataclasses.replace(objective, count_cost=None)
 
 
@@ -326,8 +326,9 @@ def _tie_heavy_instances():
 @pytest.mark.parametrize("kind", ["axis", "hyperplane"])
 def test_solve_equals_reference_on_tie_heavy_inputs(kind, name):
     # one- and two-rule states are solved in closed form, from count tables
-    # or in Python; the winner must still be the brute force's tree, and at
-    # k=3 and k=4 two-rule states sit below the root
+    # or in Python; the winner must still be the brute force's tree. From
+    # k=3 on two-rule states sit below the root, and from k=5 on states
+    # reached by different paths coincide and share one answer
     data = _tie_heavy_instances()[name]
     enumerate_rules = enumerate_axis_rules if kind == "axis" else enumerate_hyperplane_rules
     rules = enumerate_rules(data)[:8]
@@ -342,7 +343,7 @@ def test_solve_equals_reference_on_tie_heavy_inputs(kind, name):
         SolveConstraints(max_depth=2),
         SolveConstraints(min_leaf=2, max_depth=2),
     ]
-    for k in (1, 2, 3, 4):
+    for k in (1, 2, 3, 4, 5):
         for cons in constraint_sets:
             for objective in (MISCLASSIFICATION, LEAF_BALANCE, TREE_SIZE):
                 want = _per_combination_reference(rules, k, data, objective, cons)
@@ -433,7 +434,7 @@ def test_rule_masks_below_two_rules_skip_ancestry():
         solve(rules, 2, data, MISCLASSIFICATION)
 
 
-@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_solve_nodes_independent_of_data_and_below_per_combination_sum(k):
     rules = grid_axis_rules()
     counts = []
@@ -448,7 +449,7 @@ def test_solve_nodes_independent_of_data_and_below_per_combination_sum(k):
         counts.append(stats.nodes)
     assert counts[0] == counts[1]
     # a state with at most two rules left is a leaf of the recursion
-    assert counts[0] == {2: 1, 3: 25, 4: 97}[k]
+    assert counts[0] == {2: 1, 3: 25, 4: 97, 5: 129}[k]
     per_combination = 0
     for combo in itertools.combinations(range(len(rules)), k):
         stats = SolveStats()
@@ -487,7 +488,7 @@ def test_solve_nodes_is_one_call_below_three_rules(k):
             for cons in (None, SolveConstraints(min_leaf=2, max_depth=1), SolveConstraints(max_depth=0)):
                 stats = SolveStats()
                 solve(rules, k, data, MISCLASSIFICATION, cons, stats=stats)
-                assert stats.nodes == 1
+                assert stats.nodes == stats.states == 1
 
 
 def test_solve_costs_each_leaf_row_set_once():
@@ -553,8 +554,13 @@ def test_solve_stats_count_closed_forms():
         tables, python = SolveStats(), SolveStats()
         for path, stats in zip(closed_form_paths(MISCLASSIFICATION), (tables, python)):
             solve(rules, k, data, path, stats=stats)
-        # the path changes no recursion call
+        # the path changes no recursion call and no state
         assert tables.nodes == python.nodes
+        assert tables.states == python.states
+        # below three rules the root is the one state; deeper, memo hits
+        # make the calls outnumber the distinct states
+        assert (tables.states == 1) == (k < 3)
+        assert tables.states < tables.nodes or k < 5
         # without a count form nothing comes from count tables
         assert python.batched == 0 < python.closed_forms
         if k <= 3:
@@ -566,10 +572,10 @@ def test_solve_stats_count_closed_forms():
             assert (tables.closed_forms == 1) == (k <= 2)
             assert (tables.closed_forms == python.closed_forms) == (k == 1)
         else:
-            # from four rules on, the count tables also memoize the stumps
-            # below the root's two-rule children, which are the states the
-            # Python closed forms would have solved
-            assert 0 < tables.batched < tables.closed_forms == python.closed_forms
+            # from four rules on no count table is built: the Python closed
+            # forms solve every state on both paths
+            assert tables.batched == 0
+            assert tables.closed_forms == python.closed_forms
 
 
 @pytest.mark.parametrize("objective", [MISCLASSIFICATION, LEAF_BALANCE, TREE_SIZE])
