@@ -7,6 +7,7 @@ Subcommands: fit, check, bsp, mcmp, kd. Exit codes: 0 ok, 1 check mismatch,
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import sys
@@ -42,6 +43,8 @@ from .trees import DecisionTree, DNode, leaves
 
 CHECK_MAX_N = 14
 CHECK_MAX_K = 4
+# check refuses more than this many permutations, C(K, k)·k! = K!/(K-k)!:
+# exactly the k-permutations of the K rule ids that its oracle walk may try
 CHECK_MAX_PERMUTATIONS = 1_000_000
 
 
@@ -322,9 +325,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parsing leaves the parser unchanged, so one per process serves every call
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

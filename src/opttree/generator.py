@@ -5,16 +5,19 @@ they materialize every admissible tree instead of fusing the minimum into the
 recursion. Output order is deterministic (root index ascending, left subtree
 choices before right), so generated sequences are reproducible and comparable.
 
-The permutation pipeline walks the orderings of every k-combination depth
-first against one ancestry matrix of the whole table, placing each rule at a
-heap position as :func:`~opttree.trees.tree_from_permutation` does and
-dropping a prefix, with all its extensions, at its first invalid step.
+The permutation pipeline walks the k-permutations of the whole table's rule
+ids once, depth first, against one ancestry matrix of the table, placing
+each rule at a heap position as :func:`~opttree.trees.tree_from_permutation`
+does and dropping a prefix, with all its extensions, at its first invalid
+step. A prefix is placed once per call, not once per combination that holds
+it, and orderings come in ``itertools.permutations(range(K), k)`` order.
 :func:`enumerate_permutation_trees` streams the surviving orderings with
-their shapes (trees of rule ids with :data:`~opttree.trees.LEAF` leaves);
-:func:`permutation_costs` scores the same placements without building a
-tree. It and :func:`complete_shapes` (behind :func:`all_trees`) route
-sample-position bitmasks from the root against sign masks computed lazily,
-one rule at a time; :func:`all_trees_constrained` splits samples with
+their shapes (trees of rule ids with :data:`~opttree.trees.LEAF` leaves),
+one first rule at a time; :func:`permutation_costs` scores the same
+placements as the walk reaches them, without building a tree. It and
+:func:`complete_shapes` (behind :func:`all_trees`) route sample-position
+bitmasks from the root against sign masks computed lazily, one rule at a
+time; :func:`all_trees_constrained` splits samples with
 :func:`~opttree.rules.split_dataset` as it recurses, so it can prune.
 :func:`count_tree_shapes` counts what :func:`all_tree_shapes` would build
 without building it. Nothing here imports the solver.
@@ -63,7 +66,12 @@ def count_tree_shapes(index_sets: Iterable[Iterable[int]], matrix: AncestryMatri
             counts[idx] = sum(count(left) * count(right) for left, _, right in splits_generic(idx, matrix))
         return counts[idx]
 
-    return sum(count(tuple(sorted(s))) for s in index_sets)
+    try:
+        return sum(count(tuple(sorted(s))) for s in index_sets)
+    finally:
+        # count reaches itself through its closure; emptying the cell frees
+        # the memo on return instead of at the next cyclic collection
+        del count
 
 
 def _positive_masks(rules: Sequence[Rule], samples: Dataset) -> Callable[[int], int]:
@@ -160,75 +168,98 @@ def all_trees_constrained(
     return rec(tuple(sorted(indices)), tuple(data), max_depth)
 
 
-def _valid_orderings(
-    combo: Sequence[int], matrix: AncestryMatrix | None
-) -> list[tuple[Permutation, Placement]]:
-    """Every valid ordering of ``combo`` with its placement, depth first.
+def _walk_matrix(rules: Sequence[Rule], k: int, matrix: AncestryMatrix | None) -> AncestryMatrix | None:
+    """The matrix the walk reads, checked at the call.
 
-    Orderings come in :func:`itertools.permutations` order. Each rule of an
-    ordering is placed at the heap position it descends to
-    (:func:`~opttree.trees.descend`), and an ordering is valid when each
-    position is above the previous one. Every prefix of a valid ordering is
-    valid, so orderings sharing a prefix share the work of placing it, and a
-    prefix is dropped with all its extensions as soon as it is invalid. Each
-    placement returned is its own dict.
-    """
-    out: list[tuple[Permutation, Placement]] = []
-    placed: Placement = {}
-    order: list[int] = []
-
-    def extend(rest: tuple[int, ...], last: int) -> None:
-        if not rest:
-            out.append((tuple(order), dict(placed)))
-            return
-        for i, rid in enumerate(rest):
-            p = descend(placed, rid, matrix)
-            if p is None or p <= last:
-                continue
-            placed[p] = rid
-            order.append(rid)
-            extend(rest[:i] + rest[i + 1 :], p)
-            order.pop()
-            del placed[p]
-
-    extend(tuple(combo), -1)
-    return out
-
-
-def _orderings(
-    rules: Sequence[Rule], k: int, matrix: AncestryMatrix | None
-) -> Iterator[tuple[Permutation, Placement]]:
-    """:func:`_valid_orderings` of every k-combination, in lexicographic order.
-
-    A k above the table size raises ValueError here, at the call. The matrix
-    is built from the defining points when not given and k is at least 2; a
-    tree of fewer rules reads no entry.
+    A k above the table size raises ValueError. The matrix is built from the
+    defining points when not given and k is at least 2; a tree of fewer rules
+    reads no entry.
     """
     if k > len(rules):
         raise ValueError(f"cannot choose {k} of {len(rules)} rules")
     if matrix is None and k >= 2:
         matrix = ancestry_matrix(rules)
-    combos = itertools.combinations(range(len(rules)), k)
-    return itertools.chain.from_iterable(_valid_orderings(combo, matrix) for combo in combos)
+    return matrix
+
+
+def _walk(
+    firsts: Iterable[int],
+    n: int,
+    k: int,
+    matrix: AncestryMatrix | None,
+    visit: Callable[[list[int], Placement], None],
+) -> None:
+    """Visit every valid k-permutation of ``range(n)`` that starts in ``firsts``.
+
+    The walk is depth first: the first rule is taken from ``firsts`` in its
+    order and each next rule is an unused id in ascending order, so orderings
+    come in :func:`itertools.permutations` order. Each rule is placed at the
+    heap position it descends to (:func:`~opttree.trees.descend`), and an
+    ordering is valid when each position is above the previous one. Every
+    prefix of a valid ordering is valid, so a prefix is placed once per call,
+    whichever combinations share it, and it is dropped with all its
+    extensions at its first 0 entry or non-increasing position. ``visit``
+    gets each valid ordering and its placement; both are reused by the walk,
+    so it copies what it keeps.
+    """
+    placed: Placement = {}
+    order: list[int] = []
+    free = [True] * n
+    every = range(n)
+
+    def extend(rids: Iterable[int], last: int) -> None:
+        if len(order) == k:
+            visit(order, placed)
+            return
+        for rid in rids:
+            if not free[rid]:
+                continue
+            p = descend(placed, rid, matrix)
+            if p is None or p <= last:
+                continue
+            placed[p] = rid
+            order.append(rid)
+            free[rid] = False
+            extend(every, p)
+            free[rid] = True
+            order.pop()
+            del placed[p]
+
+    try:
+        extend(firsts, -1)
+    finally:
+        # as in count_tree_shapes: free the walk's state on return
+        del extend
 
 
 def enumerate_permutation_trees(
     rules: Sequence[Rule], k: int, matrix: AncestryMatrix | None = None
 ) -> Iterator[tuple[Permutation, DecisionTree]]:
-    """Brute-force reference: every valid ordering of every k-subset of rules.
+    """Brute-force reference: every valid k-permutation of the rule table.
 
-    The orderings of every k-combination of global rule ids are tried against
-    ``matrix``, the ancestry matrix of the whole table (built from the
-    defining points when not given and k is at least 2; a tree of fewer
-    rules reads no entry); a matrix entry depends only on its two rules, so
-    this is the tree each combination's own matrix gives. The survivors, the
-    orderings :func:`tree_from_permutation` accepts, stream out as
-    (ordering, shape) pairs, combinations in lexicographic order and
-    orderings in :func:`itertools.permutations` order within each. A k above
+    The k-permutations of global rule ids are tried against ``matrix``, the
+    ancestry matrix of the whole table (built from the defining points when
+    not given and k is at least 2; a tree of fewer rules reads no entry); a
+    matrix entry depends only on its two rules, so this is the tree each
+    combination's own matrix gives. The survivors, the orderings
+    :func:`tree_from_permutation` accepts, come out as (ordering, shape)
+    pairs in ``itertools.permutations(range(len(rules)), k)`` order, which
+    is lexicographic on orderings. They stream one first rule at a time: the
+    pairs of one first rule are built together, then handed out. A k above
     the table size raises ValueError at the call, before anything is
     generated.
     """
-    return ((perm, placement_shape(placed)) for perm, placed in _orderings(rules, k, matrix))
+    matrix = _walk_matrix(rules, k, matrix)
+    n = len(rules)
+
+    def rooted(firsts: tuple[int, ...]) -> list[tuple[Permutation, DecisionTree]]:
+        pairs: list[tuple[Permutation, DecisionTree]] = []
+        _walk(firsts, n, k, matrix, lambda order, placed: pairs.append((tuple(order), placement_shape(placed))))
+        return pairs
+
+    # the empty ordering has no first rule
+    groups = [(rid,) for rid in range(n)] if k else [()]
+    return itertools.chain.from_iterable(map(rooted, groups))
 
 
 def permutation_costs(
@@ -238,13 +269,14 @@ def permutation_costs(
 
     Equal, pair for pair, to ``tree_cost(complete_shapes([shape], rules,
     data)[0], objective)``: the same fold of ``objective.combine`` over the
-    same leaves, read off each placement with no tree built. Sample
-    positions are routed from the root as bitmasks, each rule's positive
-    mask is computed the first time a placement uses it, and
-    ``objective.leaf_cost`` runs once per distinct set of samples reaching a
-    leaf. Raises ValueError at the call as :func:`enumerate_permutation_trees`.
+    same leaves, read off each placement as the walk reaches it, with no
+    tree built and no placement copied. Sample positions are routed from the
+    root as bitmasks, each rule's positive mask is computed the first time a
+    placement uses it, and ``objective.leaf_cost`` runs once per distinct set
+    of samples reaching a leaf. Raises ValueError at the call as
+    :func:`enumerate_permutation_trees`.
     """
-    pairs = _orderings(rules, k, matrix)
+    matrix = _walk_matrix(rules, k, matrix)
     samples = tuple(data)
     positive = _positive_masks(rules, samples)
     leaf_costs: dict[int, Any] = {}
@@ -260,7 +292,13 @@ def permutation_costs(
         return combine(cost(placed, 2 * p + 1, rows & pos), cost(placed, 2 * p + 2, rows & ~pos), rid)
 
     every = (1 << len(samples)) - 1
-    return [cost(placed, 0, every) for _, placed in pairs]
+    costs: list = []
+    try:
+        _walk(range(len(rules)), len(rules), k, matrix, lambda _, placed: costs.append(cost(placed, 0, every)))
+    finally:
+        # as in count_tree_shapes: free the leaf costs and masks on return
+        del cost
+    return costs
 
 
 def all_chain_trees(items: Sequence[MatrixDim]) -> list[DecisionTree]:

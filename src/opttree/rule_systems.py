@@ -25,7 +25,6 @@ from .rules import (
     AxisParallel,
     Rule,
     hyperplanes_from_points,
-    root_feasible,
     sign_table,
 )
 
@@ -130,21 +129,36 @@ def enumerate_surface2_rules(data: Dataset, *, diagnostics: dict | None = None) 
 
 
 def splits_generic(
-    indices: Iterable[int], matrix: AncestryMatrix
+    indices: Iterable[int], matrix: AncestryMatrix | None
 ) -> list[tuple[tuple[int, ...], int, tuple[int, ...]]]:
     """Feasible-root triples for an index set under an ancestry matrix.
 
     A root must relate to every other index; the remaining indices fall on the
-    side their matrix entry dictates. Roots come out in ascending order.
+    side their matrix entry dictates. Roots come out in ascending order. Each
+    candidate root's row is read in one pass that stops at its first 0
+    entry. A single index roots alone and reads no entry, so ``matrix`` may
+    be None for it.
     """
     idx = sorted(indices)
+    if len(idx) == 1:
+        return [((), idx[0], ())]
     out = []
     for i in idx:
-        if not root_feasible(i, idx, matrix):
-            continue
-        left = tuple(j for j in idx if j != i and matrix[i][j] > 0)
-        right = tuple(j for j in idx if j != i and matrix[i][j] < 0)
-        out.append((left, i, right))
+        row = matrix[i]
+        left: list[int] = []
+        right: list[int] = []
+        for j in idx:
+            if j == i:
+                continue
+            side = row[j]
+            if side > 0:
+                left.append(j)
+            elif side < 0:
+                right.append(j)
+            else:
+                break
+        else:
+            out.append((tuple(left), i, tuple(right)))
     return out
 
 

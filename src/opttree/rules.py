@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -258,7 +258,3 @@ def ancestry_tables(rules: Sequence[Rule]) -> tuple[np.ndarray, np.ndarray]:
     np.fill_diagonal(right, False)
     return left, right
 
-
-def root_feasible(i: int, indices: Iterable[int], matrix: AncestryMatrix) -> bool:
-    """True when rule i relates to every other index, so it can head the set."""
-    return all(matrix[i][j] != 0 for j in indices if j != i)

@@ -57,6 +57,26 @@ def spec_tree_from_permutation(perm, matrix):
     return tree if level_order(tree) == tuple(perm) else None
 
 
+def root_feasible(i, indices, matrix):
+    """True when rule i relates to every other index, so it can head the set."""
+    return all(matrix[i][j] != 0 for j in indices if j != i)
+
+
+def spec_splits_generic(indices, matrix):
+    """Feasible-root triples by their definition: every feasible root in
+    ascending order, with the other indices on the side its entries name."""
+    idx = sorted(indices)
+    return [
+        (
+            tuple(j for j in idx if j != i and matrix[i][j] > 0),
+            i,
+            tuple(j for j in idx if j != i and matrix[i][j] < 0),
+        )
+        for i in idx
+        if root_feasible(i, idx, matrix)
+    ]
+
+
 def leaf_payloads(tree):
     if isinstance(tree, DLeaf):
         return [tree.data]

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from opttree.cli import CHECK_MAX_PERMUTATIONS, main
+from opttree.cli import CHECK_MAX_PERMUTATIONS, build_parser, main
 
 # Four lines around a square: each line's defining points sit strictly inside
 # every other line's positive half-plane, so all 24 orderings of the four
@@ -238,6 +238,25 @@ def test_fit_deterministic_outputs(tmp_path, capsys):
     assert c1 == c2 == 0
     assert out1 == out2
     assert f1.read_bytes() == f2.read_bytes()
+
+
+def test_main_reuses_parser_without_leaking_options(tmp_path, capsys):
+    # main parses every call with one parser per process; constrained and
+    # plain calls in turn print what calls through a fresh parser print
+    csv = tmp_path / "d.csv"
+    seeded_csv(csv, 1, n=8)
+
+    def fresh(*argv):
+        args = build_parser().parse_args([str(a) for a in argv])
+        code = args.func(args)
+        return code, capsys.readouterr().out
+
+    constrained = ("fit", csv, "--min-leaf", "2", "--max-depth", "2")
+    calls = [constrained, ("fit", csv), ("check", csv, "--k", "2")] * 2
+    want = [fresh(*argv) for argv in calls]
+    # a leaked constraint or --k would change the plain fit's tree
+    assert want[0] != want[1] != fresh("fit", csv, "--k", "2")
+    assert [run(capsys, *argv) for argv in calls] == want
 
 
 def test_fit_score_matches_check(tmp_path, capsys):

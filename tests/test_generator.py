@@ -80,7 +80,8 @@ def four_line_rules():
 
 
 def test_four_line_configuration_has_three_trees():
-    from opttree import root_feasible, splits_generic
+    from opttree import splits_generic
+    from helpers import root_feasible
 
     rules = four_line_rules()
     matrix = ancestry_matrix(rules)
@@ -334,11 +335,41 @@ def test_permutation_trees_equal_sliced_and_relabeled_reference(kind):
         rules, _ = rule_table(kind, random_instance(seed, n_min=6, n_max=7))
         matrix = ancestry_matrix(rules)
         for k in range(4):
-            want = reference(rules, k, matrix)
+            # orderings are distinct, so sorting on them alone is exact
+            want = sorted(reference(rules, k, matrix), key=lambda pair: pair[0])
             assert list(enumerate_permutation_trees(rules, k)) == want
             assert list(enumerate_permutation_trees(rules, k, matrix)) == want
             compared[k] += len(want)
     assert all(compared[k] for k in range(4))
+
+
+@pytest.mark.parametrize("kind", ["axis", "hyperplane", "surface2", "grid"])
+def test_walk_places_each_prefix_once_per_call(kind, monkeypatch):
+    # one walk over the table's k-permutations: a prefix that many
+    # combinations share is placed once, so no (placement, rule) step
+    # repeats within a call. A placement fixes its tree and so its ordering.
+    steps = Counter()
+    descend = opttree.generator.descend
+
+    def counted(placed, rid, matrix):
+        steps[frozenset(placed.items()), rid] += 1
+        return descend(placed, rid, matrix)
+
+    monkeypatch.setattr(opttree.generator, "descend", counted)
+    compared = Counter()
+    for seed in (3, 11):
+        for k in range(5):
+            rules, space = costed_table(kind, seed, k)
+            walks = (
+                lambda: list(enumerate_permutation_trees(rules, k)),
+                lambda: permutation_costs(rules, k, space, MISCLASSIFICATION),
+            )
+            for walk in walks:
+                steps.clear()
+                walk()
+                assert max(steps.values(), default=1) == 1
+                compared[k] += len(steps)
+    assert all(compared[k] for k in range(1, 5))
 
 
 def test_all_trees_empty_and_single():

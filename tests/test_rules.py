@@ -21,10 +21,10 @@ from opttree import (
     hyperplane_from_points,
     hyperplanes_from_points,
     lift_degree2,
-    root_feasible,
     row_masks,
     sign_table,
 )
+from helpers import root_feasible
 
 
 def test_classify_axis():

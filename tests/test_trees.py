@@ -17,9 +17,10 @@ from opttree import (
     level_order,
     make_dataset,
     map_leaves,
+    splits_generic,
     tree_from_permutation,
 )
-from helpers import leaf_payloads, spec_tree_from_permutation
+from helpers import leaf_payloads, spec_splits_generic, spec_tree_from_permutation
 
 
 def matrix_of(rows):
@@ -109,6 +110,20 @@ def test_round_trip_and_injectivity(matrix):
         assert tree_from_permutation(order, matrix) == tree
 
 
+@given(small_matrices(max_k=5))
+@settings(max_examples=120, deadline=None)
+def test_splits_generic_equals_spec(matrix):
+    # one pass per candidate root that stops at its first 0 entry, against
+    # root_feasible plus the two side comprehensions, on every index set
+    n = len(matrix)
+    for size in range(n + 1):
+        for subset in itertools.combinations(range(n), size):
+            assert splits_generic(subset, matrix) == spec_splits_generic(subset, matrix)
+    # a single index roots alone and reads no entry
+    for i in range(n):
+        assert splits_generic((i,), None) == spec_splits_generic((i,), None) == [((), i, ())]
+
+
 def matrices_and_k(max_k=7, max_len=5):
     """A {-1, 0, +1} matrix over up to ``max_k`` rules, holding an off-diagonal
     0 when it has two rules, and an ordering length. Zeros are drawn one time
@@ -134,13 +149,12 @@ def test_tree_from_permutation_equals_spec(mk):
 @settings(max_examples=100, deadline=None)
 def test_permutation_walk_equals_spec_brute_force(mk):
     # the walk cuts a prefix at its first invalid step; the brute force
-    # tries every ordering of every combination in full. With the matrix
+    # tries every k-permutation in full, in the walk's order. With the matrix
     # given, the rule table is only counted.
     matrix, k = mk
     want = [
         (perm, tree)
-        for combo in itertools.combinations(range(len(matrix)), k)
-        for perm in itertools.permutations(combo)
+        for perm in itertools.permutations(range(len(matrix)), k)
         if (tree := spec_tree_from_permutation(perm, matrix)) is not None
     ]
     assert list(enumerate_permutation_trees([None] * len(matrix), k, matrix)) == want
