@@ -40,7 +40,6 @@ from .trees import (
     depth,
     leaves,
     level_order,
-    map_leaves,
     node_count,
     tree_from_permutation,
 )

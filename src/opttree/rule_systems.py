@@ -25,7 +25,6 @@ from .rules import (
     AxisParallel,
     Rule,
     hyperplanes_from_points,
-    sign_table,
 )
 
 # Point combinations turned into planes per batched SVD, bounding its arrays.
@@ -67,17 +66,16 @@ def enumerate_axis_rules(data: Dataset) -> list[Rule]:
 
 
 def enumerate_hyperplane_rules(data: Dataset, *, diagnostics: dict | None = None) -> list[Rule]:
-    """One rule per D-combination of points, deduplicated by behavior.
+    """One rule per D-combination of affinely independent points.
 
-    Combinations are taken in lexicographic order. Combinations of affinely
-    dependent points are skipped; a combination whose hyperplane induces a
-    sign pattern over the dataset already seen is dropped, since only
-    distinct partitions matter. The planes of a batch of combinations come
-    from one batched SVD (:func:`~opttree.rules.hyperplanes_from_points`)
-    and their sign patterns from one :func:`~opttree.rules.sign_table`,
-    which equals :func:`~opttree.rules.classify` entry for entry. If
-    ``diagnostics`` is a dict it receives 'degenerate' and 'duplicate'
-    counts.
+    Combinations are taken in lexicographic order, and combinations of
+    affinely dependent points are skipped. No two rules are merged, not even
+    two that split the data alike: the ancestry matrix reads each rule's sign
+    on the other rules' defining points, so two such rules can still place
+    other rules differently, and dropping one could lose the optimum. The
+    planes of a batch of combinations come from one batched SVD
+    (:func:`~opttree.rules.hyperplanes_from_points`). If ``diagnostics`` is a
+    dict it receives the 'degenerate' count.
     """
     n = len(data)
     if n == 0:
@@ -87,24 +85,16 @@ def enumerate_hyperplane_rules(data: Dataset, *, diagnostics: dict | None = None
         raise ValueError(f"need at least {d} points, got {n}")
     points = np.array([s.point for s in data])
     rules: list[Rule] = []
-    seen: set[bytes] = set()
-    degenerate = duplicate = 0
+    degenerate = 0
     combos = itertools.combinations(range(n), d)
     while batch := list(itertools.islice(combos, _COMBINATION_BATCH)):
-        planes = hyperplanes_from_points(points[np.array(batch)])
-        kept = [(combo, plane) for combo, plane in zip(batch, planes) if plane is not None]
-        degenerate += len(batch) - len(kept)
-        signs = np.packbits(sign_table([plane for _, plane in kept], points), axis=1)
-        for (combo, plane), signature in zip(kept, signs):
-            key = signature.tobytes()
-            if key in seen:
-                duplicate += 1
-                continue
-            seen.add(key)
-            rules.append(Rule(plane, tuple(data[i].point for i in combo)))
+        for combo, plane in zip(batch, hyperplanes_from_points(points[np.array(batch)])):
+            if plane is None:
+                degenerate += 1
+            else:
+                rules.append(Rule(plane, tuple(data[i].point for i in combo)))
     if diagnostics is not None:
         diagnostics["degenerate"] = degenerate
-        diagnostics["duplicate"] = duplicate
     return rules
 
 

@@ -6,7 +6,9 @@ rule, right state) triples; both sides are solved, combined, and the
 combination whose cost (any value ``<`` orders) is least is kept. The
 recursion reads an objective only through its combine step. Because every
 shipped objective combines child costs monotonically, taking the minimum
-inside the recursion is exact, and each state keeps one candidate.
+inside the recursion is exact, and each state keeps one candidate. The
+search handles costs and winning splits only; the returned tree is built
+once, from the root's winners down, after it.
 
 The rule-set front end works on bitmasks: a state is (allowed rules, rows,
 rules still to place, depth budget), a root's ancestry row supplies the rules
@@ -17,10 +19,10 @@ by that state: a subproblem shared by many combinations or paths is solved
 once. A state with one or two rules left is a leaf of the recursion, solved
 in closed form (the cheapest stump over its allowed roots, or the cheapest
 root over a leaf and such a stump); leaves are costed once per row mask, and
-samples are gathered only for the returned tree. For an objective with a
-count form and at most three rules to place, the root's one- and two-rule
-states are solved first, in numpy, from per-label count tables (see
-:class:`_RuleMasks`); the recursion then finds them memoized.
+samples are gathered only for the leaves of the returned tree. For an
+objective with a count form and at most three rules to place, the root's one-
+and two-rule states are solved first, in numpy, from per-label count tables
+(see :class:`_RuleMasks`); the recursion then finds them memoized.
 :class:`SolveStats` counts recursion calls (memo hits included), distinct
 states, and the closed-form states solved, in Python or from count tables.
 Ties compare the rule combination (the lexicographically smallest wins),
@@ -42,7 +44,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
 from itertools import compress
 from typing import Any, Callable, Sequence
 
@@ -51,7 +52,7 @@ import numpy as np
 from .data import Dataset
 from .rules import _BLOCK, Rule, ancestry_tables, row_masks, sign_table
 from .rule_systems import MatrixDim, SceneSegment, split_segments, splits_bsp, splits_mcmp
-from .trees import DecisionTree, DLeaf, DNode, map_leaves
+from .trees import DecisionTree, DLeaf, DNode
 
 
 @dataclass(frozen=True)
@@ -199,22 +200,26 @@ def _members(data: Dataset, mask: int) -> Dataset:
 def _optimize(
     root: Any,
     splits: Callable[[Any], list | None],
-    leaf: Callable[[Any], tuple[DecisionTree, Any] | None],
+    leaf: Callable[[Any], Any],
     combine: Callable[[Any, Any, Any], Any],
+    tree: Callable[[Any], DecisionTree],
     stats: SolveStats | None = None,
-) -> tuple[DecisionTree, Any] | None:
-    """Cheapest (tree, cost) for the ``root`` state, or None if none is feasible.
+) -> DecisionTree | None:
+    """The cheapest tree for the ``root`` state, or None if none is feasible.
 
     ``splits(state)`` returns None for a leaf state, otherwise the
     (left state, rule, right state) triples to try, in tie-break order.
     ``leaf(state)`` costs a leaf state and returns None when it is infeasible.
     ``combine(left cost, right cost, rule)`` is an objective's combine step,
     the only part of the objective the recursion reads. Every distinct
-    (hashable) state is solved once. Each state keeps its first cheapest
-    candidate and builds a node only for it, so ties go to the earliest
-    candidate.
+    (hashable) state is solved once. The search handles values only: each
+    state memoizes its cost and keeps its first cheapest candidate, so ties
+    go to the earliest, as its winning (left, rule, right). The tree is built
+    once, after the search, by following the winners down from the root;
+    ``tree(state)`` builds the subtree of a leaf state it reaches.
     """
     memo: dict = {}
+    wins: dict = {}
 
     def rec(state):
         if stats is not None:
@@ -223,7 +228,7 @@ def _optimize(
             return memo[state]
         triples = splits(state)
         if triples is None:
-            result = leaf(state)
+            best = leaf(state)
         else:
             best = None
             for left, rule, right in triples:
@@ -233,21 +238,29 @@ def _optimize(
                 v = rec(right)
                 if v is None:
                     continue
-                cost = combine(u[1], v[1], rule)
-                if best is None or cost < best[0]:
-                    best = (cost, u[0], rule, v[0])
-            result = None if best is None else (DNode(best[1], best[2], best[3]), best[0])
-        memo[state] = result
-        return result
+                cost = combine(u, v, rule)
+                if best is None or cost < best:
+                    best, win = cost, (left, rule, right)
+            if best is not None:
+                wins[state] = win
+        memo[state] = best
+        return best
+
+    def build(state):
+        if state not in wins:
+            return tree(state)
+        left, rule, right = wins[state]
+        return DNode(build(left), rule, build(right))
 
     try:
-        return rec(root)
+        return None if rec(root) is None else build(root)
     finally:
         if stats is not None:
             stats.states += len(memo)
-        # rec reaches itself through its closure; emptying the cell frees the
-        # memo on return instead of at the next cyclic collection
-        del rec
+        # rec and build reach themselves through their closures; emptying the
+        # cells frees the memos on return instead of at the next cyclic
+        # collection
+        del rec, build
 
 
 class _RuleMasks:
@@ -281,9 +294,12 @@ class _RuleMasks:
     a stump on the positive side with a leaf on the negative side, compared as
     ranked (cost, -combination mask) values, the first strict minimum
     winning. Both results depend only on (allowed rules, rows) and are
-    memoized on that pair. Leaf costs are memoized per row mask. Leaves carry
-    their row mask; :func:`solve` gathers the samples of the returned tree
-    only.
+    memoized on that pair as (ranked value, winner): a stump's winner is its
+    root i, a two-rule state's is (root j, its stump's root m, side), side 0
+    putting the stump on j's negative side and side 1 on its positive side.
+    Leaf costs are memoized per row mask. No tree is built during the search:
+    :meth:`tree` builds the winning tree of a leaf state of the recursion
+    from those winners, and gathers samples for its leaves only.
 
     Values handed to the recursion are ranked (cost, -combination mask)
     pairs: a leaf ranks (cost, 0), and :meth:`combine` is the recursion's
@@ -305,7 +321,8 @@ class _RuleMasks:
     order too: a stump's is the first cheapest root in ascending order; a
     two-rule state's is the first by cost, then sorted rule combination, then
     root (which, with the combination, fixes the side the second rule is on).
-    The results go into the memos of :meth:`stump` and :meth:`pair`.
+    The results go into the memos of :meth:`stump` and :meth:`pair`, as
+    the same (ranked value, winner) pairs.
 
     The tables pay only against a cold memo. On uniform 2-D data with two
     labels, a root batch breaks even near 14 rules at k=3 (axis N=7) and
@@ -360,8 +377,8 @@ class _RuleMasks:
         self.batched = 0
         self.root = ((1 << self.size) - 1, (1 << len(self.data)) - 1, k, constraints.max_depth)
         self._costs: dict[int, Any] = {}
-        self._stumps: dict[tuple[int, int], tuple[DecisionTree, Any] | None] = {}
-        self._pairs: dict[tuple[int, int], tuple[DecisionTree, Any] | None] = {}
+        self._stumps: dict[tuple[int, int], tuple[tuple[Any, int], int] | None] = {}
+        self._pairs: dict[tuple[int, int], tuple[tuple[Any, int], tuple[int, int, int]] | None] = {}
 
     def splits(self, state: tuple) -> list | None:
         allowed, rows, count, budget = state
@@ -395,15 +412,40 @@ class _RuleMasks:
         """
         return self.objective.combine(a[0], b[0], rule), a[1] + b[1] - (1 << self.size - 1 - rule)
 
-    def leaf(self, state: tuple) -> tuple[DecisionTree, Any] | None:
+    def leaf(self, state: tuple) -> tuple[Any, int] | None:
         allowed, rows, count, budget = state
         if count == 2:
             # the second rule needs a level below the root
-            return None if budget == 1 else self.pair(allowed, rows)
-        if count:
-            return self.stump(allowed, rows)
-        cost = self.cost(rows)
-        return None if cost is None else (DLeaf(rows), (cost, 0))
+            solved = None if budget == 1 else self.pair(allowed, rows)
+        elif count:
+            solved = self.stump(allowed, rows)
+        else:
+            cost = self.cost(rows)
+            return None if cost is None else (cost, 0)
+        return None if solved is None else solved[0]
+
+    def tree(self, state: tuple) -> DecisionTree:
+        """The winning tree of a leaf state of the recursion, its leaves
+        holding the samples of their rows."""
+        allowed, rows, count, _ = state
+        data, positive = self.data, self.pos
+
+        def leaf(mask: int) -> DecisionTree:
+            return DLeaf(_members(data, mask))
+
+        def stump(mask: int, i: int) -> DecisionTree:
+            pos = mask & positive[i]
+            return DNode(leaf(pos), i, leaf(mask ^ pos))
+
+        if not count:
+            return leaf(rows)
+        if count == 1:
+            return stump(rows, self._stumps[allowed, rows][1])
+        j, m, side = self._pairs[allowed, rows][1]
+        pos = rows & positive[j]
+        if side == 0:
+            return DNode(leaf(pos), j, stump(rows ^ pos, m))
+        return DNode(stump(pos, m), j, leaf(rows ^ pos))
 
     def cost(self, rows: int) -> Any:
         """The leaf cost of a row mask, None below ``min_leaf``; memoized."""
@@ -417,8 +459,9 @@ class _RuleMasks:
         costs[rows] = result
         return result
 
-    def stump(self, allowed: int, rows: int) -> tuple[DecisionTree, Any] | None:
-        """Cheapest one-rule tree over ``rows`` with its root in ``allowed``."""
+    def stump(self, allowed: int, rows: int) -> tuple[tuple[Any, int], int] | None:
+        """Ranked value and root of the cheapest one-rule tree over ``rows``
+        with its root in ``allowed``."""
         key = (allowed, rows)
         if key in self._stumps:
             return self._stumps[key]
@@ -441,18 +484,23 @@ class _RuleMasks:
             candidate = combine(u, v, i)
             if best is None or candidate < best:
                 best, winner = candidate, i
-        result = None if best is None else (self._stump_tree(rows, winner), (best, -(1 << last - winner)))
+        result = None if best is None else ((best, -(1 << last - winner)), winner)
         self._stumps[key] = result
         return result
 
-    def pair(self, allowed: int, rows: int) -> tuple[DecisionTree, Any] | None:
-        """Cheapest two-rule tree over ``rows`` with its rules in ``allowed``."""
+    def pair(self, allowed: int, rows: int) -> tuple[tuple[Any, int], tuple[int, int, int]] | None:
+        """Ranked value and winner (root, its stump's root, side) of the
+        cheapest two-rule tree over ``rows`` with its rules in ``allowed``.
+
+        Side 0 is a leaf on the root's positive side and the stump on its
+        negative side, side 1 the other way round.
+        """
         key = (allowed, rows)
         if key in self._pairs:
             return self._pairs[key]
         combine, cost, stump = self.objective.combine, self.cost, self.stump
         positive, last = self.pos, self.size - 1
-        best = None
+        best = winner = None
         todo = allowed
         while todo:
             top = todo.bit_length() - 1
@@ -470,19 +518,21 @@ class _RuleMasks:
                 if u is not None:
                     v = stump(right, neg)
                     if v is not None:
-                        candidate = combine(u, v[1][0], i), v[1][1] - bit
-                        if best is None or candidate < best[0]:
-                            best = candidate, DLeaf(pos), i, v[0]
+                        (c, rank), m = v
+                        candidate = combine(u, c, i), rank - bit
+                        if best is None or candidate < best:
+                            best, winner = candidate, (i, m, 0)
             left = allowed & self.left[i]
             if left:
                 u = stump(left, pos)
                 if u is not None:
                     v = cost(neg)
                     if v is not None:
-                        candidate = combine(u[1][0], v, i), u[1][1] - bit
-                        if best is None or candidate < best[0]:
-                            best = candidate, u[0], i, DLeaf(neg)
-        result = None if best is None else (DNode(best[1], best[2], best[3]), best[0])
+                        (c, rank), m = u
+                        candidate = combine(c, v, i), rank - bit
+                        if best is None or candidate < best:
+                            best, winner = candidate, (i, m, 1)
+        result = None if best is None else (best, winner)
         self._pairs[key] = result
         return result
 
@@ -517,11 +567,11 @@ class _RuleMasks:
                 if memo is self._stumps:
                     found, best, win = self._cheapest(allowed, rows)
                     results = [
-                        (self._stump_tree(mask, i), (cost, -(1 << last - i))) if hit else None
-                        for (_, mask), hit, cost, i in zip(block, found.tolist(), best.tolist(), win.tolist())
+                        ((cost, -(1 << last - i)), i) if hit else None
+                        for hit, cost, i in zip(found.tolist(), best.tolist(), win.tolist())
                     ]
                 else:
-                    results = self._pair_block(block, allowed, rows, step)
+                    results = self._pair_block(allowed, rows, step)
                 memo.update(zip(block, results))
         self.batched += len(stumps) + len(pairs)
 
@@ -565,12 +615,9 @@ class _RuleMasks:
             win[present] = root[np.minimum.reduceat(at_best, start)]
         return found, best, win
 
-    def _stump_tree(self, rows: int, i: int) -> DecisionTree:
-        pos = rows & self.pos[i]
-        return DNode(DLeaf(pos), i, DLeaf(rows ^ pos))
-
-    def _pair_block(self, block: list, allowed: np.ndarray, rows: np.ndarray, step: int) -> list:
-        """:meth:`pair` of each (allowed rules, rows) in ``block``.
+    def _pair_block(self, allowed: np.ndarray, rows: np.ndarray, step: int) -> list:
+        """:meth:`pair` of each state s, holding the rows ``rows[s]`` and
+        the rules ``allowed[s]``.
 
         Each allowed root j of state s brings two stumps: on j's negative
         side over its right set, and on its positive side over its left set.
@@ -609,15 +656,9 @@ class _RuleMasks:
         low, high = np.minimum(root, partner), np.maximum(root, partner)
         order = sel[np.lexsort((root[sel], high[sel], low[sel], cost[sel], state[sel]))]
         win = order[np.flatnonzero(np.diff(state[order], prepend=-1))]
-        results: list = [None] * len(block)
+        results: list = [None] * len(rows)
         for s, j, m, d, c in zip(*(a[win].tolist() for a in (state, root, partner, side, cost))):
-            pos = block[s][1] & self.pos[j]
-            neg = block[s][1] ^ pos
-            if d == 0:
-                tree = DNode(DLeaf(pos), j, self._stump_tree(neg, m))
-            else:
-                tree = DNode(self._stump_tree(pos, m), j, DLeaf(neg))
-            results[s] = tree, (c, -(1 << last - m) - (1 << last - j))
+            results[s] = (c, -(1 << last - m) - (1 << last - j)), (j, m, d)
         return results
 
 
@@ -641,6 +682,8 @@ def solve(
     better cost over the combinations in lexicographic order, each
     combination's trees generated root-first: the recursion combines with
     :meth:`_RuleMasks.combine`, which ranks (cost, -combination mask) pairs.
+    The search keeps values and winners only, and the returned tree is the
+    one tree built, with the samples reaching each leaf as its payload.
     The rule masks come from numpy sign tables that equal
     :func:`~opttree.rules.classify` and :func:`~opttree.rules.ancestry_matrix`
     entry for entry (see :class:`_RuleMasks`). ``stats.nodes`` counts the
@@ -655,11 +698,11 @@ def solve(
     front = _RuleMasks(rules, data, k, objective, constraints or SolveConstraints())
     if front.labels is not None:
         front.batch()
-    best = _optimize(front.root, front.splits, front.leaf, front.combine, stats=stats)
+    best = _optimize(front.root, front.splits, front.leaf, front.combine, front.tree, stats)
     if stats is not None:
         stats.closed_forms += len(front._stumps) + len(front._pairs)
         stats.batched += front.batched
-    return None if best is None else map_leaves(partial(_members, front.data), best[0])
+    return best
 
 
 def solve_bsp(segments: Sequence[SceneSegment]) -> DecisionTree:
@@ -675,10 +718,13 @@ def solve_bsp(segments: Sequence[SceneSegment]) -> DecisionTree:
     def splits(frags: tuple[SceneSegment, ...]) -> list | None:
         return splits_bsp(frags) if frags else None
 
-    def leaf(frags: tuple[SceneSegment, ...]) -> tuple[DecisionTree, float]:
-        return DLeaf(()), TREE_SIZE.leaf_cost(())
+    def leaf(frags: tuple[SceneSegment, ...]) -> float:
+        return TREE_SIZE.leaf_cost(())
 
-    return _optimize(tuple(segments), splits, leaf, TREE_SIZE.combine)[0]
+    def tree(frags: tuple[SceneSegment, ...]) -> DecisionTree:
+        return DLeaf(())
+
+    return _optimize(tuple(segments), splits, leaf, TREE_SIZE.combine, tree)
 
 
 def bsp_tree_from_order(segments: Sequence[SceneSegment], order: Sequence[int]) -> DecisionTree:
@@ -717,10 +763,13 @@ def solve_mcmp(dims: Sequence[MatrixDim]) -> DecisionTree:
         # chain nodes carry no rule: the tree shape alone is the association
         return [(prefix, None, suffix) for prefix, _, suffix in splits_mcmp(items)]
 
-    def leaf(items: tuple[MatrixDim, ...]) -> tuple[DecisionTree, tuple]:
-        return DLeaf(items[0]), CHAIN_COST.leaf_cost(items[0])
+    def leaf(items: tuple[MatrixDim, ...]) -> tuple:
+        return CHAIN_COST.leaf_cost(items[0])
 
-    return _optimize(seq, splits, leaf, CHAIN_COST.combine)[0]
+    def tree(items: tuple[MatrixDim, ...]) -> DecisionTree:
+        return DLeaf(items[0])
+
+    return _optimize(seq, splits, leaf, CHAIN_COST.combine, tree)
 
 
 def parenthesization(tree: DecisionTree) -> str:
@@ -755,9 +804,8 @@ def solve_kd(data: Dataset, max_depth: int, objective: Objective | None = None) 
     """
     obj = objective or LEAF_BALANCE
     seq = tuple(data)
-    if not seq:
-        return DLeaf(())
-    ndims = len(seq[0].point)
+    # no data leaves the root a leaf state, which reads no dimension
+    ndims = len(seq[0].point) if seq else 0
     at_most = [
         [sum(1 << j for j, s in enumerate(seq) if s.point[d] <= p.point[d]) for p in seq]
         for d in range(ndims)
@@ -779,8 +827,10 @@ def solve_kd(data: Dataset, max_depth: int, objective: Objective | None = None) 
             out.append(((left, depth + 1), (seq[i].point, d), (rest ^ left, depth + 1)))
         return out
 
-    def leaf(state: tuple[int, int]) -> tuple[DecisionTree, Any]:
-        items = _members(seq, state[0])
-        return DLeaf(items), obj.leaf_cost(items)
+    def leaf(state: tuple[int, int]) -> Any:
+        return obj.leaf_cost(_members(seq, state[0]))
 
-    return _optimize(((1 << len(seq)) - 1, 0), splits, leaf, obj.combine)[0]
+    def tree(state: tuple[int, int]) -> DecisionTree:
+        return DLeaf(_members(seq, state[0]))
+
+    return _optimize(((1 << len(seq)) - 1, 0), splits, leaf, obj.combine, tree)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from .rules import AncestryMatrix
 
@@ -108,13 +108,6 @@ def tree_from_permutation(perm: Sequence[int], matrix: AncestryMatrix) -> Decisi
         placed[p] = rid
         last = p
     return placement_shape(placed)
-
-
-def map_leaves(f: Callable[[Any], Any], tree: DecisionTree) -> DecisionTree:
-    """Apply f to every leaf payload, keeping shape and branch payloads."""
-    if isinstance(tree, DLeaf):
-        return DLeaf(f(tree.data))
-    return DNode(map_leaves(f, tree.left), tree.rule_id, map_leaves(f, tree.right))
 
 
 def depth(tree: DecisionTree) -> int:

@@ -330,19 +330,19 @@ CHECK_OUTPUTS = {
         "result: PASS",
     ],
     ("hyperplane", 13, 8, 3): [
-        "combinations: 1540",
-        "permutations: 9240",
-        "valid permutations: 1417",
-        "trees generated: 1417",
+        "combinations: 3276",
+        "permutations: 19656",
+        "valid permutations: 4048",
+        "trees generated: 4048",
         "solver score: 1",
         "oracle score: 1",
         "result: PASS",
     ],
     ("surface2", 31, 9, 2): [
-        "combinations: 2485",
-        "permutations: 4970",
-        "valid permutations: 599",
-        "trees generated: 599",
+        "combinations: 7875",
+        "permutations: 15750",
+        "valid permutations: 3295",
+        "trees generated: 3295",
         "solver score: 1",
         "oracle score: 1",
         "result: PASS",
@@ -376,7 +376,7 @@ def test_check_output_is_pinned(tmp_path, capsys, rules, seed, n, k):
 # `check` at k=0 and k=1 on 14 seeded points (seed 5), where no tree of
 # fewer than two rules reads an ancestry entry. Keys: rules, k; values: the
 # combination count (every count line equals it at k <= 1) and the score.
-CHECK_ONE_RULE_OUTPUTS = {("axis", 1): (28, 2), ("surface2", 0): (1, 5), ("surface2", 1): (1019, 0)}
+CHECK_ONE_RULE_OUTPUTS = {("axis", 1): (28, 2), ("surface2", 0): (1, 5), ("surface2", 1): (2002, 0)}
 
 
 def test_check_below_two_rules_builds_no_ancestry_matrix(tmp_path, capsys, monkeypatch):
@@ -488,12 +488,12 @@ def test_check_guardrails(tmp_path, capsys):
     small = tmp_path / "small.csv"
     seeded_csv(small, 5, n=6)
     assert run(capsys, "check", small, "--k", "5")[0] == 2
-    # 14 points give 1,019 surface2 rules: C(1019, 3) * 3! permutations
+    # 14 points give C(14, 5) = 2,002 surface2 rules: C(2002, 3) * 3! permutations
     seeded_csv(csv, 5, n=14)
     assert main(["check", str(csv), "--rules", "surface2", "--k", "3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"error: check is limited to {CHECK_MAX_PERMUTATIONS} permutations, got 1054976814" in captured.err
+    assert f"error: check is limited to {CHECK_MAX_PERMUTATIONS} permutations, got 8012004000" in captured.err
 
 
 def test_k_above_rule_count_exits_2(tmp_path, capsys):

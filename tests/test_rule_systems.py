@@ -12,6 +12,7 @@ from opttree import (
     Rule,
     SceneSegment,
     all_chain_trees,
+    ancestry_matrix,
     classify,
     enumerate_axis_rules,
     enumerate_hyperplane_rules,
@@ -50,20 +51,25 @@ def test_hyperplane_rules_general_position():
     data = make_dataset([(5, 7), (7, 4), (3, 7), (6, 0)])
     diag = {}
     rules = enumerate_hyperplane_rules(data, diagnostics=diag)
-    assert len(rules) == 6  # C(4, 2), no behavioral collisions
-    assert diag == {"degenerate": 0, "duplicate": 0}
+    assert len(rules) == 6  # C(4, 2)
+    assert diag == {"degenerate": 0}
 
 
-def test_hyperplane_rules_collinear_dedupe():
-    # (5,1), (6,3), (7,5) are collinear: three point pairs give the same line,
-    # so 6 combinations collapse to 4 behaviorally distinct rules
+def test_hyperplane_rules_keep_collinear_pairs():
+    # (5,1), (6,3), (7,5) are collinear: three point pairs give one line that
+    # splits the data alike, but other rules see their defining points on
+    # different sides, so each pair stays a rule of its own
     data = make_dataset([(5, 1), (6, 3), (7, 5), (1, -1)])
     diag = {}
     rules = enumerate_hyperplane_rules(data, diagnostics=diag)
-    assert len(rules) == 4
-    assert diag == {"degenerate": 0, "duplicate": 2}
+    points = [s.point for s in data]
+    assert [r.defining_points for r in rules] == list(itertools.combinations(points, 2))
+    assert diag == {"degenerate": 0}
     signatures = {tuple(classify(r, s.point) for s in data) for r in rules}
     assert len(signatures) == 4
+    matrix = ancestry_matrix(rules)
+    same_line = [0, 1, 3]
+    assert len({tuple(row[j] for row in matrix) for j in same_line}) == 3
 
 
 def test_hyperplane_rules_single_combination():
@@ -74,20 +80,15 @@ def test_hyperplane_rules_single_combination():
 
 
 def _per_combination_rules(data):
-    """Hyperplane rules and diagnostics, one combination and one classify call at a time."""
+    """Hyperplane rules and diagnostics, one combination at a time."""
     d = len(data[0].point)
-    rules, seen, diag = [], set(), {"degenerate": 0, "duplicate": 0}
+    rules, diag = [], {"degenerate": 0}
     for combo in itertools.combinations(range(len(data)), d):
         pts = tuple(data[i].point for i in combo)
         plane = hyperplane_from_points(pts)
         if plane is None:
             diag["degenerate"] += 1
             continue
-        signature = tuple(classify(plane, s.point) for s in data)
-        if signature in seen:
-            diag["duplicate"] += 1
-            continue
-        seen.add(signature)
         rules.append(Rule(plane, pts))
     return rules, diag
 
@@ -106,7 +107,7 @@ def _enumeration_instances():
 @pytest.mark.parametrize("batch", [None, 1, 7])
 @pytest.mark.parametrize("name", list(_enumeration_instances()))
 def test_hyperplane_rules_equal_per_combination_reference(name, batch, monkeypatch):
-    # a small batch makes the dedup span several sign tables
+    # a small batch makes the table span several SVD batches
     if batch is not None:
         monkeypatch.setattr(rule_systems, "_COMBINATION_BATCH", batch)
     data = _enumeration_instances()[name]
@@ -115,7 +116,10 @@ def test_hyperplane_rules_equal_per_combination_reference(name, batch, monkeypat
     expected, expected_diag = _per_combination_rules(data)
     assert rules == expected
     assert diag == expected_diag
-    assert diag["duplicate"] > 0 or name == "random"
+    # every instance but the random one has rules that split the data alike,
+    # all of them kept
+    signatures = {tuple(classify(r, s.point) for s in data) for r in rules}
+    assert len(signatures) < len(rules) or name == "random"
 
 
 def test_lift_degree2():

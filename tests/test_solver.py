@@ -41,6 +41,8 @@ from opttree import (
     enumerate_permutation_trees,
     enumerate_surface2_rules,
     hyperplane,
+    hyperplane_from_points,
+    level_order,
     lift_dataset,
     majority_label,
     make_dataset,
@@ -144,6 +146,26 @@ def test_solve_fixed_combination_matches_per_combination_oracle():
             assert tree is not None and completed
             want = min(tree_cost(t, MISCLASSIFICATION) for t in completed)
             assert tree_cost(tree, MISCLASSIFICATION) == want
+
+
+def _uniform_instance(seed, n):
+    """n points with coordinates uniform in [0, 10) to three decimals, then n labels."""
+    rng = random.Random(seed)
+    points = [(round(rng.uniform(0, 10), 3), round(rng.uniform(0, 10), 3)) for _ in range(n)]
+    return make_dataset(points, [rng.randint(0, 1) for _ in range(n)])
+
+
+@pytest.mark.parametrize("seed", [37, 46])
+def test_hyperplane_table_reaches_optimum_over_every_point_pair(seed):
+    # some point pairs split these eight points alike yet sit on different
+    # sides of other rules; a table keeping one rule per data sign pattern
+    # scores 1 here, while the optimum over all 28 point-pair lines is 0
+    data = _uniform_instance(seed, 8)
+    pairs = itertools.combinations([s.point for s in data], 2)
+    every_pair = [Rule(hyperplane_from_points(pts), pts) for pts in pairs]
+    want = _oracle_best_score(every_pair, 3, data, MISCLASSIFICATION)
+    tree = solve(enumerate_hyperplane_rules(data), 3, data, MISCLASSIFICATION)
+    assert tree_cost(tree, MISCLASSIFICATION) == want == 0
 
 
 def _per_sample_axis_rules(data):
@@ -281,6 +303,17 @@ def closed_form_paths(objective):
     return objective, dataclasses.replace(objective, count_cost=None)
 
 
+def _table(kind, data):
+    """The first eight rules of a kind's table, and the space they split."""
+    if kind == "axis":
+        rules, space = enumerate_axis_rules(data), data
+    elif kind == "hyperplane":
+        rules, space = enumerate_hyperplane_rules(data), data
+    else:
+        rules, space = enumerate_surface2_rules(data), lift_dataset(data)
+    return rules[:8], space
+
+
 @pytest.mark.parametrize("kind", ["axis", "hyperplane", "surface2"])
 def test_solve_equals_per_combination_reference(kind):
     # the combination-free solve must return the very tree the brute force
@@ -292,14 +325,7 @@ def test_solve_equals_per_combination_reference(kind):
         SolveConstraints(max_depth=0),
     ]
     for seed in (3, 11, 19):
-        data = random_instance(seed, n_min=6, n_max=8)
-        if kind == "axis":
-            rules, space = enumerate_axis_rules(data), data
-        elif kind == "hyperplane":
-            rules, space = enumerate_hyperplane_rules(data), data
-        else:
-            rules, space = enumerate_surface2_rules(data), lift_dataset(data)
-        rules = rules[:8]
+        rules, space = _table(kind, random_instance(seed, n_min=6, n_max=8))
         for k in range(4):
             for cons in constraint_sets:
                 for objective in (MISCLASSIFICATION, TREE_SIZE, LEAF_BALANCE):
@@ -319,23 +345,27 @@ def _tie_heavy_instances():
         # different allowed rules have different winners
         "duplicates": make_dataset(twice, [0, 1, 1, 1, 1, 1, 0, 1]),
         "three-labels": make_dataset(grid, [2, -1, 0, -1, 2, 0, -1]),
+        # four points on y = x: the first eight hyperplane rules hold five
+        # lines through two of them, one line with different defining points
+        "collinear-run": make_dataset([(0, 0), (1, 1), (2, 2), (3, 3), (0, 2), (3, 1), (1, 3)], [0, 1, 0, 1, 1, 0, 0]),
     }
 
 
-@pytest.mark.parametrize("name", ["single-label", "duplicates", "three-labels"])
-@pytest.mark.parametrize("kind", ["axis", "hyperplane"])
+@pytest.mark.parametrize("name", ["single-label", "duplicates", "three-labels", "collinear-run"])
+@pytest.mark.parametrize("kind", ["axis", "hyperplane", "surface2"])
 def test_solve_equals_reference_on_tie_heavy_inputs(kind, name):
     # one- and two-rule states are solved in closed form, from count tables
     # or in Python; the winner must still be the brute force's tree. From
     # k=3 on two-rule states sit below the root, and from k=5 on states
     # reached by different paths coincide and share one answer
-    data = _tie_heavy_instances()[name]
-    enumerate_rules = enumerate_axis_rules if kind == "axis" else enumerate_hyperplane_rules
-    rules = enumerate_rules(data)[:8]
-    # min_leaf=2 leaves some roots of a one-rule state without a feasible side
+    rules, data = _table(kind, _tie_heavy_instances()[name])
+    # min_leaf=2 leaves some roots of a one-rule state without a feasible
+    # side; a conic through five of the eight duplicated points leaves at
+    # most one on its negative side, so on those points no root has one
     sizes = [sum(classify(r, s.point) > 0 for s in data) for r in rules]
     assert any(min(n, len(data) - n) < 2 for n in sizes)
-    assert any(min(n, len(data) - n) >= 2 for n in sizes)
+    some_feasible = any(min(n, len(data) - n) >= 2 for n in sizes)
+    assert some_feasible == (kind != "surface2" or name != "duplicates")
     constraint_sets = [
         None,
         SolveConstraints(min_leaf=2),
@@ -606,6 +636,33 @@ def test_solvers_leave_no_cyclic_garbage():
         gc.enable()
 
 
+def test_solvers_build_one_node_per_internal_node(monkeypatch):
+    # the search handles values only: the returned tree is the only one built
+    import opttree.solver
+
+    built = []
+
+    def counted(left, rule, right):
+        built.append(rule)
+        return DNode(left, rule, right)
+
+    monkeypatch.setattr(opttree.solver, "DNode", counted)
+
+    def check(tree):
+        assert sorted(map(repr, built)) == sorted(map(repr, level_order(tree)))
+        built.clear()
+
+    data = random_instance(4, n_min=8, n_max=8)
+    rules = enumerate_axis_rules(data)
+    for k in range(6):
+        for path in closed_form_paths(MISCLASSIFICATION):
+            check(solve(rules, k, data, path))
+    for max_depth in range(4):
+        check(solve_kd(data, max_depth))
+    check(solve_mcmp([MatrixDim(a, b) for a, b in ((3, 5), (5, 2), (2, 7), (7, 4))]))
+    check(solve_bsp([_seg(0, 0, 4, 0, 0), _seg(1, -2, 1, 3, 1), _seg(-1, 1, 5, 2, 2)]))
+
+
 def chain_rules(k):
     return [Rule(hyperplane((1.0, 0.0), -float(i)), ((float(i), 0.0),)) for i in range(k)]
 
@@ -768,9 +825,12 @@ def _kd_reference(data, max_depth, objective):
         ]
 
     def leaf(state):
-        return DLeaf(state[0]), objective.leaf_cost(state[0])
+        return objective.leaf_cost(state[0])
 
-    return _optimize((seq, 0), splits, leaf, objective.combine)[0]
+    def tree(state):
+        return DLeaf(state[0])
+
+    return _optimize((seq, 0), splits, leaf, objective.combine, tree)
 
 
 def test_solve_kd_equals_tuple_state_reference():

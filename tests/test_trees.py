@@ -1,4 +1,4 @@
-"""Tree values, level-order encoding and leaf payload maps."""
+"""Tree values and the level-order encoding."""
 
 import itertools
 import math
@@ -8,19 +8,14 @@ from hypothesis import strategies as st
 
 from opttree import (
     LEAF,
-    AxisParallel,
-    DLeaf,
     DNode,
-    Rule,
     all_tree_shapes,
     enumerate_permutation_trees,
     level_order,
-    make_dataset,
-    map_leaves,
     splits_generic,
     tree_from_permutation,
 )
-from helpers import leaf_payloads, spec_splits_generic, spec_tree_from_permutation
+from helpers import spec_splits_generic, spec_tree_from_permutation
 
 
 def matrix_of(rows):
@@ -158,20 +153,3 @@ def test_permutation_walk_equals_spec_brute_force(mk):
         if (tree := spec_tree_from_permutation(perm, matrix)) is not None
     ]
     assert list(enumerate_permutation_trees([None] * len(matrix), k, matrix)) == want
-
-
-def test_map_leaves_identity_and_constant():
-    tree = DNode(DLeaf((1, 2)), 0, DLeaf((3,)))
-    assert map_leaves(lambda d: d, tree) == tree
-    emptied = map_leaves(lambda d: (), tree)
-    assert emptied == DNode(DLeaf(()), 0, DLeaf(()))
-
-
-def test_map_leaves_filter():
-    data = make_dataset([(1.0,), (5.0,)], [0, 1])
-    rule = Rule(AxisParallel(0, 2.0), ((2.0,),))
-    tree = DNode(DLeaf(data), 0, DLeaf(data))
-    from opttree import split_dataset
-
-    filtered = map_leaves(lambda d: split_dataset(rule, d)[0], tree)
-    assert leaf_payloads(filtered) == [(data[0],), (data[0],)]
