@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import math
 import sys
 from typing import Sequence
@@ -198,7 +197,7 @@ def _cmd_check(args) -> int:
     costs = permutation_costs(rules, args.k, space, objective, matrix)
     oracle_score = min(costs, default=None)
 
-    n_trees = count_tree_shapes(itertools.combinations(range(len(rules)), args.k), matrix)
+    n_trees = count_tree_shapes(range(len(rules)), args.k, matrix)
 
     # each tree is rebuilt by exactly one permutation, its level order
     ok = solver_score == oracle_score and len(costs) == n_trees

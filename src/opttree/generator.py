@@ -9,23 +9,29 @@ The permutation pipeline walks the k-permutations of the whole table's rule
 ids once, depth first, against one ancestry matrix of the table, placing
 each rule at a heap position as :func:`~opttree.trees.tree_from_permutation`
 does and dropping a prefix, with all its extensions, at its first invalid
-step. A prefix is placed once per call, not once per combination that holds
-it, and orderings come in ``itertools.permutations(range(K), k)`` order.
-:func:`enumerate_permutation_trees` streams the surviving orderings with
+step. Every valid prefix is visited, and placed once per call, not once per
+combination that holds it; complete orderings come in
+``itertools.permutations(range(K), k)`` order.
+:func:`enumerate_permutation_trees` streams the complete orderings with
 their shapes (trees of rule ids with :data:`~opttree.trees.LEAF` leaves),
 one first rule at a time; :func:`permutation_costs` scores the same
-placements as the walk reaches them, without building a tree. It and
+placements as the walk reaches them, without building a tree: each prefix
+routes the rows reaching its last rule's position once, and a complete
+ordering re-scores only its last rule's path to the root. It and
 :func:`complete_shapes` (behind :func:`all_trees`) route sample-position
 bitmasks from the root against sign masks computed lazily, one rule at a
 time; :func:`all_trees_constrained` splits samples with
 :func:`~opttree.rules.split_dataset` as it recurses, so it can prune.
-:func:`count_tree_shapes` counts what :func:`all_tree_shapes` would build
-without building it. Nothing here imports the solver.
+:func:`count_tree_shapes` counts the trees of k rules drawn from an index
+set, what :func:`all_tree_shapes` would build over each of its
+k-combinations, with one recurrence over allowed-rule masks and without
+building a tree. Nothing here imports the solver.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import cache
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .data import Dataset
@@ -52,22 +58,60 @@ def all_tree_shapes(indices: Iterable[int], matrix: AncestryMatrix) -> list[Deci
     return out
 
 
-def count_tree_shapes(index_sets: Iterable[Iterable[int]], matrix: AncestryMatrix) -> int:
-    """``sum(len(all_tree_shapes(s, matrix)) for s in index_sets)``, no tree built.
+def count_tree_shapes(indices: Iterable[int], k: int, matrix: AncestryMatrix | None) -> int:
+    """The number of trees of ``k`` distinct rules drawn from ``indices``, no tree built.
 
-    A set's count is the sum over its feasible roots of the left count times
-    the right count. Counts are cached on the sorted index tuple and shared
-    by every set of the call.
+    Equal to ``sum(len(all_tree_shapes(c, matrix)) for c in
+    itertools.combinations(indices, k))``. Rule r is bit r of an allowed-rule
+    mask A, and N(A, j), the trees of j rules from A, follows the
+    recurrence N(A, 0) = 1, N(A, 1) = |A| and, from j = 2, N(A, j) = the sum
+    over roots i in A and splits a + b = j - 1 of N(A & L_i, a) * N(A & R_i,
+    b), where L_i and R_i mask the other rules whose entry in row i is +1
+    and -1: a root relates to every rule below it, each on the side its
+    entry names. At j = 2 that is |A & L_i| + |A & R_i| per root. Each
+    (A, j) with j at least 2 is expanded once per call, a rule's masks are
+    built from its row the first time it roots, and k at most 1 reads no
+    entry, so ``matrix`` may then be None.
     """
-    counts: dict[tuple[int, ...], int] = {(): 1}
+    ids = sorted(set(indices))
+    sides: dict[int, tuple[int, int]] = {}
 
-    def count(idx: tuple[int, ...]) -> int:
-        if idx not in counts:
-            counts[idx] = sum(count(left) * count(right) for left, _, right in splits_generic(idx, matrix))
-        return counts[idx]
+    @cache
+    def count(allowed: int, j: int) -> int:
+        # j >= 2; N(A, 0) and N(A, 1) are read inline
+        total = 0
+        todo = allowed
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            i = bit.bit_length() - 1
+            if i not in sides:
+                row = matrix[i]
+                left = right = 0
+                for r in ids:
+                    if row[r] > 0:
+                        left |= 1 << r
+                    elif row[r] < 0:
+                        right |= 1 << r
+                sides[i] = (left & ~bit, right & ~bit)
+            left, right = sides[i]
+            left &= allowed
+            right &= allowed
+            if j == 2:
+                total += left.bit_count() + right.bit_count()
+                continue
+            for a in range(j):
+                b = j - 1 - a
+                n_left = count(left, a) if a > 1 else left.bit_count() if a else 1
+                if n_left:
+                    total += n_left * (count(right, b) if b > 1 else right.bit_count() if b else 1)
+        return total
 
+    every = sum(1 << r for r in ids)
+    if k < 2:
+        return every.bit_count() if k else 1
     try:
-        return sum(count(tuple(sorted(s))) for s in index_sets)
+        return count(every, k)
     finally:
         # count reaches itself through its closure; emptying the cell frees
         # the memo on return instead of at the next cyclic collection
@@ -187,20 +231,23 @@ def _walk(
     n: int,
     k: int,
     matrix: AncestryMatrix | None,
-    visit: Callable[[list[int], Placement], None],
+    visit: Callable[[list[int], Placement, int], None],
 ) -> None:
-    """Visit every valid k-permutation of ``range(n)`` that starts in ``firsts``.
+    """Visit every valid prefix, of 1 to k rules, of the k-permutations of
+    ``range(n)`` that start in ``firsts``.
 
     The walk is depth first: the first rule is taken from ``firsts`` in its
-    order and each next rule is an unused id in ascending order, so orderings
-    come in :func:`itertools.permutations` order. Each rule is placed at the
-    heap position it descends to (:func:`~opttree.trees.descend`), and an
-    ordering is valid when each position is above the previous one. Every
-    prefix of a valid ordering is valid, so a prefix is placed once per call,
-    whichever combinations share it, and it is dropped with all its
-    extensions at its first 0 entry or non-increasing position. ``visit``
-    gets each valid ordering and its placement; both are reused by the walk,
-    so it copies what it keeps.
+    order and each next rule is an unused id in ascending order, so complete
+    orderings come in :func:`itertools.permutations` order, each after its
+    prefixes. Each rule is placed at the heap position it descends to
+    (:func:`~opttree.trees.descend`), and an ordering is valid when each
+    position is above the previous one. Every prefix of a valid ordering is
+    valid, so a prefix is placed once per call, whichever combinations share
+    it, and it is dropped with all its extensions at its first 0 entry or
+    non-increasing position. ``visit(order, placed, p)`` gets each valid
+    prefix, its placement and the heap position p of its last rule, the
+    largest in the placement; ``order`` and ``placed`` are reused by the
+    walk, so it copies what it keeps. A k of 0 visits nothing.
     """
     placed: Placement = {}
     order: list[int] = []
@@ -208,9 +255,6 @@ def _walk(
     every = range(n)
 
     def extend(rids: Iterable[int], last: int) -> None:
-        if len(order) == k:
-            visit(order, placed)
-            return
         for rid in rids:
             if not free[rid]:
                 continue
@@ -220,13 +264,16 @@ def _walk(
             placed[p] = rid
             order.append(rid)
             free[rid] = False
-            extend(every, p)
+            visit(order, placed, p)
+            if len(order) < k:
+                extend(every, p)
             free[rid] = True
             order.pop()
             del placed[p]
 
     try:
-        extend(firsts, -1)
+        if k:
+            extend(firsts, -1)
     finally:
         # as in count_tree_shapes: free the walk's state on return
         del extend
@@ -251,15 +298,20 @@ def enumerate_permutation_trees(
     """
     matrix = _walk_matrix(rules, k, matrix)
     n = len(rules)
+    if not k:
+        return iter([((), LEAF)])
 
-    def rooted(firsts: tuple[int, ...]) -> list[tuple[Permutation, DecisionTree]]:
+    def rooted(first: int) -> list[tuple[Permutation, DecisionTree]]:
         pairs: list[tuple[Permutation, DecisionTree]] = []
-        _walk(firsts, n, k, matrix, lambda order, placed: pairs.append((tuple(order), placement_shape(placed))))
+
+        def visit(order: list[int], placed: Placement, _: int) -> None:
+            if len(order) == k:
+                pairs.append((tuple(order), placement_shape(placed)))
+
+        _walk((first,), n, k, matrix, visit)
         return pairs
 
-    # the empty ordering has no first rule
-    groups = [(rid,) for rid in range(n)] if k else [()]
-    return itertools.chain.from_iterable(map(rooted, groups))
+    return itertools.chain.from_iterable(map(rooted, range(n)))
 
 
 def permutation_costs(
@@ -271,9 +323,14 @@ def permutation_costs(
     data)[0], objective)``: the same fold of ``objective.combine`` over the
     same leaves, read off each placement as the walk reaches it, with no
     tree built and no placement copied. Sample positions are routed from the
-    root as bitmasks, each rule's positive mask is computed the first time a
-    placement uses it, and ``objective.leaf_cost`` runs once per distinct set
-    of samples reaching a leaf. Raises ValueError at the call as
+    root as bitmasks, once per valid prefix: its last rule's positive mask
+    (computed the first time a placement uses the rule) splits the rows
+    reaching its position between its two children. A complete ordering's
+    last rule sits at a leaf position q of its prefix's tree, so only q's
+    ancestors change cost: its stump is costed and folded up the path, each
+    off-path sibling's subtree cost coming from a cache that is emptied at
+    every new prefix. ``objective.leaf_cost`` runs once per distinct set of
+    samples reaching a leaf. Raises ValueError at the call as
     :func:`enumerate_permutation_trees`.
     """
     matrix = _walk_matrix(rules, k, matrix)
@@ -281,24 +338,55 @@ def permutation_costs(
     positive = _positive_masks(rules, samples)
     leaf_costs: dict[int, Any] = {}
     leaf_cost, combine = objective.leaf_cost, objective.combine
+    # the rows reaching each heap position of the current placement's tree
+    rows = {0: (1 << len(samples)) - 1}
+    # the current prefix's subtree costs, by heap position
+    siblings: dict[int, Any] = {}
 
-    def cost(placed: Placement, p: int, rows: int) -> Any:
+    def leaf(here: int) -> Any:
+        if here not in leaf_costs:
+            leaf_costs[here] = leaf_cost(_members(samples, here))
+        return leaf_costs[here]
+
+    def cost(placed: Placement, p: int) -> Any:
         rid = placed.get(p)
         if rid is None:
-            if rows not in leaf_costs:
-                leaf_costs[rows] = leaf_cost(_members(samples, rows))
-            return leaf_costs[rows]
-        pos = positive(rid)
-        return combine(cost(placed, 2 * p + 1, rows & pos), cost(placed, 2 * p + 2, rows & ~pos), rid)
+            return leaf(rows[p])
+        return combine(cost(placed, 2 * p + 1), cost(placed, 2 * p + 2), rid)
 
-    every = (1 << len(samples)) - 1
+    def visit(order: list[int], placed: Placement, p: int) -> None:
+        rid = placed[p]
+        here = rows[p]
+        pos = here & positive(rid)
+        n_placed = len(order)
+        if n_placed < k:
+            rows[2 * p + 1], rows[2 * p + 2] = pos, here ^ pos
+            if n_placed == k - 1:
+                siblings.clear()
+            return
+        value = combine(leaf(pos), leaf(here ^ pos), rid)
+        while p:
+            # a left child p is odd, its sibling p + 1
+            parent = (p - 1) // 2
+            if p % 2:
+                if p + 1 not in siblings:
+                    siblings[p + 1] = cost(placed, p + 1)
+                value = combine(value, siblings[p + 1], placed[parent])
+            else:
+                if p - 1 not in siblings:
+                    siblings[p - 1] = cost(placed, p - 1)
+                value = combine(siblings[p - 1], value, placed[parent])
+            p = parent
+        costs.append(value)
+
     costs: list = []
     try:
-        _walk(range(len(rules)), len(rules), k, matrix, lambda _, placed: costs.append(cost(placed, 0, every)))
+        _walk(range(len(rules)), len(rules), k, matrix, visit)
     finally:
         # as in count_tree_shapes: free the leaf costs and masks on return
         del cost
-    return costs
+    # the empty ordering's tree is one leaf
+    return costs if k else [leaf(rows[0])]
 
 
 def all_chain_trees(items: Sequence[MatrixDim]) -> list[DecisionTree]:

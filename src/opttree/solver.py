@@ -465,7 +465,7 @@ class _RuleMasks:
         key = (allowed, rows)
         if key in self._stumps:
             return self._stumps[key]
-        combine, cost = self.objective.combine, self.cost
+        combine, costs, cost = self.objective.combine, self._costs, self.cost
         positive, last = self.pos, self.size - 1
         best = winner = None
         todo = allowed
@@ -474,11 +474,12 @@ class _RuleMasks:
             todo ^= 1 << top
             i = last - top
             pos = rows & positive[i]
-            u = cost(pos)
+            # the memo read inline; cost fills a miss, min_leaf included
+            u = costs[pos] if pos in costs else cost(pos)
             if u is None:
                 continue
             neg = rows ^ pos
-            v = cost(neg)
+            v = costs[neg] if neg in costs else cost(neg)
             if v is None:
                 continue
             candidate = combine(u, v, i)

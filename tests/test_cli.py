@@ -303,7 +303,7 @@ def test_check_fails_when_permutations_and_trees_disagree(tmp_path, capsys, monk
     import opttree.cli
 
     count = opttree.cli.count_tree_shapes
-    monkeypatch.setattr(opttree.cli, "count_tree_shapes", lambda *a: count(*a) + 1)
+    monkeypatch.setattr(opttree.cli, "count_tree_shapes", lambda indices, k, matrix: count(indices, k, matrix) + 1)
     csv = tmp_path / "d.csv"
     write_csv(csv, [(0.0, 0.0), (2.0, 2.0), (-2.0, 1.0), (1.0, -2.0)], [0, 1, 1, 0])
     rules = tmp_path / "rules.txt"

@@ -111,7 +111,7 @@ def test_oracle_streams():
     assert isinstance(pairs, Iterator)
     perm, shape = next(pairs)
     assert level_order(shape) == perm
-    assert 1 + sum(1 for _ in pairs) == count_tree_shapes([range(4)], ancestry_matrix(rules))
+    assert 1 + sum(1 for _ in pairs) == count_tree_shapes(range(4), 4, ancestry_matrix(rules))
 
 
 def test_oracle_rejects_oversized_k():
@@ -255,6 +255,31 @@ def test_permutation_costs_equals_tree_cost_of_completed_shapes(kind, monkeypatc
     assert all(compared[k] for k in range(5))
 
 
+@pytest.mark.parametrize("kind", ["axis", "hyperplane", "grid"])
+def test_permutation_costs_rescores_only_the_last_rules_path(kind, monkeypatch):
+    # a complete ordering folds only its last rule's path to the root, and a
+    # prefix's other subtrees are costed once for all its last rules: fewer
+    # combine calls than folding each of the trees from its leaves, k apiece
+    k = 3
+    calls = counted_classify(monkeypatch)
+    leaf_calls = Counter()
+    combines = []
+    order_sensitive = _order_sensitive(leaf_calls)
+
+    def combine(a, b, rule_id):
+        combines.append(rule_id)
+        return order_sensitive.combine(a, b, rule_id)
+
+    rules, space = costed_table(kind, 3, k)
+    got = permutation_costs(rules, k, space, Objective(order_sensitive.leaf_cost, combine))
+    assert max(calls.values()) == 1
+    assert max(leaf_calls.values()) == 1
+    assert got
+    assert len(combines) < k * len(got)
+    shapes = [shape for _, shape in enumerate_permutation_trees(rules, k)]
+    assert got == [tree_cost(t, order_sensitive) for t in complete_shapes(shapes, rules, space)]
+
+
 def test_permutation_costs_rejects_oversized_k():
     data = random_instance(5, n_min=4, n_max=5)
     rules = enumerate_axis_rules(data)[:3]
@@ -278,25 +303,54 @@ def test_below_two_rules_no_ancestry_matrix_is_built(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["axis", "hyperplane", "surface2"])
 def test_count_tree_shapes_equals_generated_trees(kind, monkeypatch):
-    seen = Counter()
-    splits = opttree.generator.splits_generic
+    expanded = Counter()
+    cache = opttree.generator.cache
 
-    def counted(indices, matrix):
-        seen[tuple(indices)] += 1
-        return splits(indices, matrix)
+    def counted(count):
+        # the memo's misses: the (mask, j) states count_tree_shapes expands
+        def expand(allowed, j):
+            expanded[allowed, j] += 1
+            return count(allowed, j)
+
+        return cache(expand)
 
     for seed in (3, 11):
         rules, _ = rule_table(kind, random_instance(seed, n_min=6, n_max=7))
         matrix = ancestry_matrix(rules)
         for k in range(4):
-            combos = list(itertools.combinations(range(len(rules)), k))
+            combos = itertools.combinations(range(len(rules)), k)
             want = sum(len(all_tree_shapes(c, matrix)) for c in combos)
-            seen.clear()
+            expanded.clear()
             with monkeypatch.context() as patched:
-                patched.setattr(opttree.generator, "splits_generic", counted)
-                assert count_tree_shapes(combos, matrix) == want
-            # one memo for the whole call: every index set is split once
-            assert max(seen.values(), default=1) == 1
+                patched.setattr(opttree.generator, "cache", counted)
+                assert count_tree_shapes(range(len(rules)), k, matrix) == want
+            # one memo for the whole call: every state is expanded once, and
+            # a tree of at most one rule is counted without one
+            assert max(expanded.values(), default=1) == 1
+            assert ((1 << len(rules)) - 1, k) in expanded if k >= 2 else not expanded
+
+
+def _random_sign_matrix(rng, n):
+    """An n x n matrix of -1, 0 and +1 entries, asymmetric, with a zero diagonal."""
+    return tuple(tuple(0 if i == j else rng.choice((-1, 0, 0, 1, 1)) for j in range(n)) for i in range(n))
+
+
+def test_count_tree_shapes_equals_per_combination_count():
+    # the mask recurrence over a whole index set against the per-combination
+    # generator, on matrices where i may relate to j and not j to i, and
+    # rules on opposite sides of a root need not relate to each other
+    rng = random.Random(20)
+    compared = Counter()
+    for _ in range(12):
+        n = rng.randint(5, 8)
+        matrix = _random_sign_matrix(rng, n)
+        indices = sorted(rng.sample(range(n), rng.randint(n - 2, n)))
+        for k in range(6):
+            want = sum(len(all_tree_shapes(c, matrix)) for c in itertools.combinations(indices, k))
+            # a tree of at most one rule reads no entry
+            assert count_tree_shapes(indices, k, matrix if k >= 2 else None) == want
+            compared[k] += want
+    assert all(compared[k] for k in range(6))
 
 
 def test_count_tree_shapes_catalan_and_factorial():
@@ -307,11 +361,12 @@ def test_count_tree_shapes_catalan_and_factorial():
         rules = enumerate_axis_rules(data) if k else []
         matrix = ancestry_matrix(rules)
         assert all(matrix[i][j] == (1 if j < i else -1) for i in range(k) for j in range(k) if i != j)
-        assert count_tree_shapes([range(k)], matrix) == math.comb(2 * k, k) // (k + 1)
+        assert count_tree_shapes(range(k), k, matrix) == math.comb(2 * k, k) // (k + 1)
     # every entry +1: any rule roots and all others go left, k! chains
     for k in range(6):
-        assert count_tree_shapes([range(k)], chain_matrix(k)) == math.factorial(k)
-    assert count_tree_shapes([], chain_matrix(2)) == 0
+        assert count_tree_shapes(range(k), k, chain_matrix(k)) == math.factorial(k)
+    # more rules than indices: no tree
+    assert count_tree_shapes(range(2), 3, chain_matrix(2)) == 0
 
 
 @pytest.mark.parametrize("kind", ["axis", "hyperplane", "surface2"])
