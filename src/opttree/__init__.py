@@ -15,7 +15,6 @@ from .rules import (
     hyperplanes_from_points,
     row_masks,
     sign_table,
-    split_dataset,
 )
 from .rule_systems import (
     MatrixDim,
@@ -27,8 +26,6 @@ from .rule_systems import (
     lift_degree2,
     split_segments,
     splits_bsp,
-    splits_generic,
-    splits_kd,
     splits_mcmp,
 )
 from .trees import (
@@ -36,21 +33,12 @@ from .trees import (
     DecisionTree,
     DLeaf,
     DNode,
-    Permutation,
     depth,
     leaves,
-    level_order,
     node_count,
-    tree_from_permutation,
 )
 from .generator import (
-    all_chain_trees,
-    all_tree_shapes,
-    all_trees,
-    all_trees_constrained,
-    complete_shapes,
     count_tree_shapes,
-    enumerate_permutation_trees,
     permutation_costs,
 )
 from .solver import (

@@ -1,74 +1,51 @@
-"""Exhaustive tree generation and the permutation-based reference pipeline.
+"""The permutation-based reference pipeline that ``opttree check`` runs.
 
-These generators are the reference semantics the solver is checked against:
-they materialize every admissible tree instead of fusing the minimum into the
-recursion. Output order is deterministic (root index ascending, left subtree
-choices before right), so generated sequences are reproducible and comparable.
+The paper characterizes the trees consistent with an ancestry matrix by
+their level-order traversals: each tree is one valid ordering of its rules.
+This module owns that characterization's placement convention, heap
+positions: the root is position 0 and the children of position p are
+2p + 1 (left) and 2p + 2 (right), so ascending positions are level order.
+A rule of an ordering descends from the root (:func:`descend`) to a free
+position, and the ordering is the canonical traversal of the tree it
+reaches exactly when those positions increase, so it is rejected at its
+first 0 entry or first non-increasing position.
 
-The permutation pipeline walks the k-permutations of the whole table's rule
-ids once, depth first, against one ancestry matrix of the table, placing
-each rule at a heap position as :func:`~opttree.trees.tree_from_permutation`
-does and dropping a prefix, with all its extensions, at its first invalid
-step. Every valid prefix is visited, and placed once per call, not once per
-combination that holds it; complete orderings come in
-``itertools.permutations(range(K), k)`` order.
-:func:`enumerate_permutation_trees` streams the complete orderings with
-their shapes (trees of rule ids with :data:`~opttree.trees.LEAF` leaves),
-one first rule at a time; :func:`permutation_costs` scores the same
-placements as the walk reaches them, without building a tree: each prefix
+:func:`_walk` goes over the k-permutations of the whole table's rule ids
+once, depth first, against one ancestry matrix of the table, dropping a
+prefix, with all its extensions, at its first invalid step. Every valid
+prefix is visited, and placed once per call, not once per combination that
+holds it; complete orderings come in ``itertools.permutations(range(K), k)``
+order. :func:`permutation_costs` scores the placements as the walk reaches
+them, without building a tree: sample-position bitmasks are routed from the
+root against sign masks computed lazily, one rule at a time, each prefix
 routes the rows reaching its last rule's position once, and a complete
-ordering re-scores only its last rule's path to the root. It and
-:func:`complete_shapes` (behind :func:`all_trees`) route sample-position
-bitmasks from the root against sign masks computed lazily, one rule at a
-time; :func:`all_trees_constrained` splits samples with
-:func:`~opttree.rules.split_dataset` as it recurses, so it can prune.
+ordering re-scores only its last rule's path to the root.
 :func:`count_tree_shapes` counts the trees of k rules drawn from an index
-set, what :func:`all_tree_shapes` would build over each of its
-k-combinations, with one recurrence over allowed-rule masks and without
-building a tree. Nothing here imports the solver.
+set with one recurrence over allowed-rule masks, without building a tree.
+The tests check both against exhaustive generators in ``tests/helpers.py``.
+Nothing here imports the solver.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import cache
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .data import Dataset
-from .rules import AncestryMatrix, Rule, ancestry_matrix, classify, split_dataset
-from .rule_systems import MatrixDim, splits_generic, splits_mcmp
-from .trees import LEAF, DecisionTree, DLeaf, DNode, Permutation, Placement, descend, placement_shape
-
-
-def all_tree_shapes(indices: Iterable[int], matrix: AncestryMatrix) -> list[DecisionTree]:
-    """Every tree over ``indices`` consistent with the ancestry matrix.
-
-    An empty index set yields the bare leaf; otherwise each feasible root is
-    combined with every admissible left and right subtree. The list is empty
-    when no admissible tree exists.
-    """
-    idx = tuple(sorted(indices))
-    if not idx:
-        return [LEAF]
-    out: list[DecisionTree] = []
-    for left, rid, right in splits_generic(idx, matrix):
-        for u in all_tree_shapes(left, matrix):
-            for v in all_tree_shapes(right, matrix):
-                out.append(DNode(u, rid, v))
-    return out
+from .rules import AncestryMatrix, Rule, ancestry_matrix, classify
 
 
 def count_tree_shapes(indices: Iterable[int], k: int, matrix: AncestryMatrix | None) -> int:
     """The number of trees of ``k`` distinct rules drawn from ``indices``, no tree built.
 
-    Equal to ``sum(len(all_tree_shapes(c, matrix)) for c in
-    itertools.combinations(indices, k))``. Rule r is bit r of an allowed-rule
-    mask A, and N(A, j), the trees of j rules from A, follows the
-    recurrence N(A, 0) = 1, N(A, 1) = |A| and, from j = 2, N(A, j) = the sum
-    over roots i in A and splits a + b = j - 1 of N(A & L_i, a) * N(A & R_i,
-    b), where L_i and R_i mask the other rules whose entry in row i is +1
-    and -1: a root relates to every rule below it, each on the side its
-    entry names. At j = 2 that is |A & L_i| + |A & R_i| per root. Each
+    That is the sum, over the k-combinations of ``indices``, of the trees
+    consistent with the combination's slice of the ancestry matrix. Rule r
+    is bit r of an allowed-rule mask A, and N(A, j), the trees of j rules
+    from A, follows the recurrence N(A, 0) = 1, N(A, 1) = |A| and, from
+    j = 2, N(A, j) = the sum over roots i in A and splits a + b = j - 1 of
+    N(A & L_i, a) * N(A & R_i, b), where L_i and R_i mask the other rules
+    whose entry in row i is +1 and -1: a root relates to every rule below
+    it, each on the side its entry names. At j = 2 that is |A & L_i| + |A & R_i| per root. Each
     (A, j) with j at least 2 is expanded once per call, a rule's masks are
     built from its row the first time it roots, and k at most 1 reads no
     entry, so ``matrix`` may then be None.
@@ -140,78 +117,6 @@ def _members(samples: Dataset, rows: int) -> Dataset:
     return tuple(s for r, s in enumerate(samples) if rows >> r & 1)
 
 
-def complete_shapes(
-    shapes: Iterable[DecisionTree], rules: Sequence[Rule], data: Dataset
-) -> list[DecisionTree]:
-    """Give every shape the data reaching each of its leaves.
-
-    Each leaf holds, in data order, the samples that every rule on its path
-    sends its way: positive to the left, negative to the right. Sample
-    positions are routed from the root down as bitmasks. A rule's signs over
-    the data are computed the first time a shape uses it, so each (rule,
-    sample) pair is classified at most once per call, and leaves with the
-    same samples share one value. A rule id that is not an index into
-    ``rules`` raises ValueError.
-    """
-    samples = tuple(data)
-    positive = _positive_masks(rules, samples)
-    leaves: dict[int, DLeaf] = {}
-
-    def complete(shape: DecisionTree, rows: int) -> DecisionTree:
-        if isinstance(shape, DLeaf):
-            if rows not in leaves:
-                leaves[rows] = DLeaf(_members(samples, rows))
-            return leaves[rows]
-        rid = shape.rule_id
-        if not isinstance(rid, int) or not 0 <= rid < len(rules):
-            raise ValueError(f"path references unknown rule id {rid!r}")
-        pos = positive(rid)
-        return DNode(complete(shape.left, rows & pos), rid, complete(shape.right, rows & ~pos))
-
-    every = (1 << len(samples)) - 1
-    return [complete(shape, every) for shape in shapes]
-
-
-def all_trees(
-    indices: Iterable[int], matrix: AncestryMatrix, rules: Sequence[Rule], data: Dataset
-) -> list[DecisionTree]:
-    """Every admissible tree, completed so each leaf holds the data reaching it."""
-    return complete_shapes(all_tree_shapes(indices, matrix), rules, data)
-
-
-def all_trees_constrained(
-    indices: Iterable[int],
-    matrix: AncestryMatrix,
-    rules: Sequence[Rule],
-    data: Dataset,
-    min_leaf: int = 0,
-    max_depth: int | None = None,
-) -> list[DecisionTree]:
-    """Constrained generation, pruning during recursion.
-
-    Both constraints shrink monotonically along subtrees (leaves only lose
-    points, depth only grows), so pruning a failing partial tree discards no
-    tree the post-filter would keep; the output equals filtering
-    :func:`all_trees` by leaf size and depth.
-    """
-
-    def rec(idx: tuple[int, ...], data_here: Dataset, budget: int | None) -> list[DecisionTree]:
-        if not idx:
-            return [DLeaf(data_here)] if len(data_here) >= min_leaf else []
-        if budget is not None and budget <= 0:
-            return []
-        sub_budget = None if budget is None else budget - 1
-        out: list[DecisionTree] = []
-        for left, rid, right in splits_generic(idx, matrix):
-            pos, neg = split_dataset(rules[rid], data_here)
-            for u in rec(left, pos, sub_budget):
-                for v in rec(right, neg, sub_budget):
-                    out.append(DNode(u, rid, v))
-        return out
-
-    return rec(tuple(sorted(indices)), tuple(data), max_depth)
-
-
 def _walk_matrix(rules: Sequence[Rule], k: int, matrix: AncestryMatrix | None) -> AncestryMatrix | None:
     """The matrix the walk reads, checked at the call.
 
@@ -224,6 +129,25 @@ def _walk_matrix(rules: Sequence[Rule], k: int, matrix: AncestryMatrix | None) -
     if matrix is None and k >= 2:
         matrix = ancestry_matrix(rules)
     return matrix
+
+
+# A placement: rule ids keyed by heap position.
+Placement = dict[int, int]
+
+
+def descend(placed: Placement, rid: int, matrix: AncestryMatrix) -> int | None:
+    """The free heap position that rule ``rid`` reaches from the root.
+
+    It goes left past a placed rule whose matrix entry for it is +1 and right
+    past one whose entry is -1; None when it meets a 0 entry.
+    """
+    p = 0
+    while p in placed:
+        side = matrix[placed[p]][rid]
+        if side == 0:
+            return None
+        p = 2 * p + 1 if side > 0 else 2 * p + 2
+    return p
 
 
 def _walk(
@@ -240,7 +164,7 @@ def _walk(
     order and each next rule is an unused id in ascending order, so complete
     orderings come in :func:`itertools.permutations` order, each after its
     prefixes. Each rule is placed at the heap position it descends to
-    (:func:`~opttree.trees.descend`), and an ordering is valid when each
+    (:func:`descend`), and an ordering is valid when each
     position is above the previous one. Every prefix of a valid ordering is
     valid, so a prefix is placed once per call, whichever combinations share
     it, and it is dropped with all its extensions at its first 0 entry or
@@ -279,59 +203,29 @@ def _walk(
         del extend
 
 
-def enumerate_permutation_trees(
-    rules: Sequence[Rule], k: int, matrix: AncestryMatrix | None = None
-) -> Iterator[tuple[Permutation, DecisionTree]]:
-    """Brute-force reference: every valid k-permutation of the rule table.
-
-    The k-permutations of global rule ids are tried against ``matrix``, the
-    ancestry matrix of the whole table (built from the defining points when
-    not given and k is at least 2; a tree of fewer rules reads no entry); a
-    matrix entry depends only on its two rules, so this is the tree each
-    combination's own matrix gives. The survivors, the orderings
-    :func:`tree_from_permutation` accepts, come out as (ordering, shape)
-    pairs in ``itertools.permutations(range(len(rules)), k)`` order, which
-    is lexicographic on orderings. They stream one first rule at a time: the
-    pairs of one first rule are built together, then handed out. A k above
-    the table size raises ValueError at the call, before anything is
-    generated.
-    """
-    matrix = _walk_matrix(rules, k, matrix)
-    n = len(rules)
-    if not k:
-        return iter([((), LEAF)])
-
-    def rooted(first: int) -> list[tuple[Permutation, DecisionTree]]:
-        pairs: list[tuple[Permutation, DecisionTree]] = []
-
-        def visit(order: list[int], placed: Placement, _: int) -> None:
-            if len(order) == k:
-                pairs.append((tuple(order), placement_shape(placed)))
-
-        _walk((first,), n, k, matrix, visit)
-        return pairs
-
-    return itertools.chain.from_iterable(map(rooted, range(n)))
-
-
 def permutation_costs(
     rules: Sequence[Rule], k: int, data: Dataset, objective: Any, matrix: AncestryMatrix | None = None
 ) -> list:
-    """The objective's cost of every tree :func:`enumerate_permutation_trees` yields, in its order.
+    """The objective's cost of the tree of every valid k-permutation of the rule table.
 
-    Equal, pair for pair, to ``tree_cost(complete_shapes([shape], rules,
-    data)[0], objective)``: the same fold of ``objective.combine`` over the
-    same leaves, read off each placement as the walk reaches it, with no
-    tree built and no placement copied. Sample positions are routed from the
-    root as bitmasks, once per valid prefix: its last rule's positive mask
+    Costs come in the walk's order: ``itertools.permutations(range(len(rules)),
+    k)`` order, valid orderings only. ``matrix`` is the ancestry matrix of
+    the whole table, built from the defining points when not given and k is
+    at least 2 (a tree of fewer rules reads no entry); a matrix entry
+    depends only on its two rules, so this is the tree each combination's
+    own matrix gives. Each cost is the fold of ``objective.combine`` over
+    the tree's leaves, each leaf holding the samples its path sends it, read
+    off each placement as the walk reaches it, with no tree built and no
+    placement copied. Sample positions are routed from the root as
+    bitmasks, once per valid prefix: its last rule's positive mask
     (computed the first time a placement uses the rule) splits the rows
     reaching its position between its two children. A complete ordering's
     last rule sits at a leaf position q of its prefix's tree, so only q's
     ancestors change cost: its stump is costed and folded up the path, each
     off-path sibling's subtree cost coming from a cache that is emptied at
     every new prefix. ``objective.leaf_cost`` runs once per distinct set of
-    samples reaching a leaf. Raises ValueError at the call as
-    :func:`enumerate_permutation_trees`.
+    samples reaching a leaf. A k above the table size raises ValueError at
+    the call.
     """
     matrix = _walk_matrix(rules, k, matrix)
     samples = tuple(data)
@@ -387,18 +281,3 @@ def permutation_costs(
         del cost
     # the empty ordering's tree is one leaf
     return costs if k else [leaf(rows[0])]
-
-
-def all_chain_trees(items: Sequence[MatrixDim]) -> list[DecisionTree]:
-    """Every parenthesization of a matrix chain as a leaf-labeled tree."""
-    seq = tuple(items)
-    if not seq:
-        return []
-    if len(seq) == 1:
-        return [DLeaf(seq[0])]
-    out: list[DecisionTree] = []
-    for prefix, _, suffix in splits_mcmp(seq):
-        for u in all_chain_trees(prefix):
-            for v in all_chain_trees(suffix):
-                out.append(DNode(u, None, v))
-    return out

@@ -1,11 +1,13 @@
 """Rule enumeration and per-application split strategies.
 
-Each solver front end plugs in a splits strategy: a function producing
-(left part, root, right part) candidate triples from the items still in
-play. For classification trees the parts are rule indices constrained by an
-ancestry matrix; for scene partitioning they are segment fragments; for chain
-multiplication they are contiguous sub-chains; for k-d trees they are point
-subsets split on the depth-cycled dimension.
+A splits strategy produces (left part, root, right part) candidate triples
+from the items still in play. For scene partitioning the parts are segment
+fragments (:func:`splits_bsp`) and for chain multiplication contiguous
+sub-chains (:func:`splits_mcmp`). The classification-tree and k-d solvers
+split bitmasks of rules and points inside :mod:`opttree.solver`; their
+specifications by definition, ``spec_splits_generic`` (rule indices
+constrained by an ancestry matrix) and ``splits_kd`` (point subsets split on
+the depth-cycled dimension), are in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
@@ -14,14 +16,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .data import Dataset, Point, Sample, dimension
 from .rules import (
     EPS,
-    AncestryMatrix,
     AxisParallel,
     Rule,
     hyperplanes_from_points,
@@ -114,42 +115,15 @@ def lift_dataset(data: Dataset) -> Dataset:
 
 
 def enumerate_surface2_rules(data: Dataset, *, diagnostics: dict | None = None) -> list[Rule]:
-    """Degree-2 surface rules: hyperplanes over the monomial-lifted dataset."""
-    return enumerate_hyperplane_rules(lift_dataset(data), diagnostics=diagnostics)
+    """Degree-2 surface rules: hyperplanes over the monomial-lifted dataset.
 
-
-def splits_generic(
-    indices: Iterable[int], matrix: AncestryMatrix | None
-) -> list[tuple[tuple[int, ...], int, tuple[int, ...]]]:
-    """Feasible-root triples for an index set under an ancestry matrix.
-
-    A root must relate to every other index; the remaining indices fall on the
-    side their matrix entry dictates. Roots come out in ascending order. Each
-    candidate root's row is read in one pass that stops at its first 0
-    entry. A single index roots alone and reads no entry, so ``matrix`` may
-    be None for it.
+    A surface needs as many defining points as the lifted dimension (5 for
+    2-D data), and the error for fewer counts the caller's points.
     """
-    idx = sorted(indices)
-    if len(idx) == 1:
-        return [((), idx[0], ())]
-    out = []
-    for i in idx:
-        row = matrix[i]
-        left: list[int] = []
-        right: list[int] = []
-        for j in idx:
-            if j == i:
-                continue
-            side = row[j]
-            if side > 0:
-                left.append(j)
-            elif side < 0:
-                right.append(j)
-            else:
-                break
-        else:
-            out.append((tuple(left), i, tuple(right)))
-    return out
+    lifted = lift_dataset(data)
+    if lifted and len(lifted) < dimension(lifted):
+        raise ValueError(f"surface2 rules need at least {dimension(lifted)} points, got {len(lifted)}")
+    return enumerate_hyperplane_rules(lifted, diagnostics=diagnostics)
 
 
 def _orientation(seg: SceneSegment, p: Point) -> float:
@@ -220,22 +194,3 @@ def splits_mcmp(
     if len(seq) < 2:
         return []
     return [(seq[:i], i, seq[i:]) for i in range(1, len(seq))]
-
-
-def splits_kd(depth: int, data: Dataset) -> list[tuple[Dataset, Sample, Dataset]]:
-    """One candidate per pivot point, split on dimension ``depth mod D``.
-
-    Points tied with the pivot coordinate go left, matching the global
-    boundary rule; the pivot itself lands on neither side.
-    """
-    seq = tuple(data)
-    if not seq:
-        return []
-    d = depth % len(seq[0].point)
-    out = []
-    for i, pivot in enumerate(seq):
-        c = pivot.point[d]
-        left = tuple(s for j, s in enumerate(seq) if j != i and s.point[d] <= c)
-        right = tuple(s for j, s in enumerate(seq) if j != i and s.point[d] > c)
-        out.append((left, pivot, right))
-    return out

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, Point
+from .data import Point
 
 # Dead zone for orientation tests on unit-normalized coefficients; doubles
 # need a tolerance band around boundaries.
@@ -194,13 +194,6 @@ def row_masks(table: np.ndarray) -> list[int]:
     """Each row of a boolean table as a Python int, column c at bit c."""
     packed = np.packbits(table, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-
-def split_dataset(rule: Rule | RuleKind, data: Dataset) -> tuple[Dataset, Dataset]:
-    """Partition data into the rule's positive and negative sides."""
-    pos = tuple(s for s in data if classify(rule, s.point) > 0)
-    neg = tuple(s for s in data if classify(rule, s.point) < 0)
-    return pos, neg
 
 
 # K x K placement constraints in {-1, 0, +1}; row and column indices are

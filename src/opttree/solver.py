@@ -800,8 +800,8 @@ def solve_kd(data: Dataset, max_depth: int, objective: Objective | None = None) 
     The memo is keyed by (point mask, depth), point i at bit i. The table
     ``at_most[d][i]``, the points whose coordinate d is at most point i's, is
     built once, so a pivot's sides are two mask operations. Pivots are tried
-    in data order and points tied with the pivot go left, as in
-    :func:`~opttree.rule_systems.splits_kd`.
+    in data order and points tied with the pivot go left, as in the
+    ``splits_kd`` specification in ``tests/helpers.py``.
     """
     obj = objective or LEAF_BALANCE
     seq = tuple(data)

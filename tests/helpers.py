@@ -1,10 +1,26 @@
-"""Shared test oracles, kept independent of the library's completion path."""
+"""Shared test oracles, kept independent of the library's completion path.
+
+Every reference the tests check the package against lives here, written by
+definition: the point router, the path-copying permutation transform and its
+inverse :func:`level_order`, the feasible-root split, the exhaustive tree
+generators (:func:`all_tree_shapes`, :func:`all_trees`,
+:func:`all_trees_constrained`, :func:`all_chain_trees`), the data routing of
+shapes (:func:`complete_shapes`), the streamed valid orderings of a rule
+table (:func:`enumerate_permutation_trees`) and the k-d pivot split
+(:func:`splits_kd`). Generated sequences come out in a fixed order (root
+index ascending, left subtree choices before right). The permutation walk
+and its sample bitmasks are the package's own ``check`` oracle, imported
+from :mod:`opttree.generator` as they are; nothing here imports the solver.
+"""
 
 from __future__ import annotations
 
+import itertools
 import random
+from collections import deque
 
-from opttree import LEAF, DLeaf, DNode, classify, level_order, make_dataset
+from opttree import LEAF, DLeaf, DNode, classify, make_dataset, splits_mcmp
+from opttree.generator import _members, _positive_masks, _walk, _walk_matrix
 
 
 def route_leaf_contents(tree, rules, data):
@@ -26,6 +42,26 @@ def route_leaf_contents(tree, rules, data):
 
     collect(tree, list(data))
     return buckets
+
+
+def split_dataset(rule, data):
+    """Partition data into the rule's positive and negative sides."""
+    pos = tuple(s for s in data if classify(rule, s.point) > 0)
+    neg = tuple(s for s in data if classify(rule, s.point) < 0)
+    return pos, neg
+
+
+def level_order(tree):
+    """Branch payloads in breadth-first order, left child before right."""
+    order = []
+    queue = deque([tree])
+    while queue:
+        node = queue.popleft()
+        if isinstance(node, DNode):
+            order.append(node.rule_id)
+            queue.append(node.left)
+            queue.append(node.right)
+    return tuple(order)
 
 
 def spec_tree_from_permutation(perm, matrix):
@@ -64,7 +100,9 @@ def root_feasible(i, indices, matrix):
 
 def spec_splits_generic(indices, matrix):
     """Feasible-root triples by their definition: every feasible root in
-    ascending order, with the other indices on the side its entries name."""
+    ascending order, with the other indices on the side its entries name.
+    A single index roots alone and reads no entry, so ``matrix`` may then be
+    None."""
     idx = sorted(indices)
     return [
         (
@@ -77,10 +115,154 @@ def spec_splits_generic(indices, matrix):
     ]
 
 
-def leaf_payloads(tree):
-    if isinstance(tree, DLeaf):
-        return [tree.data]
-    return leaf_payloads(tree.left) + leaf_payloads(tree.right)
+def all_tree_shapes(indices, matrix):
+    """Every tree over ``indices`` consistent with the ancestry matrix.
+
+    An empty index set yields the bare leaf; otherwise each feasible root is
+    combined with every admissible left and right subtree. The list is empty
+    when no admissible tree exists.
+    """
+    idx = tuple(sorted(indices))
+    if not idx:
+        return [LEAF]
+    return [
+        DNode(u, rid, v)
+        for left, rid, right in spec_splits_generic(idx, matrix)
+        for u in all_tree_shapes(left, matrix)
+        for v in all_tree_shapes(right, matrix)
+    ]
+
+
+def complete_shapes(shapes, rules, data):
+    """Give every shape the data reaching each of its leaves.
+
+    Each leaf holds, in data order, the samples that every rule on its path
+    sends its way: positive to the left, negative to the right. Sample
+    positions are routed from the root as bitmasks against each rule's
+    positive mask, computed the first time a shape uses it, so each (rule,
+    sample) pair is classified at most once per call; leaves with the same
+    samples share one value. A rule id that is not an index into
+    ``rules`` raises ValueError.
+    """
+    samples = tuple(data)
+    positive = _positive_masks(rules, samples)
+    leaves = {}
+
+    def complete(shape, rows):
+        if isinstance(shape, DLeaf):
+            if rows not in leaves:
+                leaves[rows] = DLeaf(_members(samples, rows))
+            return leaves[rows]
+        rid = shape.rule_id
+        if not isinstance(rid, int) or not 0 <= rid < len(rules):
+            raise ValueError(f"path references unknown rule id {rid!r}")
+        pos = positive(rid)
+        return DNode(complete(shape.left, rows & pos), rid, complete(shape.right, rows & ~pos))
+
+    every = (1 << len(samples)) - 1
+    return [complete(shape, every) for shape in shapes]
+
+
+def all_trees(indices, matrix, rules, data):
+    """Every admissible tree, completed so each leaf holds the data reaching it."""
+    return complete_shapes(all_tree_shapes(indices, matrix), rules, data)
+
+
+def all_trees_constrained(indices, matrix, rules, data, min_leaf=0, max_depth=None):
+    """Constrained generation, pruning during recursion.
+
+    Both constraints shrink monotonically along subtrees (leaves only lose
+    points, depth only grows), so pruning a failing partial tree discards no
+    tree the post-filter would keep; the output equals filtering
+    :func:`all_trees` by leaf size and depth.
+    """
+
+    def rec(idx, data_here, budget):
+        if not idx:
+            return [DLeaf(data_here)] if len(data_here) >= min_leaf else []
+        if budget is not None and budget <= 0:
+            return []
+        sub_budget = None if budget is None else budget - 1
+        out = []
+        for left, rid, right in spec_splits_generic(idx, matrix):
+            pos, neg = split_dataset(rules[rid], data_here)
+            for u in rec(left, pos, sub_budget):
+                for v in rec(right, neg, sub_budget):
+                    out.append(DNode(u, rid, v))
+        return out
+
+    return rec(tuple(sorted(indices)), tuple(data), max_depth)
+
+
+def placement_shape(placed, p=0):
+    """The shape whose node at heap position q holds ``placed[q]``, rooted at ``p``."""
+    if p not in placed:
+        return LEAF
+    return DNode(placement_shape(placed, 2 * p + 1), placed[p], placement_shape(placed, 2 * p + 2))
+
+
+def enumerate_permutation_trees(rules, k, matrix=None):
+    """Every valid k-permutation of the rule table, with its shape.
+
+    The package's ``check`` walk goes over the k-permutations of global rule
+    ids against ``matrix``, the ancestry matrix of the whole table (built
+    from the defining points when not given and k is at least 2); a matrix
+    entry depends only on its two rules, so this is the tree each
+    combination's own matrix gives. The complete orderings come out as
+    (ordering, shape) pairs in ``itertools.permutations(range(len(rules)),
+    k)`` order, streamed one first rule at a time. A k above the table size
+    raises ValueError at the call.
+    """
+    matrix = _walk_matrix(rules, k, matrix)
+    n = len(rules)
+    if not k:
+        return iter([((), LEAF)])
+
+    def rooted(first):
+        pairs = []
+
+        def visit(order, placed, _):
+            if len(order) == k:
+                pairs.append((tuple(order), placement_shape(placed)))
+
+        _walk((first,), n, k, matrix, visit)
+        return pairs
+
+    return itertools.chain.from_iterable(map(rooted, range(n)))
+
+
+def all_chain_trees(items):
+    """Every parenthesization of a matrix chain as a leaf-labeled tree."""
+    seq = tuple(items)
+    if not seq:
+        return []
+    if len(seq) == 1:
+        return [DLeaf(seq[0])]
+    return [
+        DNode(u, None, v)
+        for prefix, _, suffix in splits_mcmp(seq)
+        for u in all_chain_trees(prefix)
+        for v in all_chain_trees(suffix)
+    ]
+
+
+def splits_kd(depth, data):
+    """One candidate per pivot point, split on dimension ``depth mod D``.
+
+    Points tied with the pivot coordinate go left, matching the global
+    boundary rule; the pivot itself lands on neither side.
+    """
+    seq = tuple(data)
+    if not seq:
+        return []
+    d = depth % len(seq[0].point)
+    out = []
+    for i, pivot in enumerate(seq):
+        c = pivot.point[d]
+        left = tuple(s for j, s in enumerate(seq) if j != i and s.point[d] <= c)
+        right = tuple(s for j, s in enumerate(seq) if j != i and s.point[d] > c)
+        out.append((left, pivot, right))
+    return out
 
 
 def shape_of(tree):

@@ -25,21 +25,14 @@ from opttree import (
     SceneSegment,
     SolveConstraints,
     SolveStats,
-    all_chain_trees,
-    all_tree_shapes,
-    all_trees,
-    all_trees_constrained,
     ancestry_matrix,
     bsp_tree_from_order,
     classify,
-    complete_shapes,
     depth,
     enumerate_axis_rules,
     enumerate_hyperplane_rules,
-    enumerate_permutation_trees,
     hyperplane_from_points,
     leaves,
-    level_order,
     make_dataset,
     node_count,
     solve,
@@ -47,12 +40,21 @@ from opttree import (
     solve_kd,
     solve_mcmp,
     splits_bsp,
-    splits_kd,
     tree_cost,
-    tree_from_permutation,
     CHAIN_COST,
     LEAF_BALANCE,
     TREE_SIZE,
+)
+from helpers import (
+    all_chain_trees,
+    all_tree_shapes,
+    all_trees,
+    all_trees_constrained,
+    complete_shapes,
+    enumerate_permutation_trees,
+    level_order,
+    spec_tree_from_permutation,
+    splits_kd,
 )
 
 N_INSTANCES = 100
@@ -184,7 +186,7 @@ def test_criterion_4_four_hyperplane_reproduction():
         rules.append(Rule(plane, (p, q)))
     matrix = ancestry_matrix(rules)
     valid = [
-        p for p in itertools.permutations(range(4)) if tree_from_permutation(p, matrix) is not None
+        p for p in itertools.permutations(range(4)) if spec_tree_from_permutation(p, matrix) is not None
     ]
     shapes = all_tree_shapes(range(4), matrix)
     ok = (

@@ -176,15 +176,22 @@ def test_fit_rules_file_malformed_exits_2(tmp_path, capsys, text, message):
 
 def test_surface2_rule_table_errors_exit_2(tmp_path, capsys):
     csv, line, rules = tmp_path / "d.csv", tmp_path / "line.csv", tmp_path / "r.txt"
+    solid = tmp_path / "solid.csv"
     write_csv(csv, [(0.0, 0.0), (1.0, 1.0), (2.0, 0.5)], [0, 1, 0])
     write_csv(line, [(0.0,), (1.0,), (2.0,)], [0, 1, 0])
+    write_csv(solid, [(0.0, 0.0, 0.0), (1.0, 1.0, 1.0)], [0, 1])
     rules.write_text("axis 1 0 0\n")
     for argv, message in (
         ([csv, "--rules-file", rules], "--rules-file cannot be combined with surface2"),
         ([line], "surface2 rules require 2D data"),
+        # the lifted space has 5 dimensions; the message counts the user's points
+        ([csv], "surface2 rules need at least 5 points, got 3"),
     ):
         assert main(["fit", *map(str, argv), "--k", "1", "--rules", "surface2"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+    # a hyperplane in 3-D is defined by three points
+    assert main(["fit", str(solid), "--k", "1", "--rules", "hyperplane"]) == 2
+    assert capsys.readouterr().err == "error: need at least 3 points, got 2\n"
 
 
 @pytest.mark.parametrize(

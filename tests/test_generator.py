@@ -15,19 +15,14 @@ from opttree import (
     DLeaf,
     DNode,
     Rule,
-    all_tree_shapes,
-    all_trees,
-    all_trees_constrained,
     ancestry_matrix,
-    complete_shapes,
     count_tree_shapes,
     depth,
+    leaves,
     enumerate_axis_rules,
     enumerate_hyperplane_rules,
-    enumerate_permutation_trees,
     enumerate_surface2_rules,
     hyperplane_from_points,
-    level_order,
     lift_dataset,
     make_dataset,
     misclassification_cost,
@@ -37,10 +32,22 @@ from opttree import (
     permutation_costs,
     TREE_SIZE,
     tree_cost,
-    tree_from_permutation,
 )
 import opttree.generator
-from helpers import leaf_payloads, random_instance, relabel, route_leaf_contents, shape_of
+from helpers import (
+    all_tree_shapes,
+    all_trees,
+    all_trees_constrained,
+    complete_shapes,
+    enumerate_permutation_trees,
+    level_order,
+    random_instance,
+    relabel,
+    route_leaf_contents,
+    shape_of,
+    spec_splits_generic,
+    spec_tree_from_permutation,
+)
 
 
 def chain_matrix(k):
@@ -80,20 +87,19 @@ def four_line_rules():
 
 
 def test_four_line_configuration_has_three_trees():
-    from opttree import splits_generic
     from helpers import root_feasible
 
     rules = four_line_rules()
     matrix = ancestry_matrix(rules)
     assert matrix[0][2] == 0  # rule 0 cannot head the full set
     assert not root_feasible(0, range(4), matrix)
-    assert 0 not in [root for _, root, _ in splits_generic(range(4), matrix)]
+    assert 0 not in [root for _, root, _ in spec_splits_generic(range(4), matrix)]
     shapes = all_tree_shapes(range(4), matrix)
     assert len(shapes) == 3
     valid = [
         p
         for p in itertools.permutations(range(4))
-        if tree_from_permutation(p, matrix) is not None
+        if spec_tree_from_permutation(p, matrix) is not None
     ]
     assert len(valid) == 3
     assert {level_order(t) for t in shapes} == set(valid)
@@ -142,7 +148,7 @@ def test_all_trees_leaf_contents_match_point_routing():
     trees = all_trees(range(len(rules))[:3], matrix, rules, data)
     assert trees
     for tree in trees:
-        assert [list(leaf) for leaf in leaf_payloads(tree)] == route_leaf_contents(tree, rules, data)
+        assert [list(leaf) for leaf in leaves(tree)] == route_leaf_contents(tree, rules, data)
 
 
 def rule_table(kind, data):
@@ -183,7 +189,7 @@ def test_complete_shapes_equals_downward_accumulate(kind, monkeypatch):
             assert max(calls.values(), default=1) == 1
             assert [shape_of(t) for t in completed] == shapes
             routed = [[tuple(leaf) for leaf in route_leaf_contents(s, rules, space)] for s in shapes]
-            assert [leaf_payloads(t) for t in completed] == routed
+            assert [leaves(t) for t in completed] == routed
             compared[k] += len(shapes)
     assert all(compared[k] for k in range(4))
 
@@ -250,7 +256,7 @@ def test_permutation_costs_equals_tree_cost_of_completed_shapes(kind, monkeypatc
                 want = [tree_cost(complete_shapes([s], rules, space)[0], objective) for s in shapes]
                 assert got == want
                 if leaf_calls:
-                    assert set(leaf_calls) == {leaf for tree in completed for leaf in leaf_payloads(tree)}
+                    assert set(leaf_calls) == {leaf for tree in completed for leaf in leaves(tree)}
             compared[k] += len(shapes)
     assert all(compared[k] for k in range(5))
 
@@ -380,7 +386,7 @@ def test_permutation_trees_equal_sliced_and_relabeled_reference(kind):
             sliced = tuple(tuple(matrix[i][j] for j in combo) for i in combo)
             assert local == sliced
             for perm in itertools.permutations(range(k)):
-                tree = tree_from_permutation(perm, local)
+                tree = spec_tree_from_permutation(perm, local)
                 if tree is not None:
                     out.append((tuple(combo[p] for p in perm), relabel(tree, combo)))
         return out
@@ -434,11 +440,11 @@ def test_all_trees_empty_and_single():
     matrix = ancestry_matrix(rules)
     (tree,) = all_trees((0,), matrix, rules, data)
     # single split at x=1: the boundary point goes left, the rest right
-    assert leaf_payloads(tree) == [(data[0],), (data[1],)]
+    assert leaves(tree) == [(data[0],), (data[1],)]
 
 
 def _satisfies(tree, min_leaf, max_depth):
-    ok_leaves = all(len(leaf) >= min_leaf for leaf in leaf_payloads(tree))
+    ok_leaves = all(len(leaf) >= min_leaf for leaf in leaves(tree))
     ok_depth = max_depth is None or depth(tree) <= max_depth
     return ok_leaves and ok_depth
 

@@ -11,7 +11,6 @@ from opttree import (
     MatrixDim,
     Rule,
     SceneSegment,
-    all_chain_trees,
     ancestry_matrix,
     classify,
     enumerate_axis_rules,
@@ -23,11 +22,10 @@ from opttree import (
     make_dataset,
     split_segments,
     splits_bsp,
-    splits_generic,
-    splits_kd,
     splits_mcmp,
 )
 from opttree import rule_systems
+from helpers import all_chain_trees, spec_splits_generic, splits_kd
 
 
 def test_axis_rules_counts():
@@ -147,7 +145,7 @@ def test_lifted_rules_match_polynomial_sign():
 
 def test_splits_generic_partition():
     m = ((0, 1, -1), (-1, 0, -1), (1, 1, 0))
-    triples = splits_generic((0, 1, 2), m)
+    triples = spec_splits_generic((0, 1, 2), m)
     assert [t[1] for t in triples] == [0, 1, 2]  # ascending roots
     for left, root, right in triples:
         assert set(left) | set(right) | {root} == {0, 1, 2}
@@ -156,13 +154,13 @@ def test_splits_generic_partition():
 
 def test_splits_generic_singleton_and_infeasible():
     m = ((0, 0), (0, 0))
-    assert splits_generic((0,), m) == [((), 0, ())]
-    assert splits_generic((0, 1), m) == []
+    assert spec_splits_generic((0,), m) == [((), 0, ())]
+    assert spec_splits_generic((0, 1), m) == []
 
 
 def test_splits_generic_all_positive():
     m = tuple(tuple(0 if i == j else 1 for j in range(3)) for i in range(3))
-    triples = splits_generic((0, 1, 2), m)
+    triples = spec_splits_generic((0, 1, 2), m)
     assert len(triples) == 3
     for left, root, right in triples:
         assert set(left) == {0, 1, 2} - {root}

