@@ -43,6 +43,7 @@ from helpers import (
     level_order,
     random_instance,
     relabel,
+    root_feasible,
     route_leaf_contents,
     shape_of,
     spec_splits_generic,
@@ -87,8 +88,6 @@ def four_line_rules():
 
 
 def test_four_line_configuration_has_three_trees():
-    from helpers import root_feasible
-
     rules = four_line_rules()
     matrix = ancestry_matrix(rules)
     assert matrix[0][2] == 0  # rule 0 cannot head the full set
