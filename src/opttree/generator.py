@@ -15,11 +15,13 @@ once, depth first, against one ancestry matrix of the table, dropping a
 prefix, with all its extensions, at its first invalid step. Every valid
 prefix is visited, and placed once per call, not once per combination that
 holds it; complete orderings come in ``itertools.permutations(range(K), k)``
-order. :func:`permutation_costs` scores the placements as the walk reaches
-them, without building a tree: sample-position bitmasks are routed from the
-root against sign masks computed lazily, one rule at a time, each prefix
-routes the rows reaching its last rule's position once, and a complete
-ordering re-scores only its last rule's path to the root.
+order. :func:`permutation_costs` scores the orderings as the walk reaches
+them, without building a tree: it walks the (k-1)-prefixes, and scores each
+prefix's completions in one loop over its free rules without placing them.
+Sample-position bitmasks are routed from the root against sign masks
+computed lazily, one rule at a time, each prefix routes the rows reaching
+its last rule's position once, and a complete ordering re-scores only its
+last rule's path to the root.
 :func:`count_tree_shapes` counts the trees of k rules drawn from an index
 set with one recurrence over allowed-rule masks, without building a tree.
 The tests check both against exhaustive generators in ``tests/helpers.py``.
@@ -150,6 +152,17 @@ def descend(placed: Placement, rid: int, matrix: AncestryMatrix) -> int | None:
     return p
 
 
+def _step(placed: Placement, rid: int, matrix: AncestryMatrix, last: int) -> int | None:
+    """The heap position rule ``rid`` takes next in an ordering whose last
+    rule sits at ``last``, or None when that step is invalid.
+
+    The rule descends to a free position (:func:`descend`), and the step is
+    valid when that position is above ``last``.
+    """
+    p = descend(placed, rid, matrix)
+    return None if p is None or p <= last else p
+
+
 def _walk(
     firsts: Iterable[int],
     n: int,
@@ -164,8 +177,8 @@ def _walk(
     order and each next rule is an unused id in ascending order, so complete
     orderings come in :func:`itertools.permutations` order, each after its
     prefixes. Each rule is placed at the heap position it descends to
-    (:func:`descend`), and an ordering is valid when each
-    position is above the previous one. Every prefix of a valid ordering is
+    (:func:`descend`), and an ordering is valid when each position is above
+    the previous one (:func:`_step`). Every prefix of a valid ordering is
     valid, so a prefix is placed once per call, whichever combinations share
     it, and it is dropped with all its extensions at its first 0 entry or
     non-increasing position. ``visit(order, placed, p)`` gets each valid
@@ -182,8 +195,8 @@ def _walk(
         for rid in rids:
             if not free[rid]:
                 continue
-            p = descend(placed, rid, matrix)
-            if p is None or p <= last:
+            p = _step(placed, rid, matrix, last)
+            if p is None:
                 continue
             placed[p] = rid
             order.append(rid)
@@ -208,34 +221,37 @@ def permutation_costs(
 ) -> list:
     """The objective's cost of the tree of every valid k-permutation of the rule table.
 
-    Costs come in the walk's order: ``itertools.permutations(range(len(rules)),
-    k)`` order, valid orderings only. ``matrix`` is the ancestry matrix of
-    the whole table, built from the defining points when not given and k is
-    at least 2 (a tree of fewer rules reads no entry); a matrix entry
-    depends only on its two rules, so this is the tree each combination's
-    own matrix gives. Each cost is the fold of ``objective.combine`` over
-    the tree's leaves, each leaf holding the samples its path sends it, read
-    off each placement as the walk reaches it, with no tree built and no
-    placement copied. Sample positions are routed from the root as
-    bitmasks, once per valid prefix: its last rule's positive mask
-    (computed the first time a placement uses the rule) splits the rows
-    reaching its position between its two children. A complete ordering's
-    last rule sits at a leaf position q of its prefix's tree, so only q's
-    ancestors change cost: its stump is costed and folded up the path, each
-    off-path sibling's subtree cost coming from a cache that is emptied at
-    every new prefix. ``objective.leaf_cost`` runs once per distinct set of
-    samples reaching a leaf. A k above the table size raises ValueError at
-    the call.
+    Costs come in ``itertools.permutations(range(len(rules)), k)`` order,
+    valid orderings only. ``matrix`` is the ancestry matrix of the whole
+    table, built from the defining points when not given and k is at least
+    2 (a tree of fewer rules reads no entry); a matrix entry depends only on
+    its two rules, so this is the tree each combination's own matrix gives.
+    Each cost is the fold of ``objective.combine`` over the tree's leaves,
+    each leaf holding the samples its path sends it, with no tree built and
+    no placement copied.
+
+    :func:`_walk` goes over the valid (k-1)-prefixes, and each prefix's
+    completions are scored in one loop over the rules it leaves free,
+    ascending, without placing the last rule: a rule completes the prefix
+    when its step is valid (:func:`_step`, the walk's own rule). Sample
+    positions are routed from the root as bitmasks, once per valid prefix:
+    its last rule's positive mask (computed the first time a placement uses
+    the rule) splits the rows reaching its position between its two
+    children. The last rule sits at a leaf position q of its prefix's tree,
+    so only q's ancestors change cost: its stump is costed and folded up the
+    path, the off-path siblings' subtree costs gathered once per prefix and
+    position. ``objective.leaf_cost`` runs once per distinct set of samples
+    reaching a leaf. A k above the table size raises ValueError at the call.
     """
     matrix = _walk_matrix(rules, k, matrix)
     samples = tuple(data)
+    n = len(rules)
     positive = _positive_masks(rules, samples)
     leaf_costs: dict[int, Any] = {}
     leaf_cost, combine = objective.leaf_cost, objective.combine
     # the rows reaching each heap position of the current placement's tree
     rows = {0: (1 << len(samples)) - 1}
-    # the current prefix's subtree costs, by heap position
-    siblings: dict[int, Any] = {}
+    costs: list = []
 
     def leaf(here: int) -> Any:
         if here not in leaf_costs:
@@ -248,34 +264,53 @@ def permutation_costs(
             return leaf(rows[p])
         return combine(cost(placed, 2 * p + 1), cost(placed, 2 * p + 2), rid)
 
+    def complete(order: list[int], placed: Placement, last: int) -> None:
+        used = set(order)
+        # the prefix's subtree costs by heap position, and the path up from
+        # each leaf position: (sibling cost, parent rule, whether q is left)
+        subtree: dict[int, Any] = {}
+        paths: dict[int, list] = {}
+        for rid in range(n):
+            if rid in used:
+                continue
+            q = _step(placed, rid, matrix, last)
+            if q is None:
+                continue
+            here = rows[q]
+            pos = here & positive(rid)
+            neg = here ^ pos
+            u = leaf_costs[pos] if pos in leaf_costs else leaf(pos)
+            v = leaf_costs[neg] if neg in leaf_costs else leaf(neg)
+            value = combine(u, v, rid)
+            path = paths.get(q)
+            if path is None:
+                path = paths[q] = []
+                p = q
+                while p:
+                    # a left child p is odd, its sibling p + 1
+                    left = p % 2
+                    sibling = p + 1 if left else p - 1
+                    if sibling not in subtree:
+                        subtree[sibling] = cost(placed, sibling)
+                    p = (p - 1) // 2
+                    path.append((subtree[sibling], placed[p], left))
+            for other, parent, left in path:
+                value = combine(value, other, parent) if left else combine(other, value, parent)
+            costs.append(value)
+
     def visit(order: list[int], placed: Placement, p: int) -> None:
         rid = placed[p]
         here = rows[p]
         pos = here & positive(rid)
-        n_placed = len(order)
-        if n_placed < k:
-            rows[2 * p + 1], rows[2 * p + 2] = pos, here ^ pos
-            if n_placed == k - 1:
-                siblings.clear()
-            return
-        value = combine(leaf(pos), leaf(here ^ pos), rid)
-        while p:
-            # a left child p is odd, its sibling p + 1
-            parent = (p - 1) // 2
-            if p % 2:
-                if p + 1 not in siblings:
-                    siblings[p + 1] = cost(placed, p + 1)
-                value = combine(value, siblings[p + 1], placed[parent])
-            else:
-                if p - 1 not in siblings:
-                    siblings[p - 1] = cost(placed, p - 1)
-                value = combine(siblings[p - 1], value, placed[parent])
-            p = parent
-        costs.append(value)
+        rows[2 * p + 1], rows[2 * p + 2] = pos, here ^ pos
+        if len(order) == k - 1:
+            complete(order, placed, p)
 
-    costs: list = []
     try:
-        _walk(range(len(rules)), len(rules), k, matrix, visit)
+        if k == 1:
+            complete([], {}, -1)
+        elif k:
+            _walk(range(n), n, k - 1, matrix, visit)
     finally:
         # as in count_tree_shapes: free the leaf costs and masks on return
         del cost

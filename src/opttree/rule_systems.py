@@ -3,11 +3,16 @@
 A splits strategy produces (left part, root, right part) candidate triples
 from the items still in play. For scene partitioning the parts are segment
 fragments (:func:`splits_bsp`) and for chain multiplication contiguous
-sub-chains (:func:`splits_mcmp`). The classification-tree and k-d solvers
-split bitmasks of rules and points inside :mod:`opttree.solver`; their
-specifications by definition, ``spec_splits_generic`` (rule indices
-constrained by an ancestry matrix) and ``splits_kd`` (point subsets split on
-the depth-cycled dimension), are in ``tests/helpers.py``.
+sub-chains (:func:`splits_mcmp`). These two are specifications by
+definition: the solvers in :mod:`opttree.solver` run the same splits on
+cheaper states (fragment ids with placements shared between states, and
+spans of the chain), and the tests compare each solver, tree for tree,
+with an exhaustive recursion over these functions. The placement of one
+segment against a root's line, :func:`split_segments`, is shared by both.
+The classification-tree and k-d solvers split bitmasks of rules and points;
+their specifications, ``spec_splits_generic`` (rule indices constrained by
+an ancestry matrix) and ``splits_kd`` (point subsets split on the
+depth-cycled dimension), are in ``tests/helpers.py``.
 """
 
 from __future__ import annotations

@@ -32,12 +32,18 @@ forms build. That is the brute-force answer: the first strictly better cost
 over the combinations in lexicographic order, each combination's trees
 generated root-first.
 
-The bsp, mcmp and kd front ends key the memo by state (fragment set, sub-chain,
-point mask and depth): the optimum of a state does not depend on how the
-recursion reached it, and these states recur many times. With the sub-chain
-as state, the matrix-chain solver is the classic cubic program; the kd
-front end reads a pivot's sides off a per-dimension table of point masks
-built once per call.
+The bsp, mcmp and kd front ends key the memo by state too: the optimum of a
+state does not depend on how the recursion reached it, and these states
+recur many times. Each is a cheap key. A scene state is the tuple of its
+fragments' int ids, each (root, fragment) placement computed once per call;
+a chain state is a sub-chain's span (i, j), which makes the matrix-chain
+solver the classic cubic program; a k-d state is one int, its point mask
+with the depth above it, and the kd front end reads a pivot's sides off a
+per-dimension table of point masks built once per call and solves a state
+with one split level left in closed form. Each tries its candidates in the
+order of its specification, :func:`~opttree.rule_systems.splits_bsp`,
+:func:`~opttree.rule_systems.splits_mcmp` and ``splits_kd`` in
+``tests/helpers.py``, so ties go to the same tree.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ import numpy as np
 
 from .data import Dataset
 from .rules import _BLOCK, Rule, ancestry_tables, row_masks, sign_table
-from .rule_systems import MatrixDim, SceneSegment, split_segments, splits_bsp, splits_mcmp
+from .rule_systems import MatrixDim, SceneSegment, split_segments
 from .trees import DecisionTree, DLeaf, DNode
 
 
@@ -739,20 +745,53 @@ def solve_bsp(segments: Sequence[SceneSegment]) -> DecisionTree:
     Every fragment eventually serves as a cut: a region recurses until empty,
     each step consuming one fragment as the branch rule and distributing the
     rest (with fragmentation) to the two sides. Minimized on total node count.
+
+    This is the recursion over :func:`~opttree.rule_systems.splits_bsp`, on
+    cheaper states. Each distinct fragment gets an int id the first time it
+    appears, equal fragments sharing one, and a state is the tuple of its
+    fragments' ids, in the order ``splits_bsp`` keeps them. The placement of
+    a fragment against a root's line (:func:`split_segments`) is computed
+    once per (root, fragment) pair and shared by every state that holds both.
     """
     if not segments:
         raise ValueError("scene has no segments")
+    frags: list[SceneSegment] = []
+    ids: dict[SceneSegment, int] = {}
+    placements: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
-    def splits(frags: tuple[SceneSegment, ...]) -> list | None:
-        return splits_bsp(frags) if frags else None
+    def intern(seg: SceneSegment) -> int:
+        if seg not in ids:
+            ids[seg] = len(frags)
+            frags.append(seg)
+        return ids[seg]
 
-    def leaf(frags: tuple[SceneSegment, ...]) -> float:
+    def splits(state: tuple[int, ...]) -> list | None:
+        if not state:
+            return None
+        out = []
+        for a, r in enumerate(state):
+            pos: tuple[int, ...] = ()
+            neg: tuple[int, ...] = ()
+            for b, f in enumerate(state):
+                if a == b:
+                    continue
+                key = r, f
+                if key not in placements:
+                    sides = split_segments(frags[r], (frags[f],))
+                    placements[key] = tuple(map(intern, sides[0])), tuple(map(intern, sides[1]))
+                p, q = placements[key]
+                pos += p
+                neg += q
+            out.append((pos, frags[r], neg))
+        return out
+
+    def leaf(state: tuple[int, ...]) -> float:
         return TREE_SIZE.leaf_cost(())
 
-    def tree(frags: tuple[SceneSegment, ...]) -> DecisionTree:
+    def tree(state: tuple[int, ...]) -> DecisionTree:
         return DLeaf(())
 
-    return _optimize(tuple(segments), splits, leaf, TREE_SIZE.combine, tree)
+    return _optimize(tuple(map(intern, segments)), splits, leaf, TREE_SIZE.combine, tree)
 
 
 def bsp_tree_from_order(segments: Sequence[SceneSegment], order: Sequence[int]) -> DecisionTree:
@@ -777,7 +816,12 @@ def bsp_tree_from_order(segments: Sequence[SceneSegment], order: Sequence[int]) 
 
 
 def solve_mcmp(dims: Sequence[MatrixDim]) -> DecisionTree:
-    """Cheapest association order for a matrix chain (leaf-labeled tree)."""
+    """Cheapest association order for a matrix chain (leaf-labeled tree).
+
+    This is the recursion over :func:`~opttree.rule_systems.splits_mcmp`
+    with each sub-chain named by its span (i, j), matrices i to j - 1: the
+    cuts of a span are tried left to right, as ``splits_mcmp`` gives them.
+    """
     seq = tuple(dims)
     if not seq:
         raise ValueError("empty matrix chain")
@@ -785,19 +829,18 @@ def solve_mcmp(dims: Sequence[MatrixDim]) -> DecisionTree:
         if a.cols != b.rows:
             raise ValueError(f"adjacent matrices do not conform: {a} x {b}")
 
-    def splits(items: tuple[MatrixDim, ...]) -> list | None:
-        if len(items) == 1:
-            return None
+    def splits(span: tuple[int, int]) -> list | None:
+        i, j = span
         # chain nodes carry no rule: the tree shape alone is the association
-        return [(prefix, None, suffix) for prefix, _, suffix in splits_mcmp(items)]
+        return None if j - i == 1 else [((i, m), None, (m, j)) for m in range(i + 1, j)]
 
-    def leaf(items: tuple[MatrixDim, ...]) -> tuple:
-        return CHAIN_COST.leaf_cost(items[0])
+    def leaf(span: tuple[int, int]) -> tuple:
+        return CHAIN_COST.leaf_cost(seq[span[0]])
 
-    def tree(items: tuple[MatrixDim, ...]) -> DecisionTree:
-        return DLeaf(items[0])
+    def tree(span: tuple[int, int]) -> DecisionTree:
+        return DLeaf(seq[span[0]])
 
-    return _optimize(seq, splits, leaf, CHAIN_COST.combine, tree)
+    return _optimize((0, len(seq)), splits, leaf, CHAIN_COST.combine, tree)
 
 
 def parenthesization(tree: DecisionTree) -> str:
@@ -824,26 +867,46 @@ def solve_kd(data: Dataset, max_depth: int, objective: Objective | None = None) 
     budget allows; the branch payload is (pivot point, dimension). The default
     objective sums squared leaf sizes.
 
-    The memo is keyed by (point mask, depth), point i at bit i. The table
-    ``at_most[d][i]``, the points whose coordinate d is at most point i's, is
-    built once, so a pivot's sides are two mask operations. Pivots are tried
-    in data order and points tied with the pivot go left, as in the
-    ``splits_kd`` specification in ``tests/helpers.py``.
+    A state is one int, ``mask | depth << N``: point i is bit i of the mask.
+    The table ``at_most[d][i]``, the points whose coordinate d is at most
+    point i's, and the payloads are built once per call, so a pivot's sides
+    are two mask operations. Pivots are tried in data order and points tied
+    with the pivot go left, as in the ``splits_kd`` specification in
+    ``tests/helpers.py``. Leaf costs are memoized per mask. A state with one
+    split level left is solved in closed form, like :meth:`_RuleMasks.stump`:
+    the cheapest stump over its pivots in data order, the first strict
+    minimum winning, each candidate combined with the payload the recursion
+    would pass.
     """
     obj = objective or LEAF_BALANCE
+    leaf_cost, combine = obj.leaf_cost, obj.combine
     seq = tuple(data)
+    n = len(seq)
+    every = (1 << n) - 1
     # no data leaves the root a leaf state, which reads no dimension
     ndims = len(seq[0].point) if seq else 0
     at_most = [
         [sum(1 << j for j, s in enumerate(seq) if s.point[d] <= p.point[d]) for p in seq]
         for d in range(ndims)
     ]
+    payloads = [[(p.point, d) for p in seq] for d in range(ndims)]
+    # the depth whose states have one split level left, solved in closed form
+    last = max_depth - 1
+    costs: dict[int, Any] = {}
+    stumps: dict[int, int] = {}
 
-    def splits(state: tuple[int, int]) -> list | None:
-        mask, depth = state
-        if not mask or depth >= max_depth:
+    def cost(mask: int) -> Any:
+        if mask not in costs:
+            costs[mask] = leaf_cost(_members(seq, mask))
+        return costs[mask]
+
+    def splits(state: int) -> list | None:
+        mask, depth = state & every, state >> n
+        if not mask or depth >= last:
             return None
         d = depth % ndims
+        sides, payload = at_most[d], payloads[d]
+        below = (depth + 1) << n
         out = []
         todo = mask
         while todo:
@@ -851,14 +914,42 @@ def solve_kd(data: Dataset, max_depth: int, objective: Objective | None = None) 
             todo ^= low
             i = low.bit_length() - 1
             rest = mask ^ low
-            left = rest & at_most[d][i]
-            out.append(((left, depth + 1), (seq[i].point, d), (rest ^ left, depth + 1)))
+            left = rest & sides[i]
+            out.append((left | below, payload[i], (rest ^ left) | below))
         return out
 
-    def leaf(state: tuple[int, int]) -> Any:
-        return obj.leaf_cost(_members(seq, state[0]))
+    def leaf(state: int) -> Any:
+        mask = state & every
+        if not mask or state >> n != last:
+            return cost(mask)
+        d = last % ndims
+        sides, payload = at_most[d], payloads[d]
+        best = winner = None
+        todo = mask
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            i = low.bit_length() - 1
+            rest = mask ^ low
+            left = rest & sides[i]
+            right = rest ^ left
+            # the memo read inline; cost fills a miss
+            u = costs[left] if left in costs else cost(left)
+            v = costs[right] if right in costs else cost(right)
+            candidate = combine(u, v, payload[i])
+            if best is None or candidate < best:
+                best, winner = candidate, i
+        stumps[mask] = winner
+        return best
 
-    def tree(state: tuple[int, int]) -> DecisionTree:
-        return DLeaf(_members(seq, state[0]))
+    def tree(state: int) -> DecisionTree:
+        mask = state & every
+        if not mask or state >> n != last:
+            return DLeaf(_members(seq, mask))
+        i = stumps[mask]
+        rest = mask ^ (1 << i)
+        d = last % ndims
+        left = rest & at_most[d][i]
+        return DNode(DLeaf(_members(seq, left)), payloads[d][i], DLeaf(_members(seq, rest ^ left)))
 
-    return _optimize(((1 << len(seq)) - 1, 0), splits, leaf, obj.combine, tree)
+    return _optimize(every, splits, leaf, combine, tree)

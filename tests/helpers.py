@@ -6,11 +6,14 @@ inverse :func:`level_order`, the feasible-root split, the exhaustive tree
 generators (:func:`all_tree_shapes`, :func:`all_trees`,
 :func:`all_trees_constrained`, :func:`all_chain_trees`), the data routing of
 shapes (:func:`complete_shapes`), the streamed valid orderings of a rule
-table (:func:`enumerate_permutation_trees`) and the k-d pivot split
-(:func:`splits_kd`). Generated sequences come out in a fixed order (root
-index ascending, left subtree choices before right). The permutation walk
-and its sample bitmasks are the package's own ``check`` oracle, imported
-from :mod:`opttree.generator` as they are; nothing here imports the solver.
+table (:func:`enumerate_permutation_trees`), the k-d pivot split
+(:func:`splits_kd`) and the first cheapest trees of the k-d and
+scene-partition recursions (:func:`kd_oracle`, :func:`bsp_oracle`, both
+through :func:`first_cheapest`). Generated sequences come out in a fixed
+order (root index ascending, left subtree choices before right). The
+permutation walk and its sample bitmasks are the package's own ``check``
+oracle, imported from :mod:`opttree.generator` as they are; nothing here
+imports the solver.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import itertools
 import random
 from collections import deque
 
-from opttree import LEAF, DLeaf, DNode, classify, make_dataset, splits_mcmp
+from opttree import LEAF, DLeaf, DNode, classify, make_dataset, splits_bsp, splits_mcmp
 from opttree.generator import _members, _positive_masks, _walk, _walk_matrix
 
 
@@ -118,13 +121,16 @@ def spec_splits_generic(indices, matrix):
 def all_tree_shapes(indices, matrix):
     """Every tree over ``indices`` consistent with the ancestry matrix.
 
-    An empty index set yields the bare leaf; otherwise each feasible root is
-    combined with every admissible left and right subtree. The list is empty
-    when no admissible tree exists.
+    An empty index set yields the bare leaf and a single index its stump;
+    otherwise each feasible root is combined with every admissible left and
+    right subtree. The list is empty when no admissible tree exists.
     """
     idx = tuple(sorted(indices))
     if not idx:
         return [LEAF]
+    if len(idx) == 1:
+        # one rule roots alone, reading no entry
+        return [DNode(LEAF, idx[0], LEAF)]
     return [
         DNode(u, rid, v)
         for left, rid, right in spec_splits_generic(idx, matrix)
@@ -263,6 +269,65 @@ def splits_kd(depth, data):
         right = tuple(s for j, s in enumerate(seq) if j != i and s.point[d] > c)
         out.append((left, pivot, right))
     return out
+
+
+def first_cheapest(state, splits, leaf, combine):
+    """(cost, tree) of the first cheapest tree from ``state``, by exhaustive
+    recursion without a memo.
+
+    ``splits(state)`` is None for a leaf state, else its (left state, rule,
+    right state) triples in order; ``leaf(state)`` is a leaf state's (cost,
+    tree). Every candidate is combined from its sides' first cheapest trees,
+    and the first strict minimum wins.
+    """
+    triples = splits(state)
+    if triples is None:
+        return leaf(state)
+    best = None
+    for left, rule, right in triples:
+        u, left_tree = first_cheapest(left, splits, leaf, combine)
+        v, right_tree = first_cheapest(right, splits, leaf, combine)
+        cost = combine(u, v, rule)
+        if best is None or cost < best[0]:
+            best = cost, DNode(left_tree, rule, right_tree)
+    return best
+
+
+def kd_oracle(data, max_depth, objective):
+    """(cost, tree) of the first cheapest depth-cycled tree over :func:`splits_kd`.
+
+    A region splits while it holds points and is above ``max_depth``; each
+    branch's payload is (pivot point, dimension) and each leaf holds its
+    points in data order.
+    """
+
+    def splits(state):
+        items, depth = state
+        if not items or depth >= max_depth:
+            return None
+        d = depth % len(items[0].point)
+        return [
+            ((left, depth + 1), (pivot.point, d), (right, depth + 1))
+            for left, pivot, right in splits_kd(depth, items)
+        ]
+
+    def leaf(state):
+        return objective.leaf_cost(state[0]), DLeaf(state[0])
+
+    return first_cheapest((tuple(data), 0), splits, leaf, objective.combine)
+
+
+def bsp_oracle(segments):
+    """(node count, tree) of the first smallest partition tree over
+    :func:`~opttree.rule_systems.splits_bsp`; every leaf is empty."""
+
+    def splits(frags):
+        return splits_bsp(frags) if frags else None
+
+    def leaf(frags):
+        return 1, DLeaf(())
+
+    return first_cheapest(tuple(segments), splits, leaf, lambda a, b, root: a + b + 1)
 
 
 def shape_of(tree):

@@ -39,7 +39,6 @@ from opttree import (
     solve_bsp,
     solve_kd,
     solve_mcmp,
-    splits_bsp,
     tree_cost,
     CHAIN_COST,
     LEAF_BALANCE,
@@ -50,11 +49,12 @@ from helpers import (
     all_tree_shapes,
     all_trees,
     all_trees_constrained,
+    bsp_oracle,
     complete_shapes,
     enumerate_permutation_trees,
+    kd_oracle,
     level_order,
     spec_tree_from_permutation,
-    splits_kd,
 )
 
 N_INSTANCES = 100
@@ -341,24 +341,6 @@ def random_scene(seed, n_segments):
     return segs
 
 
-class _TooManyFragments(Exception):
-    pass
-
-
-def exhaustive_bsp_min(frags, limit=7):
-    """Minimum node count over every cut order, aborting past the limit."""
-    if len(frags) > limit:
-        raise _TooManyFragments
-    if not frags:
-        return 1
-    best = None
-    for pos, _, neg in splits_bsp(frags):
-        size = 1 + exhaustive_bsp_min(pos, limit) + exhaustive_bsp_min(neg, limit)
-        if best is None or size < best:
-            best = size
-    return best
-
-
 def test_criterion_9_bsp_beats_random_orders():
     beaten = 0
     exact_checked = 0
@@ -377,28 +359,16 @@ def test_criterion_9_bsp_beats_random_orders():
         assert size <= baseline, f"scene {i}: solver {size} > randomized baseline {baseline}"
         if size < baseline:
             beaten += 1
-        try:
-            assert size == exhaustive_bsp_min(tuple(segs)), f"scene {i}: not the exhaustive optimum"
-            exact_checked += 1
-        except _TooManyFragments:
-            pass
+        nodes, want = bsp_oracle(segs)
+        assert tree == want, f"scene {i}: not the first smallest tree of the exhaustive search"
+        assert size == nodes
+        exact_checked += 1
     report(
         9,
         True,
         f"solver never beaten by 200 random orders on 20 scenes; "
         f"exhaustive equality verified on {exact_checked}",
     )
-
-
-def kd_oracle(data, max_depth, depth_now=0):
-    if not data or depth_now >= max_depth:
-        return float(len(data)) ** 2
-    best = None
-    for left, _, right in splits_kd(depth_now, data):
-        s = kd_oracle(left, max_depth, depth_now + 1) + kd_oracle(right, max_depth, depth_now + 1)
-        if best is None or s < best:
-            best = s
-    return best
 
 
 def level_dims_consistent(tree):
@@ -424,7 +394,9 @@ def test_criterion_10_kd_exhaustive():
             dims = level_dims_consistent(tree)
             assert dims is not None, f"instance {i}: inconsistent level dimensions"
             assert dims == [d % 2 for d in range(len(dims))]
-            assert tree_cost(tree, LEAF_BALANCE) == kd_oracle(data, max_depth)
+            cost, want = kd_oracle(data, max_depth, LEAF_BALANCE)
+            assert tree == want, f"instance {i}: not the first cheapest tree"
+            assert tree_cost(tree, LEAF_BALANCE) == cost
             checked += 1
     report(10, True, f"depth-cycled trees match exhaustive search on {checked} solves")
 

@@ -51,15 +51,17 @@ from opttree import (
     solve_mcmp,
     tree_cost,
 )
-from opttree.solver import _members, _RuleMasks, _optimize
+from opttree.solver import _members, _RuleMasks
 from helpers import (
+    all_chain_trees,
     all_trees,
     all_trees_constrained,
+    bsp_oracle,
     complete_shapes,
     enumerate_permutation_trees,
+    kd_oracle,
     level_order,
     random_instance,
-    splits_kd,
 )
 
 
@@ -652,6 +654,7 @@ def test_solvers_leave_no_cyclic_garbage():
         solve(enumerate_axis_rules(data), 2, data, MISCLASSIFICATION)
         solve_mcmp([MatrixDim(a, b) for a, b in ((3, 5), (5, 2), (2, 7), (7, 4))])
         solve_kd(data, 3)
+        solve_bsp([_seg(0, 0, 4, 0, 0), _seg(1, -2, 1, 3, 1), _seg(-1, 1, 5, 2, 2)])
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -806,67 +809,72 @@ def test_solve_kd_single_point():
     assert leaves(tree) == [(), ()]
 
 
-def _kd_oracle(data, max_depth, depth=0):
-    """Enumerate every depth-cycled tree and return the best balance score."""
-    if not data or depth >= max_depth:
-        return float(len(data)) ** 2
-    best = None
-    for left, _, right in splits_kd(depth, data):
-        s = _kd_oracle(left, max_depth, depth + 1) + _kd_oracle(right, max_depth, depth + 1)
-        if best is None or s < best:
-            best = s
-    return best
-
-
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_solve_kd_matches_exhaustive(seed):
     rng = random.Random(seed)
     n = rng.randint(4, 8)
     data = make_dataset([(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(n)])
-    for max_depth in (1, 2):
+    for max_depth in range(5):
         tree = solve_kd(data, max_depth)
-        assert tree_cost(tree, LEAF_BALANCE) == _kd_oracle(data, max_depth)
+        cost, want = kd_oracle(data, max_depth, LEAF_BALANCE)
+        assert tree == want
+        assert tree_cost(tree, LEAF_BALANCE) == cost
 
 
-def _kd_reference(data, max_depth, objective):
-    """The k-d recursion on (point tuple, depth) states over :func:`splits_kd`."""
-    seq = tuple(data)
-    if not seq:
-        return DLeaf(())
-    ndims = len(seq[0].point)
-
-    def splits(state):
-        items, level = state
-        if not items or level >= max_depth:
-            return None
-        d = level % ndims
-        return [
-            ((left, level + 1), (pivot.point, d), (right, level + 1))
-            for left, pivot, right in splits_kd(level, items)
-        ]
-
-    def leaf(state):
-        return objective.leaf_cost(state[0])
-
-    def tree(state):
-        return DLeaf(state[0])
-
-    return _optimize((seq, 0), splits, leaf, objective.combine, tree)
+# combine reads the (pivot point, dimension) payload, so a closed form that
+# passes another pivot's payload, or another level's dimension, scores differently
+PIVOT_SENSITIVE = Objective(LEAF_BALANCE.leaf_cost, lambda a, b, ctx: a + b + ctx[0][ctx[1]] + 2 * ctx[1])
 
 
 def test_solve_kd_equals_tuple_state_reference():
-    # the mask states must give the very tree the tuple states give, ties
-    # included: coordinates on a small grid tie often, and duplicates occur
+    # the int states must give the very tree the exhaustive recursion over
+    # (point tuple, depth) states gives, ties included: coordinates on a
+    # small grid tie often, and duplicates occur
     for seed in range(30):
         rng = random.Random(seed)
         n = rng.randint(0, 8)
         points = [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(n)]
         points += points[:2]
         data = make_dataset(points, [rng.randint(0, 1) for _ in points])
-        for max_depth in range(4):
-            assert solve_kd(data, max_depth) == _kd_reference(data, max_depth, LEAF_BALANCE)
-            got = solve_kd(data, max_depth, objective=MISCLASSIFICATION)
-            assert got == _kd_reference(data, max_depth, MISCLASSIFICATION)
+        for max_depth in range(5):
+            for objective in (LEAF_BALANCE, MISCLASSIFICATION, PIVOT_SENSITIVE):
+                got = solve_kd(data, max_depth, objective=objective)
+                assert got == kd_oracle(data, max_depth, objective)[1]
+
+
+def test_solve_bsp_equals_first_smallest_tree():
+    # ties between equally small trees go to the first root, as in the
+    # exhaustive recursion over splits_bsp: scenes of crossing segments and
+    # of collinear and parallel ones
+    scenes = [
+        [_seg(0, 0, 4, 0, 0), _seg(1, -2, 1, 3, 1), _seg(3, -1, 3, 2, 2), _seg(-1, 1, 5, 2, 3)],
+        [_seg(0, 0, 1, 0, 0), _seg(2, 0, 3, 0, 1), _seg(1, 1, 2, 1, 2), _seg(1.5, -1, 1.5, 2, 3)],
+        [_seg(0, 0, 2, 2, 0), _seg(0, 2, 2, 0, 1), _seg(1, -1, 1, 3, 2)],
+    ]
+    rng = random.Random(7)
+    for i in range(12):
+        segs = []
+        while len(segs) < 4:
+            x1, y1, x2, y2 = (rng.randint(0, 4) for _ in range(4))
+            if (x1, y1) != (x2, y2):
+                segs.append(_seg(x1, y1, x2, y2, len(segs)))
+        scenes.append(segs)
+    for segs in scenes:
+        tree = solve_bsp(segs)
+        nodes, want = bsp_oracle(segs)
+        assert tree == want
+        assert node_count(tree) == nodes
+
+
+def test_solve_mcmp_ties_go_to_the_first_cheapest_chain_tree():
+    # every dimension equal ties every association; small dimensions tie some
+    chains = [[2] * (n + 1) for n in range(1, 8)]
+    rng = random.Random(3)
+    chains += [[rng.randint(1, 2) for _ in range(rng.randint(3, 8))] for _ in range(20)]
+    for values in chains:
+        dims = [MatrixDim(a, b) for a, b in zip(values, values[1:])]
+        want = min(all_chain_trees(dims), key=lambda t: tree_cost(t, CHAIN_COST)[0])
+        assert solve_mcmp(dims) == want
 
 
 def test_monotone_combine_for_all_objectives():
