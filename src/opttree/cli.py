@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands: fit, check, bsp, mcmp, kd. Exit codes: 0 ok, 1 check mismatch,
-2 malformed input, 3 infeasible constraints.
+2 malformed input, 3 infeasible constraints, 141 stdout closed by its
+reader before all the output was written (128 + SIGPIPE, the status a
+shell gives a process that SIGPIPE ends).
 """
 
 from __future__ import annotations
@@ -9,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 from typing import Sequence
 
@@ -39,6 +42,9 @@ from .solver import (
 )
 from .treefmt import serialize
 from .trees import DecisionTree, DNode, leaves
+
+# exit code when the reader of stdout closes it before the output is written
+EXIT_CLOSED_STDOUT = 141
 
 CHECK_MAX_N = 14
 CHECK_MAX_K = 4
@@ -333,7 +339,17 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a closed pipe shows here, not in the interpreter's exit-time flush
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone (say, a `grep -q` that has matched): nothing is
+        # left to report to it, and the exit-time flush goes to devnull instead
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_STDOUT
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,12 +16,17 @@ prefix, with all its extensions, at its first invalid step. Every valid
 prefix is visited, and placed once per call, not once per combination that
 holds it; complete orderings come in ``itertools.permutations(range(K), k)``
 order. :func:`permutation_costs` scores the orderings as the walk reaches
-them, without building a tree: it walks the (k-1)-prefixes, and scores each
-prefix's completions in one loop over its free rules without placing them.
-Sample-position bitmasks are routed from the root against sign masks
-computed lazily, one rule at a time, each prefix routes the rows reaching
-its last rule's position once, and a complete ordering re-scores only its
-last rule's path to the root.
+them, without building a tree: it walks the (k-1)-prefixes, and reads each
+prefix's completions off the placed rules' ancestry side masks
+(:func:`_walk_completions`), the rules of each matrix row with entry +1 and
+with entry -1 as two bitmasks. The rules that reach a free position are the
+AND of the side masks along its path from the root, so no rule that fails
+the step (:func:`_step`) is tried; the walk's own steps remain the
+specification that the mask read is tested against. Sample-position
+bitmasks are routed from the root against each rule's sign mask, computed
+once per call, each prefix routes the rows reaching its last rule's
+position once, and a complete ordering re-scores only its last rule's path
+to the root.
 :func:`count_tree_shapes` counts the trees of k rules drawn from an index
 set with one recurrence over allowed-rule masks, without building a tree.
 The tests check both against exhaustive generators in ``tests/helpers.py``.
@@ -35,6 +40,23 @@ from typing import Any, Callable, Iterable, Sequence
 
 from .data import Dataset
 from .rules import AncestryMatrix, Rule, ancestry_matrix, classify
+
+
+def _side_masks(row: Sequence[int], ids: Iterable[int]) -> tuple[int, int]:
+    """The rules of ``ids`` whose entry in an ancestry row is +1 and those
+    whose entry is -1, as two bitmasks with rule r at bit r.
+
+    The row's own rule is in neither when its diagonal entry is 0, as in
+    every :func:`ancestry_matrix`.
+    """
+    left = right = 0
+    for r in ids:
+        side = row[r]
+        if side > 0:
+            left |= 1 << r
+        elif side < 0:
+            right |= 1 << r
+    return left, right
 
 
 def count_tree_shapes(indices: Iterable[int], k: int, matrix: AncestryMatrix | None) -> int:
@@ -65,13 +87,8 @@ def count_tree_shapes(indices: Iterable[int], k: int, matrix: AncestryMatrix | N
             todo ^= bit
             i = bit.bit_length() - 1
             if i not in sides:
-                row = matrix[i]
-                left = right = 0
-                for r in ids:
-                    if row[r] > 0:
-                        left |= 1 << r
-                    elif row[r] < 0:
-                        right |= 1 << r
+                # a hand-made matrix may relate a rule to itself
+                left, right = _side_masks(matrix[i], ids)
                 sides[i] = (left & ~bit, right & ~bit)
             left, right = sides[i]
             left &= allowed
@@ -97,26 +114,28 @@ def count_tree_shapes(indices: Iterable[int], k: int, matrix: AncestryMatrix | N
         del count
 
 
-def _positive_masks(rules: Sequence[Rule], samples: Dataset) -> Callable[[int], int]:
-    """Rule id to the bitmask of sample positions it classifies positive.
-
-    Each rule's mask is computed the first time it is asked for, one
-    :func:`classify` call per sample, and kept.
-    """
-    masks: dict[int, int] = {}
-
-    def positive(rid: int) -> int:
-        if rid not in masks:
-            signs = (classify(rules[rid], s.point) for s in samples)
-            masks[rid] = sum(1 << r for r, sign in enumerate(signs) if sign > 0)
-        return masks[rid]
-
-    return positive
+def _positive_mask(rule: Rule, samples: Dataset) -> int:
+    """The bitmask of the sample positions a rule classifies positive, one
+    :func:`classify` call per sample."""
+    return sum(1 << r for r, s in enumerate(samples) if classify(rule, s.point) > 0)
 
 
 def _members(samples: Dataset, rows: int) -> Dataset:
     """The samples at the positions set in ``rows``, in data order."""
     return tuple(s for r, s in enumerate(samples) if rows >> r & 1)
+
+
+class _LeafCosts(dict):
+    """Leaf costs keyed by sample-position bitmask, each costed on its first lookup."""
+
+    def __init__(self, leaf_cost: Callable[[Dataset], Any], samples: Dataset) -> None:
+        super().__init__()
+        self.leaf_cost = leaf_cost
+        self.samples = samples
+
+    def __missing__(self, rows: int) -> Any:
+        value = self[rows] = self.leaf_cost(_members(self.samples, rows))
+        return value
 
 
 def _walk_matrix(rules: Sequence[Rule], k: int, matrix: AncestryMatrix | None) -> AncestryMatrix | None:
@@ -216,6 +235,77 @@ def _walk(
         del extend
 
 
+def _completions(placed: Placement, last: int, reach: dict[int, int], unused: int) -> list[tuple[int, int]]:
+    """The valid last steps of an ordering whose prefix is ``placed``, its
+    last rule at ``last``: (heap position q, mask of the rules that step to
+    q) pairs, for the positions some rule steps to.
+
+    ``reach[q]`` masks the rules that descend to a free position q, the AND
+    of the side masks along q's path from the root, and ``unused`` masks the
+    rules the prefix leaves free. A step must land above ``last``, so only
+    the free positions above it are read: the children of placed rules that
+    lie above it, or the root of an empty prefix. A rule descends to one
+    position at most, so the masks are disjoint, and their bits are the free
+    rules whose step (:func:`_step`) is valid.
+    """
+    if not placed:
+        return [(0, reach[0] & unused)] if reach[0] & unused else []
+    steps = []
+    for p in placed:
+        for q in (2 * p + 1, 2 * p + 2):
+            if q > last:
+                todo = reach[q] & unused
+                if todo:
+                    steps.append((q, todo))
+    return steps
+
+
+def _walk_completions(
+    n: int,
+    k: int,
+    matrix: AncestryMatrix | None,
+    visit: Callable[[list[int], Placement, int], None],
+    complete: Callable[[list[int], Placement, int, list[tuple[int, int]]], None],
+) -> None:
+    """Walk the valid prefixes of 1 to k-1 rules of the k-permutations of
+    ``range(n)`` (:func:`_walk`), and read each (k-1)-prefix's completions
+    off side masks instead of stepping every free rule.
+
+    ``visit(order, placed, p)`` gets each prefix as :func:`_walk` gives it;
+    then, for a (k-1)-prefix, ``complete(order, placed, p, steps)`` gets its
+    valid last steps, grouped by position (:func:`_completions`). Taking
+    their rules in ascending order puts complete orderings in
+    :func:`itertools.permutations` order. A rule's (left, right) side masks
+    are read off its matrix row the first time it is placed and kept for the
+    call, one pair per rule; the rules reaching each child of a placed rule
+    are those reaching the rule, ANDed with the side mask. At k = 1 every rule completes the empty prefix at
+    the root and no entry is read; a k of 0 completes nothing.
+    """
+    every = (1 << n) - 1
+    sides: dict[int, tuple[int, int]] = {}
+    # the rules reaching each heap position of the current placement
+    reach = {0: every}
+
+    def place(order: list[int], placed: Placement, p: int) -> None:
+        rid = placed[p]
+        if rid not in sides:
+            sides[rid] = _side_masks(matrix[rid], range(n))
+        left, right = sides[rid]
+        here = reach[p]
+        reach[2 * p + 1], reach[2 * p + 2] = here & left, here & right
+        visit(order, placed, p)
+        if len(order) == k - 1:
+            unused = every
+            for r in order:
+                unused ^= 1 << r
+            complete(order, placed, p, _completions(placed, p, reach, unused))
+
+    if k == 1:
+        complete([], {}, -1, _completions({}, -1, reach, every))
+    elif k:
+        _walk(range(n), n, k - 1, matrix, place)
+
+
 def permutation_costs(
     rules: Sequence[Rule], k: int, data: Dataset, objective: Any, matrix: AncestryMatrix | None = None
 ) -> list:
@@ -230,89 +320,79 @@ def permutation_costs(
     each leaf holding the samples its path sends it, with no tree built and
     no placement copied.
 
-    :func:`_walk` goes over the valid (k-1)-prefixes, and each prefix's
-    completions are scored in one loop over the rules it leaves free,
-    ascending, without placing the last rule: a rule completes the prefix
-    when its step is valid (:func:`_step`, the walk's own rule). Sample
-    positions are routed from the root as bitmasks, once per valid prefix:
-    its last rule's positive mask (computed the first time a placement uses
-    the rule) splits the rows reaching its position between its two
-    children. The last rule sits at a leaf position q of its prefix's tree,
-    so only q's ancestors change cost: its stump is costed and folded up the
+    :func:`_walk_completions` goes over the valid (k-1)-prefixes and reads
+    each one's completions off the placed rules' side masks, so the last
+    rule is never placed and a rule that cannot complete the prefix is never
+    tried. Sample positions are routed from the root as bitmasks, once per
+    valid prefix: its last rule's positive mask (computed for every rule up
+    front) splits the rows reaching its position between its two children.
+    A completion's rule sits at a leaf position q of its prefix's tree, so
+    only q's ancestors change cost: its stump is costed and folded up the
     path, the off-path siblings' subtree costs gathered once per prefix and
-    position. ``objective.leaf_cost`` runs once per distinct set of samples
-    reaching a leaf. A k above the table size raises ValueError at the call.
+    position. A prefix's completions are scored position by position, into
+    one slot per rule, and read back in ascending rule order.
+    ``objective.leaf_cost`` runs once per distinct set of samples reaching a
+    leaf. A k above the table size raises ValueError at the call.
     """
     matrix = _walk_matrix(rules, k, matrix)
     samples = tuple(data)
     n = len(rules)
-    positive = _positive_masks(rules, samples)
-    leaf_costs: dict[int, Any] = {}
-    leaf_cost, combine = objective.leaf_cost, objective.combine
+    positive = [_positive_mask(rule, samples) for rule in rules] if k else []
+    combine = objective.combine
+    leaf = _LeafCosts(objective.leaf_cost, samples)
     # the rows reaching each heap position of the current placement's tree
     rows = {0: (1 << len(samples)) - 1}
     costs: list = []
-
-    def leaf(here: int) -> Any:
-        if here not in leaf_costs:
-            leaf_costs[here] = leaf_cost(_members(samples, here))
-        return leaf_costs[here]
+    # a prefix's completion costs by rule id, read back in ascending order
+    scored: list = [None] * n
 
     def cost(placed: Placement, p: int) -> Any:
         rid = placed.get(p)
         if rid is None:
-            return leaf(rows[p])
+            return leaf[rows[p]]
         return combine(cost(placed, 2 * p + 1), cost(placed, 2 * p + 2), rid)
-
-    def complete(order: list[int], placed: Placement, last: int) -> None:
-        used = set(order)
-        # the prefix's subtree costs by heap position, and the path up from
-        # each leaf position: (sibling cost, parent rule, whether q is left)
-        subtree: dict[int, Any] = {}
-        paths: dict[int, list] = {}
-        for rid in range(n):
-            if rid in used:
-                continue
-            q = _step(placed, rid, matrix, last)
-            if q is None:
-                continue
-            here = rows[q]
-            pos = here & positive(rid)
-            neg = here ^ pos
-            u = leaf_costs[pos] if pos in leaf_costs else leaf(pos)
-            v = leaf_costs[neg] if neg in leaf_costs else leaf(neg)
-            value = combine(u, v, rid)
-            path = paths.get(q)
-            if path is None:
-                path = paths[q] = []
-                p = q
-                while p:
-                    # a left child p is odd, its sibling p + 1
-                    left = p % 2
-                    sibling = p + 1 if left else p - 1
-                    if sibling not in subtree:
-                        subtree[sibling] = cost(placed, sibling)
-                    p = (p - 1) // 2
-                    path.append((subtree[sibling], placed[p], left))
-            for other, parent, left in path:
-                value = combine(value, other, parent) if left else combine(other, value, parent)
-            costs.append(value)
 
     def visit(order: list[int], placed: Placement, p: int) -> None:
         rid = placed[p]
         here = rows[p]
-        pos = here & positive(rid)
+        pos = here & positive[rid]
         rows[2 * p + 1], rows[2 * p + 2] = pos, here ^ pos
-        if len(order) == k - 1:
-            complete(order, placed, p)
+
+    def complete(order: list[int], placed: Placement, last: int, steps: list[tuple[int, int]]) -> None:
+        # the prefix's subtree costs by heap position, gathered once
+        subtree: dict[int, Any] = {}
+        completing = []
+        for q, todo in steps:
+            # the path up from q: (sibling cost, parent rule, whether q is left)
+            path = []
+            p = q
+            while p:
+                # a left child p is odd, its sibling p + 1
+                left = p % 2
+                sibling = p + 1 if left else p - 1
+                if sibling not in subtree:
+                    subtree[sibling] = cost(placed, sibling) if sibling in placed else leaf[rows[sibling]]
+                p = (p - 1) // 2
+                path.append((subtree[sibling], placed[p], left))
+            here = rows[q]
+            while todo:
+                bit = todo & -todo
+                todo ^= bit
+                rid = bit.bit_length() - 1
+                pos = here & positive[rid]
+                value = combine(leaf[pos], leaf[here ^ pos], rid)
+                for other, parent, left in path:
+                    value = combine(value, other, parent) if left else combine(other, value, parent)
+                scored[rid] = value
+                completing.append(rid)
+        if len(steps) > 1:
+            completing.sort()
+        costs.extend(map(scored.__getitem__, completing))
 
     try:
-        if k == 1:
-            complete([], {}, -1)
-        elif k:
-            _walk(range(n), n, k - 1, matrix, visit)
+        _walk_completions(n, k, matrix, visit, complete)
     finally:
         # as in count_tree_shapes: free the leaf costs and masks on return
         del cost
     # the empty ordering's tree is one leaf
-    return costs if k else [leaf(rows[0])]
+    return costs if k else [leaf[rows[0]]]

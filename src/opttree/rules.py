@@ -206,17 +206,25 @@ def ancestry_matrix(rules: Sequence[Rule]) -> AncestryMatrix:
 
     Entry (i, j) is +1 when every defining point of rule j classifies positive
     under rule i, -1 when every one classifies negative, and 0 otherwise.
+    Rules share defining points, so row i classifies each distinct point
+    once, the first time a rule's entry asks for it.
     """
     rows = []
     for i, ri in enumerate(rules):
         row = []
+        # rule i's sign of each defining point met so far in this row
+        sign_of: dict[Point, int] = {}
         for j, rj in enumerate(rules):
             if i == j:
                 row.append(0)
                 continue
             if not rj.defining_points:
                 raise ValueError(f"rule {j} has no defining points; matrix entry undefined")
-            signs = {classify(ri, q) for q in rj.defining_points}
+            signs = set()
+            for q in rj.defining_points:
+                if q not in sign_of:
+                    sign_of[q] = classify(ri, q)
+                signs.add(sign_of[q])
             row.append(1 if signs == {1} else -1 if signs == {-1} else 0)
         rows.append(tuple(row))
     return tuple(rows)

@@ -23,7 +23,7 @@ import random
 from collections import deque
 
 from opttree import LEAF, DLeaf, DNode, classify, make_dataset, splits_bsp, splits_mcmp
-from opttree.generator import _members, _positive_masks, _walk, _walk_matrix
+from opttree.generator import _members, _positive_mask, _walk, _walk_matrix
 
 
 def route_leaf_contents(tree, rules, data):
@@ -151,7 +151,7 @@ def complete_shapes(shapes, rules, data):
     ``rules`` raises ValueError.
     """
     samples = tuple(data)
-    positive = _positive_masks(rules, samples)
+    positive = {}
     leaves = {}
 
     def complete(shape, rows):
@@ -162,7 +162,9 @@ def complete_shapes(shapes, rules, data):
         rid = shape.rule_id
         if not isinstance(rid, int) or not 0 <= rid < len(rules):
             raise ValueError(f"path references unknown rule id {rid!r}")
-        pos = positive(rid)
+        if rid not in positive:
+            positive[rid] = _positive_mask(rules[rid], samples)
+        pos = positive[rid]
         return DNode(complete(shape.left, rows & pos), rid, complete(shape.right, rows & ~pos))
 
     every = (1 << len(samples)) - 1

@@ -1,10 +1,17 @@
 """End-to-end command-line behavior: outputs, files, exit codes."""
 
+import contextlib
+import io
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from opttree.cli import CHECK_MAX_PERMUTATIONS, build_parser, main
+import opttree
+from opttree.cli import CHECK_MAX_PERMUTATIONS, EXIT_CLOSED_STDOUT, build_parser, main
 
 # Four lines around a square: each line's defining points sit strictly inside
 # every other line's positive half-plane, so all 24 orderings of the four
@@ -563,6 +570,36 @@ def test_mcmp_command(capsys):
     assert code == 0
     assert grab(out, "cost") == "4500"
     assert grab(out, "order") == "((A×B)×C)"
+
+
+@pytest.mark.parametrize("command", ["mcmp", "check"])
+def test_closed_stdout_exits_quietly(tmp_path, command):
+    # the reader closes the pipe before the command starts, so the write
+    # fails whatever the timing: no error line, no traceback from the
+    # exit-time flush, and the documented code
+    csv = tmp_path / "d.csv"
+    seeded_csv(csv, 3, n=6)
+    argv = {"mcmp": ["mcmp", "10,30,5,60"], "check": ["check", str(csv), "--rules", "axis", "--k", "2"]}[command]
+    src = str(Path(opttree.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "opttree.cli", *argv], stdout=write, stderr=subprocess.PIPE, env=env, timeout=60
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == EXIT_CLOSED_STDOUT
+    assert proc.stderr == b""
+
+
+def test_main_writes_to_a_redirected_stdout():
+    # in-process callers capture the output with a StringIO, as the benchmark does
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["mcmp", "10,30,5,60"]) == 0
+    assert grab(out.getvalue(), "cost") == "4500"
 
 
 def test_mcmp_single_matrix(capsys):

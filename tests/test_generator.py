@@ -408,6 +408,9 @@ def test_walk_places_each_prefix_once_per_call(kind, monkeypatch):
     # one walk over the table's k-permutations: a prefix that many
     # combinations share is placed once, so no (placement, rule) step
     # repeats within a call. A placement fixes its tree and so its ordering.
+    # permutation_costs walks only its (k-1)-prefixes through descend: it
+    # reads their completions off side masks (the next test), so none of
+    # its steps extends a placement of k-1 rules.
     steps = Counter()
     descend = opttree.generator.descend
 
@@ -421,14 +424,62 @@ def test_walk_places_each_prefix_once_per_call(kind, monkeypatch):
         for k in range(5):
             rules, space = costed_table(kind, seed, k)
             walks = (
-                lambda: list(enumerate_permutation_trees(rules, k)),
-                lambda: permutation_costs(rules, k, space, MISCLASSIFICATION),
+                (k, lambda: list(enumerate_permutation_trees(rules, k))),
+                (k - 1, lambda: permutation_costs(rules, k, space, MISCLASSIFICATION)),
             )
-            for walk in walks:
+            for walked, walk in walks:
                 steps.clear()
                 walk()
                 assert max(steps.values(), default=1) == 1
+                assert all(len(placed) < walked for placed, _ in steps)
                 compared[k] += len(steps)
+    assert all(compared[k] for k in range(1, 5))
+
+
+def _self_related_matrix(rng, n):
+    """An n x n matrix of -1, 0 and +1 entries whose diagonal need not be 0,
+    so a placed rule may reach a position below itself."""
+    return tuple(tuple(rng.choice((-1, 0, 1, 1)) for _ in range(n)) for _ in range(n))
+
+
+@pytest.mark.parametrize("kind", ["axis", "hyperplane", "surface2", "grid", "self-related"])
+def test_completions_read_off_side_masks_equal_the_step_rule(kind):
+    # every valid (k-1)-prefix gets completions, and the (rule, position)
+    # pairs read off its side masks are exactly the valid steps (_step) of
+    # its free rules, each rule at one position
+    compared = Counter()
+    rng = random.Random(24)
+    for seed in (3, 11):
+        for k in range(1, 5):
+            if kind == "self-related":
+                n = rng.randint(5, 8)
+                matrix = _self_related_matrix(rng, n)
+            else:
+                rules, _ = costed_table(kind, seed, k)
+                n = len(rules)
+                matrix = ancestry_matrix(rules)
+            walked = []
+            opttree.generator._walk(
+                range(n), n, k - 1, matrix, lambda order, placed, p: walked.append(tuple(order))
+            )
+            prefixes = [o for o in walked if len(o) == k - 1] if k > 1 else [()]
+            completed = []
+
+            def complete(order, placed, last, steps):
+                completed.append(tuple(order))
+                got = sorted((rid, q) for q, mask in steps for rid in range(n) if mask >> rid & 1)
+                want = []
+                for rid in range(n):
+                    if rid not in order:
+                        q = opttree.generator._step(placed, rid, matrix, last)
+                        if q is not None:
+                            want.append((rid, q))
+                assert got == want
+                assert all(mask for _, mask in steps)
+                compared[k] += len(want)
+
+            opttree.generator._walk_completions(n, k, matrix, lambda *visit: None, complete)
+            assert completed == prefixes
     assert all(compared[k] for k in range(1, 5))
 
 

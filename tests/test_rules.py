@@ -17,6 +17,9 @@ from opttree import (
     ancestry_matrix,
     ancestry_tables,
     classify,
+    enumerate_axis_rules,
+    enumerate_hyperplane_rules,
+    enumerate_surface2_rules,
     hyperplane,
     hyperplane_from_points,
     hyperplanes_from_points,
@@ -24,7 +27,8 @@ from opttree import (
     row_masks,
     sign_table,
 )
-from helpers import root_feasible
+import opttree.rules
+from helpers import random_instance, root_feasible
 
 
 def test_classify_axis():
@@ -142,6 +146,40 @@ def test_ancestry_tables_equal_ancestry_matrix():
         assert right.tolist() == [[e < 0 for e in row] for row in entries]
     assert {-1, 0, 1} <= {e for row in entries for e in row}
     assert ancestry_tables([Rule(AxisParallel(0, 1.0))])[0].tolist() == [[False]]
+
+
+@pytest.mark.parametrize(
+    "enumerate_rules", [enumerate_axis_rules, enumerate_hyperplane_rules, enumerate_surface2_rules]
+)
+def test_ancestry_matrix_classifies_each_row_point_once(enumerate_rules, monkeypatch):
+    # the rules of these tables share defining points: within one call, row
+    # i classifies each distinct defining point of the other rules exactly
+    # once, and every entry is the one the per-entry definition gives
+    calls = {}
+    row_of = {}
+
+    def counted(rule, point):
+        key = row_of[id(rule)], point
+        calls[key] = calls.get(key, 0) + 1
+        return classify(rule, point)
+
+    monkeypatch.setattr(opttree.rules, "classify", counted)
+    for seed in (3, 11):
+        rules = enumerate_rules(random_instance(seed, n_min=6, n_max=7))
+        row_of.clear()
+        row_of.update((id(rule), i) for i, rule in enumerate(rules))
+        calls.clear()
+        matrix = ancestry_matrix(rules)
+        wanted = {(i, q) for i in range(len(rules)) for j, rj in enumerate(rules) if j != i for q in rj.defining_points}
+        assert set(calls) == wanted
+        assert set(calls.values()) == {1}
+        # the points are shared, or the count would show no saving
+        assert len(wanted) < sum(len(rj.defining_points) for rj in rules) * (len(rules) - 1)
+        for i, ri in enumerate(rules):
+            for j, rj in enumerate(rules):
+                signs = {classify(ri, q) for q in rj.defining_points}
+                want = 0 if i == j else 1 if signs == {1} else -1 if signs == {-1} else 0
+                assert matrix[i][j] == want
 
 
 @given(st.lists(st.tuples(st.floats(0, 10), st.floats(0, 10)), min_size=2, max_size=5))
