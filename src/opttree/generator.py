@@ -5,31 +5,30 @@ their level-order traversals: each tree is one valid ordering of its rules.
 This module owns that characterization's placement convention, heap
 positions: the root is position 0 and the children of position p are
 2p + 1 (left) and 2p + 2 (right), so ascending positions are level order.
-A rule of an ordering descends from the root (:func:`descend`) to a free
-position, and the ordering is the canonical traversal of the tree it
+A rule of an ordering goes down from the root, left past a placed rule
+whose matrix entry for it is +1 and right past one whose entry is -1, to a
+free position, and the ordering is the canonical traversal of the tree it
 reaches exactly when those positions increase, so it is rejected at its
 first 0 entry or first non-increasing position.
 
 :func:`_walk` goes over the k-permutations of the whole table's rule ids
-once, depth first, against one ancestry matrix of the table, dropping a
-prefix, with all its extensions, at its first invalid step. Every valid
-prefix is visited, and placed once per call, not once per combination that
-holds it; complete orderings come in ``itertools.permutations(range(K), k)``
+once, depth first, against one ancestry matrix of the table. It reads a
+placed rule's matrix row once, as two rule bitmasks, the rules with entry +1
+and those with entry -1 (:func:`_side_masks`). The rules that reach a free
+position are the AND of the side masks along its path from the root, so a
+prefix extends only by the unused rules that reach a free position above
+its last one (:func:`_completions`), and no invalid step is tried. Every
+valid prefix is placed once per call, not once per combination that holds
+it; complete orderings come in ``itertools.permutations(range(K), k)``
 order. :func:`permutation_costs` scores the orderings as the walk reaches
-them, without building a tree: it walks the (k-1)-prefixes, and reads each
-prefix's completions off the placed rules' ancestry side masks
-(:func:`_walk_completions`), the rules of each matrix row with entry +1 and
-with entry -1 as two bitmasks. The rules that reach a free position are the
-AND of the side masks along its path from the root, so no rule that fails
-the step (:func:`_step`) is tried; the walk's own steps remain the
-specification that the mask read is tested against. Sample-position
-bitmasks are routed from the root against each rule's sign mask, computed
-once per call, each prefix routes the rows reaching its last rule's
-position once, and a complete ordering re-scores only its last rule's path
-to the root.
+them, without building a tree. Sample-position bitmasks are routed from the
+root against each rule's sign mask, computed once per call, each prefix
+routes the rows reaching its last rule's position once, and a complete
+ordering re-scores only its last rule's path to the root.
 :func:`count_tree_shapes` counts the trees of k rules drawn from an index
 set with one recurrence over allowed-rule masks, without building a tree.
-The tests check both against exhaustive generators in ``tests/helpers.py``.
+The tests check both against exhaustive generators in ``tests/helpers.py``,
+and the walk's steps against the step rule by its definition there.
 Nothing here imports the solver.
 """
 
@@ -156,100 +155,17 @@ def _walk_matrix(rules: Sequence[Rule], k: int, matrix: AncestryMatrix | None) -
 Placement = dict[int, int]
 
 
-def descend(placed: Placement, rid: int, matrix: AncestryMatrix) -> int | None:
-    """The free heap position that rule ``rid`` reaches from the root.
-
-    It goes left past a placed rule whose matrix entry for it is +1 and right
-    past one whose entry is -1; None when it meets a 0 entry.
-    """
-    p = 0
-    while p in placed:
-        side = matrix[placed[p]][rid]
-        if side == 0:
-            return None
-        p = 2 * p + 1 if side > 0 else 2 * p + 2
-    return p
-
-
-def _step(placed: Placement, rid: int, matrix: AncestryMatrix, last: int) -> int | None:
-    """The heap position rule ``rid`` takes next in an ordering whose last
-    rule sits at ``last``, or None when that step is invalid.
-
-    The rule descends to a free position (:func:`descend`), and the step is
-    valid when that position is above ``last``.
-    """
-    p = descend(placed, rid, matrix)
-    return None if p is None or p <= last else p
-
-
-def _walk(
-    firsts: Iterable[int],
-    n: int,
-    k: int,
-    matrix: AncestryMatrix | None,
-    visit: Callable[[list[int], Placement, int], None],
-) -> None:
-    """Visit every valid prefix, of 1 to k rules, of the k-permutations of
-    ``range(n)`` that start in ``firsts``.
-
-    The walk is depth first: the first rule is taken from ``firsts`` in its
-    order and each next rule is an unused id in ascending order, so complete
-    orderings come in :func:`itertools.permutations` order, each after its
-    prefixes. Each rule is placed at the heap position it descends to
-    (:func:`descend`), and an ordering is valid when each position is above
-    the previous one (:func:`_step`). Every prefix of a valid ordering is
-    valid, so a prefix is placed once per call, whichever combinations share
-    it, and it is dropped with all its extensions at its first 0 entry or
-    non-increasing position. ``visit(order, placed, p)`` gets each valid
-    prefix, its placement and the heap position p of its last rule, the
-    largest in the placement; ``order`` and ``placed`` are reused by the
-    walk, so it copies what it keeps. A k of 0 visits nothing.
-    """
-    placed: Placement = {}
-    order: list[int] = []
-    free = [True] * n
-    every = range(n)
-
-    def extend(rids: Iterable[int], last: int) -> None:
-        for rid in rids:
-            if not free[rid]:
-                continue
-            p = _step(placed, rid, matrix, last)
-            if p is None:
-                continue
-            placed[p] = rid
-            order.append(rid)
-            free[rid] = False
-            visit(order, placed, p)
-            if len(order) < k:
-                extend(every, p)
-            free[rid] = True
-            order.pop()
-            del placed[p]
-
-    try:
-        if k:
-            extend(firsts, -1)
-    finally:
-        # as in count_tree_shapes: free the walk's state on return
-        del extend
-
-
 def _completions(placed: Placement, last: int, reach: dict[int, int], unused: int) -> list[tuple[int, int]]:
-    """The valid last steps of an ordering whose prefix is ``placed``, its
-    last rule at ``last``: (heap position q, mask of the rules that step to
-    q) pairs, for the positions some rule steps to.
+    """The valid next steps of a non-empty prefix ``placed`` whose last rule
+    sits at ``last``: (heap position q, mask of the rules that step to q)
+    pairs, for the positions some rule steps to.
 
-    ``reach[q]`` masks the rules that descend to a free position q, the AND
-    of the side masks along q's path from the root, and ``unused`` masks the
-    rules the prefix leaves free. A step must land above ``last``, so only
-    the free positions above it are read: the children of placed rules that
-    lie above it, or the root of an empty prefix. A rule descends to one
-    position at most, so the masks are disjoint, and their bits are the free
-    rules whose step (:func:`_step`) is valid.
+    ``reach[q]`` masks the rules that go down to a free position q, and
+    ``unused`` the rules the prefix leaves free. A step must land above
+    ``last``, the largest placed position, so only the children of placed
+    rules above it are read. A rule goes down to one position at most, so
+    the masks are disjoint.
     """
-    if not placed:
-        return [(0, reach[0] & unused)] if reach[0] & unused else []
     steps = []
     for p in placed:
         for q in (2 * p + 1, 2 * p + 2):
@@ -260,50 +176,69 @@ def _completions(placed: Placement, last: int, reach: dict[int, int], unused: in
     return steps
 
 
-def _walk_completions(
+def _walk(
+    firsts: int,
     n: int,
     k: int,
     matrix: AncestryMatrix | None,
     visit: Callable[[list[int], Placement, int], None],
     complete: Callable[[list[int], Placement, int, list[tuple[int, int]]], None],
 ) -> None:
-    """Walk the valid prefixes of 1 to k-1 rules of the k-permutations of
-    ``range(n)`` (:func:`_walk`), and read each (k-1)-prefix's completions
-    off side masks instead of stepping every free rule.
+    """Walk the valid prefixes of the k-permutations of ``range(n)`` whose
+    first rule is in the rule mask ``firsts``.
 
-    ``visit(order, placed, p)`` gets each prefix as :func:`_walk` gives it;
-    then, for a (k-1)-prefix, ``complete(order, placed, p, steps)`` gets its
-    valid last steps, grouped by position (:func:`_completions`). Taking
-    their rules in ascending order puts complete orderings in
-    :func:`itertools.permutations` order. A rule's (left, right) side masks
-    are read off its matrix row the first time it is placed and kept for the
-    call, one pair per rule; the rules reaching each child of a placed rule
-    are those reaching the rule, ANDed with the side mask. At k = 1 every rule completes the empty prefix at
-    the root and no entry is read; a k of 0 completes nothing.
+    Depth first, each prefix extends by its valid steps (:func:`_completions`;
+    the root's are the rules of ``firsts``) in ascending rule id, so no
+    invalid step is tried, complete orderings come in
+    :func:`itertools.permutations` order and a prefix is placed once per
+    call. ``visit(order, placed, p)`` gets each prefix of 1 to k-1 rules, its
+    placement and its last rule's heap position p, the largest placed;
+    ``complete(order, placed, p, steps)`` then gets each (k-1)-prefix's last
+    steps, (position, rule mask) pairs. The walk reuses ``order`` and
+    ``placed``, so a callback copies what it keeps. A rule's (left, right)
+    side masks are read off its matrix row the first time it is placed, so
+    a row is read once at most and k at most 1 reads none; the rules
+    reaching a child of a placed rule are those reaching the rule ANDed
+    with the side mask. A k of 0 completes nothing.
     """
     every = (1 << n) - 1
     sides: dict[int, tuple[int, int]] = {}
     # the rules reaching each heap position of the current placement
     reach = {0: every}
+    placed: Placement = {}
+    order: list[int] = []
 
-    def place(order: list[int], placed: Placement, p: int) -> None:
-        rid = placed[p]
-        if rid not in sides:
-            sides[rid] = _side_masks(matrix[rid], range(n))
-        left, right = sides[rid]
-        here = reach[p]
-        reach[2 * p + 1], reach[2 * p + 2] = here & left, here & right
-        visit(order, placed, p)
+    def extend(last: int, steps: list[tuple[int, int]], unused: int) -> None:
         if len(order) == k - 1:
-            unused = every
-            for r in order:
-                unused ^= 1 << r
-            complete(order, placed, p, _completions(placed, p, reach, unused))
+            complete(order, placed, last, steps)
+            return
+        ranked = []
+        for q, todo in steps:
+            while todo:
+                bit = todo & -todo
+                todo ^= bit
+                ranked.append((bit.bit_length() - 1, q))
+        ranked.sort()
+        for rid, p in ranked:
+            if rid not in sides:
+                sides[rid] = _side_masks(matrix[rid], range(n))
+            left, right = sides[rid]
+            here = reach[p]
+            reach[2 * p + 1], reach[2 * p + 2] = here & left, here & right
+            placed[p] = rid
+            order.append(rid)
+            visit(order, placed, p)
+            rest = unused ^ (1 << rid)
+            extend(p, _completions(placed, p, reach, rest), rest)
+            order.pop()
+            del placed[p]
 
-    if k == 1:
-        complete([], {}, -1, _completions({}, -1, reach, every))
-    elif k:
-        _walk(range(n), n, k - 1, matrix, place)
+    try:
+        if k:
+            extend(-1, [(0, firsts)] if firsts else [], every)
+    finally:
+        # as in count_tree_shapes: free the walk's state on return
+        del extend
 
 
 def permutation_costs(
@@ -320,17 +255,16 @@ def permutation_costs(
     each leaf holding the samples its path sends it, with no tree built and
     no placement copied.
 
-    :func:`_walk_completions` goes over the valid (k-1)-prefixes and reads
-    each one's completions off the placed rules' side masks, so the last
-    rule is never placed and a rule that cannot complete the prefix is never
-    tried. Sample positions are routed from the root as bitmasks, once per
-    valid prefix: its last rule's positive mask (computed for every rule up
-    front) splits the rows reaching its position between its two children.
-    A completion's rule sits at a leaf position q of its prefix's tree, so
-    only q's ancestors change cost: its stump is costed and folded up the
-    path, the off-path siblings' subtree costs gathered once per prefix and
-    position. A prefix's completions are scored position by position, into
-    one slot per rule, and read back in ascending rule order.
+    :func:`_walk` goes over the valid prefixes and hands each (k-1)-prefix
+    its completions, read off the placed rules' side masks, so the last rule
+    is never placed. Sample positions are routed from the root as bitmasks,
+    once per valid prefix: its last rule's positive mask (computed for every
+    rule up front) splits the rows reaching its position between its two
+    children. A completion's rule sits at a leaf position q of its prefix's
+    tree, so only q's ancestors change cost: its stump is costed and folded
+    up the path, the off-path siblings' subtree costs gathered once per
+    prefix and position. A prefix's completions are scored position by
+    position, into one slot per rule, and read back in ascending rule order.
     ``objective.leaf_cost`` runs once per distinct set of samples reaching a
     leaf. A k above the table size raises ValueError at the call.
     """
@@ -390,7 +324,7 @@ def permutation_costs(
         costs.extend(map(scored.__getitem__, completing))
 
     try:
-        _walk_completions(n, k, matrix, visit, complete)
+        _walk((1 << n) - 1, n, k, matrix, visit, complete)
     finally:
         # as in count_tree_shapes: free the leaf costs and masks on return
         del cost

@@ -5,15 +5,17 @@ definition: the point router, the path-copying permutation transform and its
 inverse :func:`level_order`, the feasible-root split, the exhaustive tree
 generators (:func:`all_tree_shapes`, :func:`all_trees`,
 :func:`all_trees_constrained`, :func:`all_chain_trees`), the data routing of
-shapes (:func:`complete_shapes`), the streamed valid orderings of a rule
+shapes (:func:`complete_shapes`), the step rule of a heap-position placement
+(:func:`descend`, :func:`spec_step`), the streamed valid orderings of a rule
 table (:func:`enumerate_permutation_trees`), the k-d pivot split
 (:func:`splits_kd`) and the first cheapest trees of the k-d and
 scene-partition recursions (:func:`kd_oracle`, :func:`bsp_oracle`, both
 through :func:`first_cheapest`). Generated sequences come out in a fixed
 order (root index ascending, left subtree choices before right). The
-permutation walk and its sample bitmasks are the package's own ``check``
-oracle, imported from :mod:`opttree.generator` as they are; nothing here
-imports the solver.
+permutation walk, which reads its steps off ancestry side masks, and its
+sample bitmasks are the package's own ``check`` oracle, imported from
+:mod:`opttree.generator` as they are, and the tests check the walk's steps
+against :func:`spec_step`; nothing here imports the solver.
 """
 
 from __future__ import annotations
@@ -209,6 +211,31 @@ def placement_shape(placed, p=0):
     return DNode(placement_shape(placed, 2 * p + 1), placed[p], placement_shape(placed, 2 * p + 2))
 
 
+def descend(placed, rid, matrix):
+    """The free heap position that rule ``rid`` reaches from the root of a
+    placement (root 0, children of p at 2p + 1 and 2p + 2).
+
+    It goes left past a placed rule whose matrix entry for it is +1 and right
+    past one whose entry is -1; None when it meets a 0 entry.
+    """
+    p = 0
+    while p in placed:
+        side = matrix[placed[p]][rid]
+        if side == 0:
+            return None
+        p = 2 * p + 1 if side > 0 else 2 * p + 2
+    return p
+
+
+def spec_step(placed, rid, matrix, last):
+    """The step rule by its definition: the heap position rule ``rid`` takes
+    next in an ordering whose last rule sits at ``last``, or None when that
+    step is invalid. The rule descends to a free position, and the step is
+    valid when that position is above ``last``."""
+    p = descend(placed, rid, matrix)
+    return None if p is None or p <= last else p
+
+
 def enumerate_permutation_trees(rules, k, matrix=None):
     """Every valid k-permutation of the rule table, with its shape.
 
@@ -216,10 +243,12 @@ def enumerate_permutation_trees(rules, k, matrix=None):
     ids against ``matrix``, the ancestry matrix of the whole table (built
     from the defining points when not given and k is at least 2); a matrix
     entry depends only on its two rules, so this is the tree each
-    combination's own matrix gives. The complete orderings come out as
-    (ordering, shape) pairs in ``itertools.permutations(range(len(rules)),
-    k)`` order, streamed one first rule at a time. A k above the table size
-    raises ValueError at the call.
+    combination's own matrix gives. Each (k-1)-prefix's last steps are
+    placed in ascending rule id to build the shapes, so the complete
+    orderings come out as (ordering, shape) pairs in
+    ``itertools.permutations(range(len(rules)), k)`` order, streamed one
+    first rule at a time. A k above the table size raises ValueError at the
+    call.
     """
     matrix = _walk_matrix(rules, k, matrix)
     n = len(rules)
@@ -229,11 +258,12 @@ def enumerate_permutation_trees(rules, k, matrix=None):
     def rooted(first):
         pairs = []
 
-        def visit(order, placed, _):
-            if len(order) == k:
-                pairs.append((tuple(order), placement_shape(placed)))
+        def complete(order, placed, _, steps):
+            ranked = sorted((rid, q) for q, mask in steps for rid in range(n) if mask >> rid & 1)
+            for rid, q in ranked:
+                pairs.append(((*order, rid), placement_shape({**placed, q: rid})))
 
-        _walk((first,), n, k, matrix, visit)
+        _walk(1 << first, n, k, matrix, lambda *prefix: None, complete)
         return pairs
 
     return itertools.chain.from_iterable(map(rooted, range(n)))

@@ -34,6 +34,7 @@ from opttree import (
     tree_cost,
 )
 import opttree.generator
+import helpers
 from helpers import (
     all_tree_shapes,
     all_trees,
@@ -47,6 +48,7 @@ from helpers import (
     route_leaf_contents,
     shape_of,
     spec_splits_generic,
+    spec_step,
     spec_tree_from_permutation,
 )
 
@@ -406,33 +408,50 @@ def test_permutation_trees_equal_sliced_and_relabeled_reference(kind):
 @pytest.mark.parametrize("kind", ["axis", "hyperplane", "surface2", "grid"])
 def test_walk_places_each_prefix_once_per_call(kind, monkeypatch):
     # one walk over the table's k-permutations: a prefix that many
-    # combinations share is placed once, so no (placement, rule) step
+    # combinations share is extended once, so no (placement, rule) step
     # repeats within a call. A placement fixes its tree and so its ordering.
-    # permutation_costs walks only its (k-1)-prefixes through descend: it
-    # reads their completions off side masks (the next test), so none of
-    # its steps extends a placement of k-1 rules.
+    # The steps are counted through the walk's callbacks: visit sees each
+    # step that places a prefix's last rule, complete each last step handed
+    # on. Both callers take the same steps, from placements of fewer than k
+    # rules, and the last steps are the complete orderings.
     steps = Counter()
-    descend = opttree.generator.descend
+    walk = opttree.generator._walk
 
-    def counted(placed, rid, matrix):
-        steps[frozenset(placed.items()), rid] += 1
-        return descend(placed, rid, matrix)
+    def counted(firsts, n, k, matrix, visit, complete):
+        def visited(order, placed, p):
+            steps[frozenset(item for item in placed.items() if item[0] != p), order[-1]] += 1
+            visit(order, placed, p)
 
-    monkeypatch.setattr(opttree.generator, "descend", counted)
+        def completed(order, placed, last, last_steps):
+            for _, mask in last_steps:
+                for rid in range(n):
+                    if mask >> rid & 1:
+                        steps[frozenset(placed.items()), rid] += 1
+            complete(order, placed, last, last_steps)
+
+        walk(firsts, n, k, matrix, visited, completed)
+
+    monkeypatch.setattr(opttree.generator, "_walk", counted)
+    monkeypatch.setattr(helpers, "_walk", counted)
     compared = Counter()
     for seed in (3, 11):
         for k in range(5):
             rules, space = costed_table(kind, seed, k)
-            walks = (
-                (k, lambda: list(enumerate_permutation_trees(rules, k))),
-                (k - 1, lambda: permutation_costs(rules, k, space, MISCLASSIFICATION)),
+            callers = (
+                lambda: list(enumerate_permutation_trees(rules, k)),
+                lambda: permutation_costs(rules, k, space, MISCLASSIFICATION),
             )
-            for walked, walk in walks:
+            taken = []
+            for caller in callers:
                 steps.clear()
-                walk()
+                orderings = len(caller())
                 assert max(steps.values(), default=1) == 1
-                assert all(len(placed) < walked for placed, _ in steps)
-                compared[k] += len(steps)
+                assert all(len(placed) < k for placed, _ in steps)
+                if k:
+                    assert sum(len(placed) == k - 1 for placed, _ in steps) == orderings
+                taken.append(set(steps))
+            assert taken[0] == taken[1]
+            compared[k] += len(taken[0])
     assert all(compared[k] for k in range(1, 5))
 
 
@@ -444,9 +463,13 @@ def _self_related_matrix(rng, n):
 
 @pytest.mark.parametrize("kind", ["axis", "hyperplane", "surface2", "grid", "self-related"])
 def test_completions_read_off_side_masks_equal_the_step_rule(kind):
-    # every valid (k-1)-prefix gets completions, and the (rule, position)
-    # pairs read off its side masks are exactly the valid steps (_step) of
-    # its free rules, each rule at one position
+    # at every prefix length from 0 to k-1, the (rule, position) steps the
+    # walk reads off its side masks (the last rules it places, through
+    # visit, and the last steps it hands on, through complete) are exactly
+    # the valid steps of the step rule by its definition (spec_step) over
+    # the free rules, the first rule drawn from the firsts mask; each rule
+    # steps to one position, the walk takes its steps in ascending rule id,
+    # and every valid (k-1)-prefix is completed, in lexicographic order
     compared = Counter()
     rng = random.Random(24)
     for seed in (3, 11):
@@ -458,29 +481,87 @@ def test_completions_read_off_side_masks_equal_the_step_rule(kind):
                 rules, _ = costed_table(kind, seed, k)
                 n = len(rules)
                 matrix = ancestry_matrix(rules)
-            walked = []
-            opttree.generator._walk(
-                range(n), n, k - 1, matrix, lambda order, placed, p: walked.append(tuple(order))
-            )
-            prefixes = [o for o in walked if len(o) == k - 1] if k > 1 else [()]
-            completed = []
+            for firsts in ((1 << n) - 1, rng.getrandbits(n)):
+                want = {}
 
-            def complete(order, placed, last, steps):
-                completed.append(tuple(order))
-                got = sorted((rid, q) for q, mask in steps for rid in range(n) if mask >> rid & 1)
-                want = []
-                for rid in range(n):
-                    if rid not in order:
-                        q = opttree.generator._step(placed, rid, matrix, last)
-                        if q is not None:
-                            want.append((rid, q))
-                assert got == want
-                assert all(mask for _, mask in steps)
-                compared[k] += len(want)
+                def spec(order, placed, last):
+                    steps = []
+                    for rid in range(n):
+                        if rid not in order and (order or firsts >> rid & 1):
+                            q = spec_step(placed, rid, matrix, last)
+                            if q is not None:
+                                steps.append((rid, q))
+                    want[order] = steps
+                    if len(order) < k - 1:
+                        for rid, q in steps:
+                            spec((*order, rid), {**placed, q: rid}, q)
 
-            opttree.generator._walk_completions(n, k, matrix, lambda *visit: None, complete)
-            assert completed == prefixes
-    assert all(compared[k] for k in range(1, 5))
+                spec((), {}, -1)
+                got = {}
+                completed = []
+
+                def visit(order, placed, p):
+                    got.setdefault(tuple(order[:-1]), []).append((order[-1], p))
+
+                def complete(order, placed, last, steps):
+                    completed.append(tuple(order))
+                    assert all(mask for _, mask in steps)
+                    got[tuple(order)] = sorted((rid, q) for q, mask in steps for rid in range(n) if mask >> rid & 1)
+
+                opttree.generator._walk(firsts, n, k, matrix, visit, complete)
+                assert got == {o: steps for o, steps in want.items() if steps or len(o) == k - 1}
+                assert completed == sorted(o for o in want if len(o) == k - 1)
+                for order, steps in want.items():
+                    compared[k, len(order)] += len(steps)
+    assert all(compared[k, j] for k in range(1, 5) for j in range(k))
+
+
+class _CountedRows(tuple):
+    """An ancestry matrix that counts the reads of each of its rows in ``reads``."""
+
+    def __new__(cls, rows):
+        matrix = super().__new__(cls, rows)
+        matrix.reads = Counter()
+        return matrix
+
+    def __getitem__(self, i):
+        self.reads[i] += 1
+        return super().__getitem__(i)
+
+
+@pytest.mark.parametrize("kind", ["axis", "hyperplane", "surface2", "grid"])
+def test_walk_reads_each_matrix_row_at_most_once_per_call(kind, monkeypatch):
+    # the walk reads a rule's row only to build its side masks, the first
+    # time the rule is placed; enumerate_permutation_trees walks once per
+    # first rule, so its reads are counted per walk. A tree of at most one
+    # rule reads no row.
+    per_walk = []
+    walk = helpers._walk
+
+    def counted(firsts, n, k, matrix, visit, complete):
+        matrix.reads.clear()
+        walk(firsts, n, k, matrix, visit, complete)
+        per_walk.append(Counter(matrix.reads))
+
+    read = Counter()
+    for seed in (3, 11):
+        for k in range(5):
+            rules, space = costed_table(kind, seed, k)
+            want_costs = permutation_costs(rules, k, space, MISCLASSIFICATION)
+            want_pairs = list(enumerate_permutation_trees(rules, k))
+            matrix = _CountedRows(ancestry_matrix(rules))
+            assert permutation_costs(rules, k, space, MISCLASSIFICATION, matrix) == want_costs
+            assert max(matrix.reads.values(), default=1) == 1
+            assert bool(matrix.reads) == (k >= 2)
+            read[k] += len(matrix.reads)
+            per_walk.clear()
+            with monkeypatch.context() as patched:
+                patched.setattr(helpers, "_walk", counted)
+                assert list(enumerate_permutation_trees(rules, k, matrix)) == want_pairs
+            assert len(per_walk) == (len(rules) if k else 0)
+            assert all(max(reads.values(), default=1) == 1 for reads in per_walk)
+            assert any(per_walk) == (k >= 2)
+    assert all(read[k] for k in range(2, 5))
 
 
 def test_all_trees_empty_and_single():
