@@ -13,6 +13,7 @@ from .rules import (
     hyperplane,
     hyperplane_from_points,
     hyperplanes_from_points,
+    plane_safe,
     row_masks,
     sign_table,
 )

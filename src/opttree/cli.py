@@ -15,9 +15,9 @@ import os
 import sys
 from typing import Sequence
 
-from .data import Dataset, dimension, load_csv, plain_number
+from .data import Dataset, dimension, load_csv, plain_number, row_line
 from .generator import count_tree_shapes, permutation_costs
-from .rules import AxisParallel, Rule, ancestry_matrix, hyperplane_from_points
+from .rules import AxisParallel, Rule, ancestry_matrix, hyperplane_from_points, plane_safe
 from .rule_systems import (
     SceneSegment,
     MatrixDim,
@@ -111,6 +111,8 @@ def load_rules_file(path: str, ndims: int) -> list[Rule]:
                 if len(nums) != ndims * ndims:
                     raise ValueError(f"{path}:{lineno}: hyp needs {ndims} points")
                 pts = tuple(tuple(nums[i * ndims : (i + 1) * ndims]) for i in range(ndims))
+                if not plane_safe(pts).all():
+                    raise ValueError(f"{path}:{lineno}: coordinates too large for plane arithmetic")
                 plane = hyperplane_from_points(pts)
                 if plane is None:
                     raise ValueError(f"{path}:{lineno}: points are affinely dependent")
@@ -131,11 +133,18 @@ def _build_rules(args, data: Dataset) -> tuple[list[Rule], Dataset]:
     if args.rules == "axis":
         return enumerate_axis_rules(data), data
     if args.rules == "hyperplane":
-        return enumerate_hyperplane_rules(data), data
-    # argparse's choices leave surface2
-    if dimension(data) != 2:
-        raise ValueError("surface2 rules require 2D data")
-    return enumerate_surface2_rules(data), lift_dataset(data)
+        enumerate_rules, space = enumerate_hyperplane_rules, data
+    else:
+        # argparse's choices leave surface2
+        if dimension(data) != 2:
+            raise ValueError("surface2 rules require 2D data")
+        enumerate_rules, space = enumerate_surface2_rules, lift_dataset(data)
+    # the planes' arithmetic, on lifted monomials too, must stay finite
+    safe = plane_safe([s.point for s in space]).tolist()
+    if not all(safe):
+        line = row_line(args.csv, safe.index(False))
+        raise ValueError(f"{args.csv}:{line}: coordinates too large for {args.rules} rules")
+    return enumerate_rules(data), space
 
 
 def _leaf_report(tree: DecisionTree) -> list[str]:

@@ -51,6 +51,25 @@ def dimension(data: Dataset) -> int:
     return len(data[0].point)
 
 
+def _data_rows(reader: Iterable[list[str]]) -> Iterable[tuple[int, list[str]]]:
+    """(line number, row) of each non-blank row after the header row."""
+    for lineno, row in enumerate(reader, start=2):
+        if row and any(c.strip() for c in row):
+            yield lineno, row
+
+
+def row_line(path: str, index: int) -> int:
+    """The line number of data row ``index`` (from 0) in a CSV file that
+    :func:`load_csv` read: the line of the dataset's ``index``-th sample."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader, None)
+        for i, (lineno, _) in enumerate(_data_rows(reader)):
+            if i == index:
+                return lineno
+    raise ValueError(f"{path}: no data row {index}")
+
+
 def load_csv(path: str, require_label: bool = True) -> Dataset:
     """Read a dataset from CSV with header f0..f{D-1} plus a final 'label' column.
 
@@ -75,9 +94,7 @@ def load_csv(path: str, require_label: bool = True) -> Dataset:
         points: list[Point] = []
         labels: list[int] = []
         first_line: dict[Point, int] = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
+        for lineno, row in _data_rows(reader):
             if len(row) != len(header):
                 raise ValueError(f"{path}:{lineno}: expected {len(header)} columns")
             try:

@@ -33,7 +33,8 @@ from .rules import (
     hyperplanes_from_points,
 )
 
-# Point combinations turned into planes per batched SVD, bounding its arrays.
+# Point combinations turned into planes per hyperplanes_from_points call,
+# bounding its arrays.
 _COMBINATION_BATCH = 4096
 
 
@@ -79,9 +80,11 @@ def enumerate_hyperplane_rules(data: Dataset, *, diagnostics: dict | None = None
     two that split the data alike: the ancestry matrix reads each rule's sign
     on the other rules' defining points, so two such rules can still place
     other rules differently, and dropping one could lose the optimum. The
-    planes of a batch of combinations come from one batched SVD
-    (:func:`~opttree.rules.hyperplanes_from_points`). If ``diagnostics`` is a
-    dict it receives the 'degenerate' count.
+    planes of a batch of combinations come from one call of
+    :func:`~opttree.rules.hyperplanes_from_points`, which takes each plane
+    from the cofactors of its points and raises ValueError on coordinates
+    too large for that arithmetic. If ``diagnostics`` is a dict it receives
+    the 'degenerate' count.
     """
     n = len(data)
     if n == 0:
@@ -89,16 +92,18 @@ def enumerate_hyperplane_rules(data: Dataset, *, diagnostics: dict | None = None
     d = dimension(data)
     if n < d:
         raise ValueError(f"need at least {d} points, got {n}")
-    points = np.array([s.point for s in data])
+    coords = np.array([s.point for s in data])
+    # itemgetter of one index returns that item, not a 1-tuple of it
+    points = [s.point for s in data] if d > 1 else [(s.point,) for s in data]
     rules: list[Rule] = []
     degenerate = 0
     combos = itertools.combinations(range(n), d)
     while batch := list(itertools.islice(combos, _COMBINATION_BATCH)):
-        for combo, plane in zip(batch, hyperplanes_from_points(points[np.array(batch)])):
+        for combo, plane in zip(batch, hyperplanes_from_points(coords[np.array(batch)])):
             if plane is None:
                 degenerate += 1
             else:
-                rules.append(Rule(plane, tuple(data[i].point for i in combo)))
+                rules.append(Rule(plane, itemgetter(*combo)(points)))
     if diagnostics is not None:
         diagnostics["degenerate"] = degenerate
     return rules

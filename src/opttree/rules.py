@@ -19,12 +19,15 @@ signs of many rules on many points in one numpy pass with the same
 arithmetic, :func:`ancestry_tables` reads the ancestry entries off such
 tables, and :func:`row_masks` packs rows into bitmasks; the solver and the
 rule enumeration build their tables from these.
-:func:`hyperplanes_from_points` constructs many planes with one batched SVD.
+:func:`hyperplanes_from_points` constructs many planes at once, each from the
+cofactors of its defining points, and :func:`plane_safe` tells which points
+that arithmetic can take.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -73,13 +76,98 @@ def hyperplane(weights: Sequence[float], bias: float) -> Hyperplane:
     return Hyperplane(tuple(w / n for w in weights), bias / n)
 
 
+def _plane_limit(d: int) -> float:
+    """The largest coordinate size :func:`plane_safe` lets through in R^d:
+    half the size B at which (4 d B^2)^d reaches the largest float, the half
+    a margin for the rounding of the root."""
+    return math.sqrt(sys.float_info.max ** (1.0 / d) / (4 * d)) / 2
+
+
+def plane_safe(points: Sequence[Point] | np.ndarray) -> np.ndarray:
+    """Per point, whether every hyperplane through D such points in R^D is
+    computed in finite arithmetic by :func:`hyperplanes_from_points`.
+
+    With every coordinate at most B in size, the differences from the first
+    point are at most 2B, and Hadamard's inequality bounds each cofactor,
+    each product of column norms, each squared weight and the bias by
+    (4 D B^2)^D. A point passes when all its coordinates are at most half the
+    B that makes this bound the largest float. Non-finite coordinates fail.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2:
+        raise ValueError("need an N x D array of points")
+    return (np.abs(pts) <= _plane_limit(pts.shape[1])).all(axis=1)
+
+
+def _cofactors(m: np.ndarray) -> np.ndarray:
+    """The cofactor vector of each R x (R+1) matrix in a stack, up to sign:
+    entry j is (-1)^j times the determinant of the matrix without column j.
+
+    Gauss-Jordan elimination with complete pivoting: each step takes the
+    first largest entry, in row-major order, among the rows and columns not
+    yet pivoted, and clears its column from every other row. Row operations
+    leave every R x R minor as it was, so after R steps the column never
+    pivoted, f, has minor +-(product of the pivots), and pivot column q_k
+    has that product times -g_k / pivot_k, where g_k is the entry in column f
+    of q_k's pivot row. A zero pivot makes every minor zero; it divides as 1
+    to keep the arithmetic finite. Only subtraction, multiplication and true
+    division are used, elementwise, so each matrix's result is the same in
+    any stack.
+    """
+    count, r_max = m.shape[:2]
+    a = m.transpose(1, 2, 0).copy()
+    at = np.arange(count)
+    # -inf on the rows and columns already pivoted keeps them out of the search
+    taken = np.zeros_like(a)
+    score = np.empty_like(a)
+    total = np.ones(count)
+    steps = []
+    for _ in range(r_max):
+        np.add(np.abs(a, out=score), taken, out=score)
+        r, q = np.divmod(score.reshape(-1, count).argmax(axis=0), r_max + 1)
+        pivot = a[r, q, at]
+        divisor = np.where(pivot != 0, pivot, 1.0)
+        factor = a[:, q, at] / divisor
+        factor[r, at] = 0.0
+        a -= factor[:, None] * a[r, :, at].T
+        taken[r, :, at] = -np.inf
+        taken[:, q, at] = -np.inf
+        total = total * pivot
+        steps.append((divisor, r, q))
+    f = r_max * (r_max + 1) // 2 - sum(q for *_, q in steps)
+    c = np.empty((count, r_max + 1))
+    c[at, f] = total
+    for divisor, r, q in steps:
+        c[at, q] = -total * (a[r, f, at] / divisor)
+    return c
+
+
 def hyperplanes_from_points(point_sets: Sequence[Sequence[Point]]) -> list[Hyperplane | None]:
     """The unique hyperplane through each set of D points in R^D, or None for
-    a set of affinely dependent points; one batched SVD for all sets.
+    a set of affinely dependent points.
 
-    Each result is unit-normalized with the first nonzero weight coordinate
-    positive, so the same geometric plane always yields the same coefficients
-    regardless of which points produced it.
+    The plane through p_1..p_D is the cofactor vector of the D x (D+1)
+    matrix M of rows [p_i, 1], entry j being (-1)^j times the determinant of
+    M without column j, so that M c = 0. Subtracting the first row from the
+    others changes no minor, and leaves column D zero but in the first row;
+    so the weights are the cofactor vector of the (D-1) x D matrix of
+    differences p_i - p_1, and the bias is -w.p_1. One elimination over the
+    whole stack (:func:`_cofactors`) gives every set's weights, up to a sign
+    that the orientation rule below fixes.
+
+    A set is degenerate when its weights are small against Hadamard's bound:
+    with weight j divided by the product of the norms of the difference
+    columns its minor keeps, the norm of the quotients is at most 1e-9.
+    Moving the points or scaling one coordinate scales the weights and the
+    bounds alike, so the test reads the same wherever the data lies and at
+    every scale, and it needs no singular values.
+
+    Each result is unit-normalized with the first weight above 1e-12
+    positive, so the same geometric plane always yields the same
+    coefficients regardless of which points produced it. Every step works on
+    one set at a time (elementwise elimination, sums of products reduced
+    within one set), so a set's plane is bit for bit the same in any batch.
+    Raises ValueError when a coordinate fails :func:`plane_safe`.
     """
     if not len(point_sets):
         return []
@@ -87,13 +175,19 @@ def hyperplanes_from_points(point_sets: Sequence[Sequence[Point]]) -> list[Hyper
     if sets.ndim != 3 or sets.shape[1] != sets.shape[2]:
         raise ValueError("need exactly D points of dimension D")
     count, d = sets.shape[:2]
-    _, sigma, vt = np.linalg.svd(np.concatenate([sets, np.ones((count, d, 1))], axis=2))
-    v = vt[:, -1]
-    w, b = v[:, :d], v[:, d]
-    # the 1 x D @ D x 1 product runs the dot kernel of np.linalg.norm on one
-    # vector, so each norm is bit-identical to the single-vector one
-    n = np.sqrt(w[:, None, :] @ w[:, :, None])[:, 0, 0]
-    valid = (sigma[:, d - 1] > 1e-9 * np.maximum(sigma[:, 0], 1.0)) & (n > 1e-12)
+    if not plane_safe(sets.reshape(-1, d)).all():
+        raise ValueError("coordinates too large for plane arithmetic")
+    first = sets[:, 0]
+    diffs = sets[:, 1:] - first[:, None]
+    w = _cofactors(diffs)
+    b = -(w * first).sum(axis=-1)
+    # weight j's minor keeps every difference column but column j
+    keep = [[k for k in range(d) if k != j] for j in range(d)]
+    bound = np.sqrt((diffs * diffs).sum(axis=1))[:, keep].prod(axis=2)
+    # a zero bound means a zero column, which every such minor keeps
+    scaled = np.divide(w, bound, out=np.zeros_like(w), where=bound > 0)
+    n = np.sqrt((w * w).sum(axis=-1))
+    valid = np.sqrt((scaled * scaled).sum(axis=-1)) > 1e-9
     with np.errstate(divide="ignore", invalid="ignore"):
         w, b = w / n[:, None], b / n
     # a unit-normalized w has a coordinate above 1e-12, the first one leads

@@ -168,6 +168,7 @@ def test_fit_rules_file_fractional_dimension_exits_2(tmp_path, capsys):
         ("axis 1 0 0\nhyp 0 0 1\n", "{rules}:2: hyp needs 2 points"),
         ("axis 1 0 0\nhyp 0 0 2 2 1 1\n", "{rules}:2: hyp needs 2 points"),
         ("axis 1 0 0\nhyp 1 1 1 1\n", "{rules}:2: points are affinely dependent"),
+        ("hyp 1e160 1 2 3\n", "{rules}:1: coordinates too large for plane arithmetic"),
         ("axis 1 0 0\nsplit 0 1 1\n", "{rules}:2: unknown rule tag 'split'"),
         ("\n", "{rules}: no rules"),
     ],
@@ -199,6 +200,43 @@ def test_surface2_rule_table_errors_exit_2(tmp_path, capsys):
     # a hyperplane in 3-D is defined by three points
     assert main(["fit", str(solid), "--k", "1", "--rules", "hyperplane"]) == 2
     assert capsys.readouterr().err == "error: need at least 3 points, got 2\n"
+
+
+def _run_subprocess(argv, **kwargs):
+    """``python -m opttree.cli argv`` with this checkout's package on the path."""
+    src = str(Path(opttree.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "opttree.cli", *argv], env=env, timeout=60, **kwargs)
+
+
+@pytest.mark.parametrize("command", ["fit", "check"])
+@pytest.mark.parametrize("rules", ["hyperplane", "surface2"])
+@pytest.mark.parametrize("big", ["1e160", "1e200"])
+def test_overflowing_plane_input_exits_2(tmp_path, command, rules, big):
+    # the squares of big overflow, and so does surface2's lifted big^2; the
+    # SVD that built the planes once spun on this input, so a timeout guards
+    csv = tmp_path / "big.csv"
+    csv.write_text(f"f0,f1,label\n{big},1,0\n2,3,1\n4,1,0\n5,5,1\n0,7,0\n3,3,1\n")
+    proc = _run_subprocess([command, str(csv), "--rules", rules, "--k", "1"], capture_output=True)
+    assert proc.returncode == 2
+    assert proc.stderr.decode() == f"error: {csv}:2: coordinates too large for {rules} rules\n"
+    assert proc.stdout == b""
+
+
+def test_overflowing_plane_input_names_its_line(tmp_path, capsys):
+    # blank rows count as lines; 1e20 leaves a line's arithmetic finite, but
+    # surface2 lifts it to 1e40, too large for five-point cofactors
+    csv = tmp_path / "big.csv"
+    csv.write_text("f0,f1,label\n2,3,1\n\n4,1,0\n,\n1e20,1,0\n5,5,1\n0,7,0\n3,3,1\n")
+    assert main(["fit", str(csv), "--rules", "surface2", "--k", "1"]) == 2
+    assert capsys.readouterr().err == f"error: {csv}:6: coordinates too large for surface2 rules\n"
+    assert main(["fit", str(csv), "--rules", "hyperplane", "--k", "1"]) == 0
+    capsys.readouterr()
+    csv.write_text("f0,f1,label\n2,3,1\n\n4,1,0\n-1e100,1,0\n5,5,1\n")
+    assert main(["fit", str(csv), "--rules", "hyperplane", "--k", "1"]) == 2
+    assert capsys.readouterr().err == f"error: {csv}:5: coordinates too large for hyperplane rules\n"
+    # axis rules need no plane
+    assert main(["fit", str(csv), "--rules", "axis", "--k", "1"]) == 0
 
 
 @pytest.mark.parametrize(
@@ -580,14 +618,10 @@ def test_closed_stdout_exits_quietly(tmp_path, command):
     csv = tmp_path / "d.csv"
     seeded_csv(csv, 3, n=6)
     argv = {"mcmp": ["mcmp", "10,30,5,60"], "check": ["check", str(csv), "--rules", "axis", "--k", "2"]}[command]
-    src = str(Path(opttree.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     read, write = os.pipe()
     os.close(read)
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "opttree.cli", *argv], stdout=write, stderr=subprocess.PIPE, env=env, timeout=60
-        )
+        proc = _run_subprocess(argv, stdout=write, stderr=subprocess.PIPE)
     finally:
         os.close(write)
     assert proc.returncode == EXIT_CLOSED_STDOUT

@@ -105,7 +105,7 @@ def _enumeration_instances():
 @pytest.mark.parametrize("batch", [None, 1, 7])
 @pytest.mark.parametrize("name", list(_enumeration_instances()))
 def test_hyperplane_rules_equal_per_combination_reference(name, batch, monkeypatch):
-    # a small batch makes the table span several SVD batches
+    # a small batch makes the table span several hyperplanes_from_points calls
     if batch is not None:
         monkeypatch.setattr(rule_systems, "_COMBINATION_BATCH", batch)
     data = _enumeration_instances()[name]

@@ -1,7 +1,9 @@
 """Classification predicates and ancestry matrices."""
 
+import itertools
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -23,7 +25,10 @@ from opttree import (
     hyperplane,
     hyperplane_from_points,
     hyperplanes_from_points,
+    lift_dataset,
     lift_degree2,
+    make_dataset,
+    plane_safe,
     row_masks,
     sign_table,
 )
@@ -227,7 +232,56 @@ def test_root_feasible():
 
 
 def _reference_hyperplane(points):
-    """One set at a time, as hyperplane_from_points computed it before batching."""
+    """One set at a time, in Python floats: the plane through D points in R^D
+    from cofactors, in hyperplanes_from_points's arithmetic.
+
+    The weights are the cofactor vector of the differences p_i - p_1, by
+    Gauss-Jordan elimination with complete pivoting (the first largest free
+    entry in row-major order), which leaves every minor as it was: the
+    column never pivoted has minor +-(product of the pivots) and each pivot
+    column that product times -g / pivot, a zero pivot dividing as 1. The
+    bias is -w.p_1. The set is degenerate when the weights, each over the
+    product of the norms of the difference columns its minor keeps, have
+    norm at most 1e-9. The plane is unit-normalized with its first weight
+    above 1e-12 positive. Sums of products are numpy's, as in the batch.
+    """
+    d = len(points)
+    first = [float(c) for c in points[0]]
+    diffs = [[float(c) - f for c, f in zip(p, first)] for p in points[1:]]
+    a = [row[:] for row in diffs]
+    free_rows, free_cols = list(range(d - 1)), list(range(d))
+    total, steps = 1.0, []
+    for _ in range(d - 1):
+        r, q = max(((r, q) for r in free_rows for q in free_cols), key=lambda rq: abs(a[rq[0]][rq[1]]))
+        pivot, pivot_row = a[r][q], a[r][:]
+        divisor = pivot if pivot != 0 else 1.0
+        for i in range(d - 1):
+            factor = a[i][q] / divisor if i != r else 0.0
+            a[i] = [x - factor * y for x, y in zip(a[i], pivot_row)]
+        total *= pivot
+        steps.append((divisor, r, q))
+        free_rows.remove(r)
+        free_cols.remove(q)
+    (f,) = free_cols
+    w = [0.0] * d
+    w[f] = total
+    for divisor, r, q in steps:
+        w[q] = -total * (a[r][f] / divisor)
+    b = -float(np.multiply(w, first).sum())
+    norms = [float(np.sqrt(np.square([row[k] for row in diffs]).sum())) for k in range(d)]
+    bounds = [math.prod(norms[k] for k in range(d) if k != j) for j in range(d)]
+    scaled = [wj / bj if bj > 0 else 0.0 for wj, bj in zip(w, bounds)]
+    n = float(np.sqrt(np.square(w).sum()))
+    if not float(np.sqrt(np.square(scaled).sum())) > 1e-9:
+        return None
+    w, b = [wj / n for wj in w], b / n
+    flip = -1.0 if next((wj for wj in w if abs(wj) > 1e-12), w[0]) < 0 else 1.0
+    return Hyperplane(tuple(wj * flip for wj in w), b * flip)
+
+
+def _svd_hyperplane(points):
+    """One set at a time, from the right singular vector of [P | 1]: the
+    construction the package used before cofactors, kept as a cross-check."""
     pts = np.asarray(points, dtype=float)
     d = pts.shape[1]
     _, sigma, vt = np.linalg.svd(np.hstack([pts, np.ones((d, 1))]))
@@ -244,6 +298,16 @@ def _reference_hyperplane(points):
                 w, b = -w, -b
             break
     return Hyperplane(tuple(float(c) for c in w), float(b))
+
+
+def _assert_near_svd(planes, sets):
+    """Degenerate for the same sets as the SVD construction, every weight
+    and bias within 1e-12 of its plane."""
+    for plane, pts in zip(planes, sets):
+        other = _svd_hyperplane(pts)
+        assert (plane is None) == (other is None)
+        if plane is not None:
+            assert max(abs(x - y) for x, y in zip(plane.weights + (plane.bias,), other.weights + (other.bias,))) < 1e-12
 
 
 def _point_sets(d, rng, count=300):
@@ -272,6 +336,7 @@ def test_hyperplanes_from_points_batch_equals_single_calls(d):
     batch = hyperplanes_from_points(sets)
     single = [hyperplane_from_points(pts) for pts in sets]
     assert batch == single == [_reference_hyperplane(pts) for pts in sets]
+    _assert_near_svd(batch, sets)
     if d > 1:
         assert batch.count(None) >= len(sets) // 3
 
@@ -287,7 +352,98 @@ def test_hyperplanes_from_points_batch_equals_single_calls_lifted():
     batch = hyperplanes_from_points(sets)
     assert batch == [hyperplane_from_points(pts) for pts in sets]
     assert batch == [_reference_hyperplane(pts) for pts in sets]
+    _assert_near_svd(batch, sets)
     assert None in batch and any(plane is not None for plane in batch)
+
+
+def test_hyperplane_is_the_signed_minor_vector():
+    # weight j and the bias are (-1)^j det([P | 1] without column j), up to
+    # one positive factor and the orientation sign, though the weights come
+    # from the differences to the first point
+    for d in (1, 2, 3, 5):
+        for pts in _point_sets(d, random.Random(20 + d), count=60):
+            plane = hyperplane_from_points(pts)
+            if plane is None:
+                continue
+            m = np.hstack([np.asarray(pts, dtype=float), np.ones((d, 1))])
+            minors = np.array([(-1) ** j * np.linalg.det(np.delete(m, j, axis=1)) for j in range(d + 1)])
+            minors /= np.linalg.norm(minors[:d])
+            got = np.array(plane.weights + (plane.bias,))
+            assert min(np.abs(got - minors).max(), np.abs(got + minors).max()) < 1e-12
+
+
+def test_hyperplane_degeneracy_reads_the_same_at_every_scale():
+    # Hadamard's bound per difference column scales with its monomial, so
+    # scaling the grid by powers of two before the lift moves no set across
+    # the 1e-9 line; the SVD test, whose bound mixes the columns, drops every
+    # set at 2^-15 and more than half of the independent ones at 2^15
+    rng = random.Random(5)
+    grid = [[(float(rng.randint(0, 3)), float(rng.randint(0, 3))) for _ in range(5)] for _ in range(200)]
+
+    def lifted(e):
+        return [[lift_degree2((x * 2.0**e, y * 2.0**e)) for x, y in pts] for pts in grid]
+
+    degenerate = [plane is None for plane in hyperplanes_from_points(lifted(0))]
+    assert 0 < sum(degenerate) < len(grid)
+    for e in range(-30, 31, 5):
+        assert [plane is None for plane in hyperplanes_from_points(lifted(e))] == degenerate
+    assert all(_svd_hyperplane(pts) is None for pts in lifted(-15))
+    assert sum(_svd_hyperplane(pts) is None for pts in lifted(15)) > sum(degenerate) + 30
+
+
+def test_hyperplane_degeneracy_reads_the_same_wherever_the_points_lie():
+    # the bound is taken on differences, which moving integer points by
+    # 2^40 leaves exact
+    rng = random.Random(6)
+    for d in (2, 3):
+        sets = [[tuple(float(rng.randint(0, 2)) for _ in range(d)) for _ in range(d)] for _ in range(200)]
+        degenerate = [plane is None for plane in hyperplanes_from_points(sets)]
+        assert 0 < sum(degenerate) < len(sets)
+        for shift in (-(2.0**40), 2.0**20, 2.0**40):
+            moved = [[tuple(c + shift for c in p) for p in pts] for pts in sets]
+            assert [plane is None for plane in hyperplanes_from_points(moved)] == degenerate
+
+
+def test_plane_safe_bounds_the_arithmetic():
+    for d in (1, 2, 5):
+        limit = opttree.rules._plane_limit(d)
+        # the Hadamard bound (4 D B^2)^D is finite at the limit and overflows
+        # at four times it
+        assert math.isfinite((4 * d * limit**2) ** d)
+        big = 4 * limit
+        assert d * math.log(4 * d * big**2) > math.log(sys.float_info.max)
+        rows = [[limit] * d, [-limit] * d, [big] + [0.0] * (d - 1), [math.inf] * d, [math.nan] * d, [0.0] * d]
+        assert plane_safe(rows).tolist() == [True, True, False, False, False, True]
+        # every plane through points at the limit comes out finite
+        corner = [tuple(limit if i == j else -limit for i in range(d)) for j in range(d)]
+        plane = hyperplane_from_points(corner)
+        assert plane is None or all(math.isfinite(v) for v in plane.weights + (plane.bias,))
+        with pytest.raises(ValueError, match="coordinates too large"):
+            hyperplanes_from_points([corner[:-1] + [tuple([big] * d)]])
+    with pytest.raises(ValueError):
+        plane_safe([1.0, 2.0])
+
+
+def _benchmark_like(seed, n):
+    """n points on a 0.01 grid in [0, 10)^2, distinct x and distinct y."""
+    rng = random.Random(seed)
+    return make_dataset([(x / 100, y / 100) for x, y in zip(rng.sample(range(1000), n), rng.sample(range(1000), n))])
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("name,n", [("hyperplane", 26), ("surface2", 10)])
+def test_tables_equal_those_of_svd_planes(name, n, seed):
+    data = _benchmark_like(seed, n)
+    space = data if name == "hyperplane" else lift_dataset(data)
+    rules = enumerate_hyperplane_rules(space)
+    combos = itertools.combinations([s.point for s in space], len(space[0].point))
+    svd_rules = [Rule(plane, pts) for pts in combos if (plane := _svd_hyperplane(pts)) is not None]
+    assert [r.defining_points for r in rules] == [r.defining_points for r in svd_rules]
+    points = [s.point for s in space]
+    kinds, svd_kinds = [r.kind for r in rules], [r.kind for r in svd_rules]
+    assert np.array_equal(sign_table(kinds, points), sign_table(svd_kinds, points))
+    for got, want in zip(ancestry_tables(rules), ancestry_tables(svd_rules)):
+        assert np.array_equal(got, want)
 
 
 def test_hyperplanes_from_points_rejects_misshapen_sets():
