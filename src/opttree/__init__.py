@@ -8,13 +8,11 @@ from .rules import (
     Hyperplane,
     Rule,
     ancestry_matrix,
-    ancestry_tables,
     classify,
     hyperplane,
     hyperplane_from_points,
     hyperplanes_from_points,
     plane_safe,
-    row_masks,
     sign_table,
 )
 from .rule_systems import (
@@ -26,8 +24,6 @@ from .rule_systems import (
     lift_dataset,
     lift_degree2,
     split_segments,
-    splits_bsp,
-    splits_mcmp,
 )
 from .trees import (
     LEAF,

@@ -1,18 +1,15 @@
 """Rule enumeration and per-application split strategies.
 
 A splits strategy produces (left part, root, right part) candidate triples
-from the items still in play. For scene partitioning the parts are segment
-fragments (:func:`splits_bsp`) and for chain multiplication contiguous
-sub-chains (:func:`splits_mcmp`). These two are specifications by
-definition: the solvers in :mod:`opttree.solver` run the same splits on
-cheaper states (fragment ids with placements shared between states, and
-spans of the chain), and the tests compare each solver, tree for tree,
-with an exhaustive recursion over these functions. The placement of one
-segment against a root's line, :func:`split_segments`, is shared by both.
-The classification-tree and k-d solvers split bitmasks of rules and points;
-their specifications, ``spec_splits_generic`` (rule indices constrained by
-an ancestry matrix) and ``splits_kd`` (point subsets split on the
-depth-cycled dimension), are in ``tests/helpers.py``.
+from the items still in play. Every strategy's specification by definition
+is in ``tests/helpers.py``: ``splits_bsp`` (segment fragments),
+``splits_mcmp`` (contiguous sub-chains), ``spec_splits_generic`` (rule
+indices constrained by an ancestry matrix) and ``splits_kd`` (point subsets
+split on the depth-cycled dimension). The solvers in :mod:`opttree.solver`
+run the same splits on cheaper states, and the tests compare each solver,
+tree for tree, with an exhaustive recursion over its specification. The
+placement of one segment against a root's line, :func:`split_segments`, is
+shared by the bsp solver and its specification.
 """
 
 from __future__ import annotations
@@ -179,28 +176,3 @@ def split_segments(
                     continue
                 (pos if side > 0 else neg).append(frag)
     return tuple(pos), tuple(neg)
-
-
-def splits_bsp(
-    segments: Sequence[SceneSegment],
-) -> list[tuple[tuple[SceneSegment, ...], SceneSegment, tuple[SceneSegment, ...]]]:
-    """Every segment as candidate root, with the rest split around its line."""
-    out = []
-    for i, root in enumerate(segments):
-        rest = [s for j, s in enumerate(segments) if j != i]
-        pos, neg = split_segments(root, rest)
-        out.append((pos, root, neg))
-    return out
-
-
-def splits_mcmp(
-    items: Sequence[MatrixDim],
-) -> list[tuple[tuple[MatrixDim, ...], int, tuple[MatrixDim, ...]]]:
-    """All contiguous cuts of a chain into two non-empty parts.
-
-    The marker is the cut position; a chain of n items yields n-1 triples.
-    """
-    seq = tuple(items)
-    if len(seq) < 2:
-        return []
-    return [(seq[:i], i, seq[i:]) for i in range(1, len(seq))]

@@ -16,9 +16,9 @@ neither placement is admissible; the diagonal is 0.
 :func:`classify` and :func:`ancestry_matrix` are the specification, one point
 at a time; the brute-force oracles use them. :func:`sign_table` computes the
 signs of many rules on many points in one numpy pass with the same
-arithmetic, :func:`ancestry_tables` reads the ancestry entries off such
-tables, and :func:`row_masks` packs rows into bitmasks; the solver and the
-rule enumeration build their tables from these.
+arithmetic; the rule enumeration and the solver build their tables from it,
+the solver reading both its row masks and the ancestry entries off one such
+table per solve.
 :func:`hyperplanes_from_points` constructs many planes at once, each from the
 cofactors of its defining points, and :func:`plane_safe` tells which points
 that arithmetic can take.
@@ -284,12 +284,6 @@ def _signs(kinds: Sequence[RuleKind], pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def row_masks(table: np.ndarray) -> list[int]:
-    """Each row of a boolean table as a Python int, column c at bit c."""
-    packed = np.packbits(table, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-
 # K x K placement constraints in {-1, 0, +1}; row and column indices are
 # positions in the rule table the matrix was built from.
 AncestryMatrix = tuple[tuple[int, ...], ...]
@@ -322,34 +316,3 @@ def ancestry_matrix(rules: Sequence[Rule]) -> AncestryMatrix:
             row.append(1 if signs == {1} else -1 if signs == {-1} else 0)
         rows.append(tuple(row))
     return tuple(rows)
-
-
-def ancestry_tables(rules: Sequence[Rule]) -> tuple[np.ndarray, np.ndarray]:
-    """The +1 and the -1 entries of :func:`ancestry_matrix`, as two K x K
-    boolean arrays, read off sign tables instead of one classify call at a time.
-
-    Row i holds rule i's sign over every rule's defining points, taken one
-    defining point of each rule per :func:`sign_table` (a rule with fewer
-    points repeats its last): rule j is +1 when all its defining points are
-    positive, -1 when none is; the diagonal is 0.
-    """
-    counts = [len(rule.defining_points) for rule in rules]
-    bare = [j for j, n in enumerate(counts) if n == 0]
-    if len(rules) > 1 and bare:
-        # the rule ancestry_matrix meets first: row 0 reads every other
-        # column, and rule 0's own column is read from row 1
-        j = next((j for j in bare if j), 0)
-        raise ValueError(f"rule {j} has no defining points; matrix entry undefined")
-    kinds = [rule.kind for rule in rules]
-    left = np.ones((len(rules), len(rules)), dtype=bool)
-    some = np.zeros_like(left)
-    for c in range(max(counts, default=0)):
-        points = [rule.defining_points[min(c, n - 1)] for rule, n in zip(rules, counts)]
-        signs = sign_table(kinds, points)
-        left &= signs
-        some |= signs
-    right = ~some
-    np.fill_diagonal(left, False)
-    np.fill_diagonal(right, False)
-    return left, right
-

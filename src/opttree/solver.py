@@ -41,9 +41,8 @@ solver the classic cubic program; a k-d state is one int, its point mask
 with the depth above it, and the kd front end reads a pivot's sides off a
 per-dimension table of point masks built once per call and solves a state
 with one split level left in closed form. Each tries its candidates in the
-order of its specification, :func:`~opttree.rule_systems.splits_bsp`,
-:func:`~opttree.rule_systems.splits_mcmp` and ``splits_kd`` in
-``tests/helpers.py``, so ties go to the same tree.
+order of its specification, ``splits_bsp``, ``splits_mcmp`` and
+``splits_kd`` in ``tests/helpers.py``, so ties go to the same tree.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .data import Dataset
-from .rules import _BLOCK, Rule, ancestry_tables, row_masks, sign_table
+from .rules import _BLOCK, Rule, sign_table
 from .rule_systems import MatrixDim, SceneSegment, split_segments
 from .trees import DecisionTree, DLeaf, DNode
 
@@ -189,26 +188,66 @@ def tree_cost(tree: DecisionTree, objective: Objective) -> Any:
 
 def _words(masks: Sequence[int], width: int) -> np.ndarray:
     """Python int masks of ``width`` bits as uint64 words, one row per mask,
-    packed as :func:`_pack` packs booleans."""
+    packed as :func:`_pack` packs booleans; :func:`_masks` inverts it."""
     nwords = (width + 63) // 64
     buf = b"".join(mask.to_bytes(8 * nwords, "little") for mask in masks)
     return np.frombuffer(buf, dtype=np.uint64).reshape(len(masks), nwords)
 
 
 def _pack(table: np.ndarray) -> np.ndarray:
-    """A boolean table packed along its last axis into uint64 words: column
-    c at bit c % 8 of byte c // 8, the padding bits clear."""
+    """A boolean table of any memory layout packed along its last axis into
+    uint64 words: column c at bit c % 8 of byte c // 8, the padding bits
+    clear."""
     packed = np.packbits(table, axis=-1, bitorder="little")
-    pad = np.zeros(packed.shape[:-1] + (-packed.shape[-1] % 8,), dtype=np.uint8)
-    return np.concatenate([packed, pad], axis=-1).view(np.uint64)
+    words = np.zeros(packed.shape[:-1] + (-(-packed.shape[-1] // 8) * 8,), dtype=np.uint8)
+    words[..., : packed.shape[-1]] = packed
+    return words.view(np.uint64)
 
 
-def _unpack(masks: Sequence[int], width: int) -> np.ndarray:
-    """len(masks) x width booleans: entry [s, c] is bit c of masks[s]."""
-    nbytes = (width + 7) // 8
-    buf = b"".join(mask.to_bytes(nbytes, "little") for mask in masks)
-    bits = np.frombuffer(buf, dtype=np.uint8).reshape(len(masks), nbytes)
-    return np.unpackbits(bits, axis=1, count=width, bitorder="little").view(bool)
+def _masks(words: np.ndarray) -> list[int]:
+    """Each row of packed words as a Python int, so that column c of the
+    table :func:`_pack` packed is bit c."""
+    return [int.from_bytes(row.tobytes(), "little") for row in words]
+
+
+def _side_words(rules: Sequence[Rule], signs: np.ndarray, column: dict) -> np.ndarray:
+    """[side, root, word]: the -1 (side 0) and +1 (side 1) entries of
+    :func:`~opttree.rules.ancestry_matrix`, each root's row packed in the bit
+    order of a rule mask, gathered from the signs of each root (``signs``
+    row i) at each rule's defining points (``column[q]`` being point q's
+    column), a block of roots at a time. Raises the matrix's ValueError."""
+    size = len(rules)
+    counts = [len(rule.defining_points) for rule in rules]
+    bare = [j for j, n in enumerate(counts) if not n]
+    if size > 1 and bare:
+        # the rule ancestry_matrix meets first: row 0 reads every other
+        # column, and rule 0's own column is read from row 1
+        j = next((j for j in bare if j), 0)
+        raise ValueError(f"rule {j} has no defining points; matrix entry undefined")
+    # [slot, rule], rules in mask bit order: the column of each rule's
+    # defining point in that slot, a rule with fewer points repeating its last
+    slots = [
+        [column[rule.defining_points[min(c, n - 1)]] for rule, n in zip(rules[::-1], counts[::-1])]
+        for c in range(max(counts, default=0))
+    ]
+    out = np.empty((2, size, (size + 63) // 64), dtype=np.uint64)
+    step = max(1, _BLOCK // max(1, size))
+    for lo in range(0, size, step):
+        block = signs[lo : lo + step]
+        # [root, rule]: whether each root has every, and some, defining point
+        # of each rule on its positive side
+        left = np.ones((len(block), size), dtype=bool)
+        some = np.zeros_like(left)
+        for cols in slots:
+            at = block.take(cols, axis=1)
+            left &= at
+            some |= at
+        # the diagonal clear on both sides
+        roots = np.arange(len(block))
+        diagonal = roots, size - 1 - lo - roots
+        left[diagonal], some[diagonal] = False, True
+        out[0, lo : lo + step], out[1, lo : lo + step] = _pack(~some), _pack(left)
+    return out
 
 
 # bin() digits to compress() selectors
@@ -298,13 +337,14 @@ class _RuleMasks:
     rows into its positive and negative sides, and every division of the
     rules still to place that fits on both sides is a candidate.
 
-    The per-rule masks are built with numpy: the positive rows of each rule
-    from one :func:`~opttree.rules.sign_table` over the data, and, when at
-    least two rules are to be placed, the left and right sets from
-    :func:`~opttree.rules.ancestry_tables`, sign tables over the defining
-    points. They equal what :func:`~opttree.rules.classify` and
-    :func:`~opttree.rules.ancestry_matrix` give, bit for bit, and that
-    tuple table is never built.
+    The masks come from one :func:`~opttree.rules.sign_table` per solve,
+    with a column for each distinct point among the data rows and, with at
+    least two rules to place, the defining points (only rules files have
+    defining points that are not data rows). Each rule's positive rows, and
+    its left and right sets gathered from its signs at the defining points,
+    are packed into uint64 words, and the Python int masks are read off
+    those words. They equal what :func:`~opttree.rules.classify` and
+    :func:`~opttree.rules.ancestry_matrix` give, bit for bit.
 
     A state with no rule left, or with one or two rules left and depth to
     place them, is a leaf of the recursion. One rule left is solved in closed
@@ -379,23 +419,28 @@ class _RuleMasks:
         self.size = len(rules)
         self.objective = objective
         self.min_leaf = constraints.min_leaf
-        kinds = [rule.kind for rule in rules]
-        signs = sign_table(kinds, [s.point for s in self.data])
+        points = [s.point for s in self.data]
+        # a tree with fewer than two rules places no rule below another, so
+        # only then are the defining points read
+        defining = [q for rule in rules for q in rule.defining_points] if k >= 2 else []
+        # one sign table column per distinct point, the data rows' first
+        column: dict = {}
+        for q in points + defining:
+            column.setdefault(q, len(column))
+        signs = sign_table([rule.kind for rule in rules], list(column))
         # [rule, word]: each rule's positive rows, packed
-        self.sign_words = _pack(signs)
-        self.pos = [int.from_bytes(words.tobytes(), "little") for words in self.sign_words]
-        # a tree with fewer than two rules places no rule below another
+        self.sign_words = _pack(signs[:, [column[p] for p in points]])
+        self.pos = _masks(self.sign_words)
         if k >= 2:
-            left, right = ancestry_tables(rules)
-            # rule j is bit size-1-j of a rule mask
-            self.left, self.right = row_masks(left[:, ::-1]), row_masks(right[:, ::-1])
+            self.side_words = _side_words(rules, signs, column)
+            self.right, self.left = map(_masks, self.side_words)
         else:
+            self.side_words = None
             self.left = self.right = [0] * self.size
-        # the tables batch counts from: the ancestry sides, and each label's
-        # rows packed as [word, label]
+        # each label's rows packed as [word, label], the table counts are
+        # batched from
         self.label_rows = None
         if objective.count_cost is not None and k <= 3:
-            self.sides = np.stack([right, left]) if k >= 2 else None
             codes: dict = {}
             label_of = np.array([codes.setdefault(s.label, len(codes)) for s in self.data], dtype=np.intp)
             onehot = label_of == np.arange(len(codes))[:, None]
@@ -588,8 +633,7 @@ class _RuleMasks:
         for memo, keys in ((self._stumps, list(stumps)), (self._pairs, list(pairs))):
             for lo in range(0, len(keys), step):
                 block = keys[lo : lo + step]
-                # rule j is bit size-1-j of a rule mask
-                allowed = _unpack([a for a, _ in block], self.size)[:, ::-1].copy()
+                allowed = _words([a for a, _ in block], self.size)
                 rows = _words([r for _, r in block], len(self.data))
                 if memo is self._stumps:
                     found, best, win = self._cheapest(allowed, rows)
@@ -601,6 +645,11 @@ class _RuleMasks:
                     results = self._pair_block(allowed, rows, step)
                 memo.update(zip(block, results))
         self.batched += len(stumps) + len(pairs)
+
+    def _rules(self, allowed: np.ndarray) -> np.ndarray:
+        """Packed rule masks as [mask, rule] booleans, rule j being bit K-1-j."""
+        bits = np.unpackbits(allowed.view(np.uint8), axis=1, count=self.size, bitorder="little")
+        return bits[:, ::-1].view(bool)
 
     def _leaf_counts(self, flat: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-label counts of the two leaves of each (state, root) in ``flat``.
@@ -625,11 +674,12 @@ class _RuleMasks:
     def _cheapest(self, allowed: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The first cheapest feasible stump of each state.
 
-        State s holds the rows ``rows[s]``, packed words, and may root its
-        stump at the rules ``allowed[s]``. Returns, per state, whether a
-        feasible stump exists, its least cost and the first rule reaching it.
+        State s holds the rows ``rows[s]`` and may root its stump at the
+        rules ``allowed[s]``, both packed words. Returns, per state, whether
+        a feasible stump exists, its least cost and the first rule reaching
+        it.
         """
-        flat = np.flatnonzero(allowed)
+        flat = np.flatnonzero(self._rules(allowed))
         state, root = np.divmod(flat, self.size)
         pos, neg = self._leaf_counts(flat, rows)
         if self.min_leaf:
@@ -650,25 +700,25 @@ class _RuleMasks:
         return found, best, win
 
     def _pair_block(self, allowed: np.ndarray, rows: np.ndarray, step: int) -> list:
-        """:meth:`pair` of each state s, holding the rows ``rows[s]``
-        (packed words) and the rules ``allowed[s]``.
+        """:meth:`pair` of each state s, holding the rows ``rows[s]`` and
+        the rules ``allowed[s]``, both packed words.
 
         Each allowed root j of state s brings two stumps: on j's negative
-        side over its right set, and on its positive side over its left set.
-        Many (state, root, side) share one such stump, so each distinct one
-        is solved once by :meth:`_cheapest`.
+        side over its right set, and on its positive side over its left set,
+        each the AND of packed words. Many (state, root, side) share one such
+        stump, so each distinct one is solved once by :meth:`_cheapest`.
         """
         last = self.size - 1
-        flat = np.flatnonzero(allowed)
+        flat = np.flatnonzero(self._rules(allowed))
         state, root = np.divmod(flat, self.size)  # by state, then ascending root
         found = np.zeros((2, len(state)), dtype=bool)
         best, win = np.empty((2, len(state))), np.empty((2, len(state)), dtype=np.intp)
         for lo in range(0, len(state), step):
             s, j = state[lo : lo + step], root[lo : lo + step]
-            under = (allowed.take(s, axis=0) & self.sides.take(j, axis=1)).reshape(2 * len(s), -1)
+            under = (allowed.take(s, axis=0) & self.side_words.take(j, axis=1)).reshape(2 * len(s), -1)
             positive, rows_s = self.sign_words.take(j, axis=0), rows.take(s, axis=0)
             sub_rows = np.concatenate([rows_s & ~positive, rows_s & positive])
-            key = np.concatenate([np.packbits(under, axis=1), sub_rows.view(np.uint8)], axis=1)
+            key = np.concatenate([under.view(np.uint8), sub_rows.view(np.uint8)], axis=1)
             key = key.view(np.dtype((np.void, key.shape[1]))).ravel()
             _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
             for out, part in zip((found, best, win), self._cheapest(under[first], sub_rows[first])):
@@ -718,7 +768,8 @@ def solve(
     :meth:`_RuleMasks.combine`, which ranks (cost, -combination mask) pairs.
     The search keeps values and winners only, and the returned tree is the
     one tree built, with the samples reaching each leaf as its payload.
-    The rule masks come from numpy sign tables that equal
+    The rule masks come from one numpy sign table, over the data and the
+    defining points that are not data rows, and equal
     :func:`~opttree.rules.classify` and :func:`~opttree.rules.ancestry_matrix`
     entry for entry (see :class:`_RuleMasks`). ``stats.nodes`` counts the
     recursion calls, memo hits included, with states of at most two rules left
@@ -746,7 +797,7 @@ def solve_bsp(segments: Sequence[SceneSegment]) -> DecisionTree:
     each step consuming one fragment as the branch rule and distributing the
     rest (with fragmentation) to the two sides. Minimized on total node count.
 
-    This is the recursion over :func:`~opttree.rule_systems.splits_bsp`, on
+    This is the recursion over ``splits_bsp`` (``tests/helpers.py``), on
     cheaper states. Each distinct fragment gets an int id the first time it
     appears, equal fragments sharing one, and a state is the tuple of its
     fragments' ids, in the order ``splits_bsp`` keeps them. The placement of
@@ -818,8 +869,8 @@ def bsp_tree_from_order(segments: Sequence[SceneSegment], order: Sequence[int]) 
 def solve_mcmp(dims: Sequence[MatrixDim]) -> DecisionTree:
     """Cheapest association order for a matrix chain (leaf-labeled tree).
 
-    This is the recursion over :func:`~opttree.rule_systems.splits_mcmp`
-    with each sub-chain named by its span (i, j), matrices i to j - 1: the
+    This is the recursion over ``splits_mcmp`` (``tests/helpers.py``) with
+    each sub-chain named by its span (i, j), matrices i to j - 1: the
     cuts of a span are tried left to right, as ``splits_mcmp`` gives them.
     """
     seq = tuple(dims)

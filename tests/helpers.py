@@ -7,10 +7,11 @@ generators (:func:`all_tree_shapes`, :func:`all_trees`,
 :func:`all_trees_constrained`, :func:`all_chain_trees`), the data routing of
 shapes (:func:`complete_shapes`), the step rule of a heap-position placement
 (:func:`descend`, :func:`spec_step`), the streamed valid orderings of a rule
-table (:func:`enumerate_permutation_trees`), the k-d pivot split
-(:func:`splits_kd`) and the first cheapest trees of the k-d and
-scene-partition recursions (:func:`kd_oracle`, :func:`bsp_oracle`, both
-through :func:`first_cheapest`). Generated sequences come out in a fixed
+table (:func:`enumerate_permutation_trees`), the splits of the partition
+solvers (:func:`splits_kd`, :func:`splits_bsp`, :func:`splits_mcmp`) and
+the first cheapest trees of the k-d and scene-partition recursions
+(:func:`kd_oracle`, :func:`bsp_oracle`, both through
+:func:`first_cheapest`). Generated sequences come out in a fixed
 order (root index ascending, left subtree choices before right). The
 permutation walk, which reads its steps off ancestry side masks, and its
 sample bitmasks are the package's own ``check`` oracle, imported from
@@ -24,7 +25,7 @@ import itertools
 import random
 from collections import deque
 
-from opttree import LEAF, DLeaf, DNode, classify, make_dataset, splits_bsp, splits_mcmp
+from opttree import LEAF, DLeaf, DNode, classify, make_dataset, split_segments
 from opttree.generator import _members, _positive_mask, _walk, _walk_matrix
 
 
@@ -269,6 +270,17 @@ def enumerate_permutation_trees(rules, k, matrix=None):
     return itertools.chain.from_iterable(map(rooted, range(n)))
 
 
+def splits_mcmp(items):
+    """All contiguous cuts of a chain into two non-empty parts.
+
+    The marker is the cut position; a chain of n items yields n-1 triples.
+    """
+    seq = tuple(items)
+    if len(seq) < 2:
+        return []
+    return [(seq[:i], i, seq[i:]) for i in range(1, len(seq))]
+
+
 def all_chain_trees(items):
     """Every parenthesization of a matrix chain as a leaf-labeled tree."""
     seq = tuple(items)
@@ -300,6 +312,16 @@ def splits_kd(depth, data):
         left = tuple(s for j, s in enumerate(seq) if j != i and s.point[d] <= c)
         right = tuple(s for j, s in enumerate(seq) if j != i and s.point[d] > c)
         out.append((left, pivot, right))
+    return out
+
+
+def splits_bsp(segments):
+    """Every segment as candidate root, with the rest split around its line."""
+    out = []
+    for i, root in enumerate(segments):
+        rest = [s for j, s in enumerate(segments) if j != i]
+        pos, neg = split_segments(root, rest)
+        out.append((pos, root, neg))
     return out
 
 
@@ -351,7 +373,7 @@ def kd_oracle(data, max_depth, objective):
 
 def bsp_oracle(segments):
     """(node count, tree) of the first smallest partition tree over
-    :func:`~opttree.rule_systems.splits_bsp`; every leaf is empty."""
+    :func:`splits_bsp`; every leaf is empty."""
 
     def splits(frags):
         return splits_bsp(frags) if frags else None

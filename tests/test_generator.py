@@ -673,8 +673,9 @@ def test_oracle_modules_import_nothing_from_solver(path):
     assert found == [], f"{path.name} imports {found} from opttree.solver"
 
 
-# the numpy sign-table path that builds the solver's masks
-_VECTORIZED = {"sign_table", "row_masks", "ancestry_tables"}
+# the numpy sign-table path that builds the solver's masks: the one sign
+# table, the ancestry sides gathered from it, and their packing
+_VECTORIZED = {"sign_table", "_side_words", "_pack", "_masks"}
 
 
 def _names_used(path):

@@ -21,11 +21,9 @@ from opttree import (
     lift_degree2,
     make_dataset,
     split_segments,
-    splits_bsp,
-    splits_mcmp,
 )
 from opttree import rule_systems
-from helpers import all_chain_trees, spec_splits_generic, splits_kd
+from helpers import all_chain_trees, spec_splits_generic, splits_bsp, splits_kd, splits_mcmp
 
 
 def test_axis_rules_counts():

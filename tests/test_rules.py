@@ -17,7 +17,6 @@ from opttree import (
     Rule,
     SceneSegment,
     ancestry_matrix,
-    ancestry_tables,
     classify,
     enumerate_axis_rules,
     enumerate_hyperplane_rules,
@@ -27,12 +26,14 @@ from opttree import (
     hyperplanes_from_points,
     lift_dataset,
     lift_degree2,
+    MISCLASSIFICATION,
+    SolveConstraints,
     make_dataset,
     plane_safe,
-    row_masks,
     sign_table,
 )
 import opttree.rules
+from opttree.solver import _RuleMasks
 from helpers import random_instance, root_feasible
 
 
@@ -125,16 +126,27 @@ def _error(build, table):
     return str(got.value)
 
 
+def _mask_sides(rules, data=()):
+    """Each rule's left and right sets of rules, as the solver builds them at
+    k=2 over ``data``: [i][j] booleans, rule j being bit K-1-j of a mask."""
+    front = _RuleMasks(rules, data, 2, MISCLASSIFICATION, SolveConstraints())
+    size = len(rules)
+    return [
+        [[bool(mask >> (size - 1 - j) & 1) for j in range(size)] for mask in masks]
+        for masks in (front.left, front.right)
+    ]
+
+
 def test_ancestry_matrix_requires_defining_points():
-    # the twin names the rule the one-entry-at-a-time spec meets first
+    # the solver's masks name the rule the one-entry-at-a-time spec meets first
     for bare_at, size in [((0,), 2), ((1,), 2), ((0, 1), 2), ((1, 2), 3), ((0, 2), 3), ((0, 1, 2), 3)]:
         table = [Rule(AxisParallel(0, float(i))) if i in bare_at else _vertical(float(i)) for i in range(size)]
         want = _error(ancestry_matrix, table)
         assert want == f"rule {next((j for j in bare_at if j), 0)} has no defining points; matrix entry undefined"
-        assert _error(ancestry_tables, table) == want
+        assert _error(_mask_sides, table) == want
 
 
-def test_ancestry_tables_equal_ancestry_matrix():
+def test_rule_mask_sides_equal_ancestry_matrix():
     # ties: the x=3 line's defining point (3, 3) sits on the y=3 line, and
     # the diagonal through (3, 3) meets both
     rules = [
@@ -143,14 +155,20 @@ def test_ancestry_tables_equal_ancestry_matrix():
         Rule(AxisParallel(1, 3.0), ((3.0, 3.0),)),
         Rule(hyperplane_from_points([(0.0, 0.0), (3.0, 3.0)]), ((0.0, 0.0), (3.0, 3.0))),
         Rule(hyperplane_from_points([(1.0, 0.0), (1.0, 5.0)]), ((1.0, 0.0), (1.0, 5.0))),
+        # defined by a point on its own negative side: the diagonal stays clear
+        Rule(AxisParallel(0, 1.0), ((2.0, 0.0),)),
     ]
+    # the defining points as columns of their own, or read from data rows
+    # (some of them, repeated) the sign table covers anyway
+    shared = make_dataset([(3.0, 3.0), (2.0, 2.0), (0.0, 0.0), (3.0, 3.0), (1.0, 5.0)])
     for table in ([], rules[:1], rules):
-        left, right = ancestry_tables(table)
         entries = ancestry_matrix(table)
-        assert left.tolist() == [[e > 0 for e in row] for row in entries]
-        assert right.tolist() == [[e < 0 for e in row] for row in entries]
+        for data in ((), shared):
+            left, right = _mask_sides(table, data)
+            assert left == [[e > 0 for e in row] for row in entries]
+            assert right == [[e < 0 for e in row] for row in entries]
     assert {-1, 0, 1} <= {e for row in entries for e in row}
-    assert ancestry_tables([Rule(AxisParallel(0, 1.0))])[0].tolist() == [[False]]
+    assert _mask_sides([Rule(AxisParallel(0, 1.0))])[0] == [[False]]
 
 
 @pytest.mark.parametrize(
@@ -442,8 +460,7 @@ def test_tables_equal_those_of_svd_planes(name, n, seed):
     points = [s.point for s in space]
     kinds, svd_kinds = [r.kind for r in rules], [r.kind for r in svd_rules]
     assert np.array_equal(sign_table(kinds, points), sign_table(svd_kinds, points))
-    for got, want in zip(ancestry_tables(rules), ancestry_tables(svd_rules)):
-        assert np.array_equal(got, want)
+    assert _mask_sides(rules, space) == _mask_sides(svd_rules, space)
 
 
 def test_hyperplanes_from_points_rejects_misshapen_sets():
@@ -526,9 +543,3 @@ def test_sign_table_dimension_mismatch_raises_like_classify():
             classify(kind, points[0])
         with pytest.raises(ValueError):
             sign_table([AxisParallel(0, 1.0), kind], points)
-
-
-def test_row_masks_put_column_c_at_bit_c():
-    table = np.array([[True, False, True] + [False] * 8 + [True], [False] * 12, [True] * 12])
-    assert row_masks(table) == [1 | 4 | 1 << 11, 0, (1 << 12) - 1]
-    assert row_masks(np.zeros((2, 0), dtype=bool)) == [0, 0]

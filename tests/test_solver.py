@@ -9,6 +9,7 @@ import dataclasses
 import gc
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -51,7 +52,10 @@ from opttree import (
     solve_mcmp,
     tree_cost,
 )
-from opttree.solver import _members, _RuleMasks
+import opttree.rules
+import opttree.solver
+from opttree.rules import sign_table
+from opttree.solver import _masks, _members, _pack, _RuleMasks, _words
 from helpers import (
     all_chain_trees,
     all_trees,
@@ -418,6 +422,18 @@ def _boundary_tables():
     mixed = [Rule(AxisParallel(0, 1.0), ((1.0, 1.0),))]
     mixed.append(Rule(AxisParallel(1, 1.0), ((2.0, 1.0),)))
     mixed += enumerate_hyperplane_rules(grid)[:12]
+    # a rules file's defining points need not be data rows: all but one of
+    # these are off the grid, (1.5, 1.5) is shared by two rules and lies on
+    # the x=1.5 boundary, as do both points of the vertical line
+    off_grid = [
+        Rule(AxisParallel(0, 1.5), ((1.5, 0.5),)),
+        Rule(AxisParallel(1, 1.5), ((1.5, 1.5),)),
+        Rule(AxisParallel(0, 2.0), ((2.0, 1.0),)),
+    ]
+    for pts in [((0.5, 0.5), (2.5, 1.5)), ((1.5, 0.0), (1.5, 3.0)), ((0.5, 2.5), (3.5, -0.5)), ((1.5, 1.5), (3.5, 0.5))]:
+        off_grid.append(Rule(hyperplane_from_points(pts), pts))
+    # a repeated point: its rules read the first of its rows
+    twice = make_dataset([(0, 0), (1, 1), (2, 0), (1, 1), (0, 2), (2, 2), (3, 1)], [0, 1, 1, 0, 1, 0, 1])
     return {
         "axis-grid": (enumerate_axis_rules(grid), grid),
         "axis-ties": (diagonal, make_dataset([(t, 5.0) for t in (0.0, 2.5, 5.0, 7.5, 9.0)])),
@@ -425,6 +441,8 @@ def _boundary_tables():
         "hyperplane-straddle": (enumerate_hyperplane_rules(cross), cross),
         "surface2-grid": (enumerate_surface2_rules(small), lift_dataset(small)),
         "mixed": (mixed, grid),
+        "rules-file": (off_grid, grid),
+        "repeated-point": (enumerate_axis_rules(twice) + enumerate_hyperplane_rules(twice), twice),
     }
 
 
@@ -440,6 +458,10 @@ def test_rule_masks_equal_ancestry_matrix_and_classify(name):
         positive = [classify(rules[i], s.point) > 0 for s in data]
         assert front.pos[i] == sum(1 << r for r, p in enumerate(positive) if p)
     assert len({e for row in matrix for e in row}) == 3 or name == "surface2-grid"
+    points = [s.point for s in data]
+    defining = {q for rule in rules for q in rule.defining_points}
+    assert name != "rules-file" or len(defining - set(points)) > 1
+    assert name != "repeated-point" or len(set(points)) < len(points)
     # some defining point sits on another rule's boundary, within EPS
     assert any(
         _on_boundary(ri.kind, q)
@@ -454,6 +476,64 @@ def _on_boundary(kind, q):
     if isinstance(kind, AxisParallel):
         return q[kind.dim] == kind.threshold
     return abs(kind.bias + sum(w * c for w, c in zip(kind.weights, q))) <= EPS
+
+
+def test_masks_put_column_c_at_bit_c():
+    table = np.array([[True, False, True] + [False] * 8 + [True], [False] * 12, [True] * 12])
+    words = _pack(table)
+    assert _masks(words) == [1 | 4 | 1 << 11, 0, (1 << 12) - 1]
+    assert np.array_equal(_words(_masks(words), 12), words)
+    assert _masks(_pack(np.zeros((2, 0), dtype=bool))) == [0, 0]
+    wide = np.zeros((1, 130), dtype=bool)
+    wide[0, [0, 63, 64, 129]] = True
+    assert _masks(_pack(wide)) == [1 | 1 << 63 | 1 << 64 | 1 << 129]
+    # a column gather leaves a Fortran-ordered table, whose packed bytes
+    # are not contiguous by rows
+    rng = np.random.default_rng(0)
+    for width in (5, 50, 56, 64, 120):
+        table = rng.random((3, width)) < 0.5
+        gathered = table[:, list(range(width))]
+        assert gathered.flags.f_contiguous
+        assert np.array_equal(_pack(gathered), _pack(table))
+        assert _masks(_pack(table)) == [sum(1 << c for c in range(width) if row[c]) for row in table]
+
+
+def test_rule_masks_construction_stays_below_two_bytes_per_rule_pair():
+    # no K x K table of bytes: the sides are packed 64 rules to a word
+    data = _distinct_points(0, 14)
+    rules = enumerate_surface2_rules(data)
+    size = len(rules)
+    assert size == 2002
+    space = lift_dataset(data)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        _RuleMasks(rules, space, 2, MISCLASSIFICATION, SolveConstraints())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * size * size
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_solve_builds_one_sign_table(k, monkeypatch):
+    calls = []
+
+    def counted(kinds, points):
+        calls.append(len(points))
+        return sign_table(kinds, points)
+
+    data = _distinct_points(4, 9)
+    for module in (opttree.rules, opttree.solver):
+        monkeypatch.setattr(module, "sign_table", counted)
+    # hyperplanes have two defining points each, and a rules file's need
+    # not be data rows
+    rules = enumerate_hyperplane_rules(data)[:20]
+    for table in (rules, rules + [Rule(AxisParallel(0, 5.5), ((5.5, 5.5),))]):
+        calls.clear()
+        assert solve(table, k, data, MISCLASSIFICATION) is not None
+        assert len(calls) == 1
+        assert calls[0] == len(data) + (k >= 2 and table is not rules)
 
 
 def test_rule_masks_below_two_rules_skip_ancestry():
@@ -578,7 +658,7 @@ def test_closed_form_paths_agree_without_data():
         assert trees[0] == trees[1] is not None
 
 
-@pytest.mark.parametrize("n", [63, 64, 65, 129])
+@pytest.mark.parametrize("n", [50, 63, 64, 65, 129])
 def test_closed_form_paths_agree_across_word_boundaries(n):
     # the count tables pack rows 64 to a word: the padding bits of the last
     # word must count nothing
