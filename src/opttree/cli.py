@@ -257,19 +257,13 @@ def _cmd_mcmp(args) -> int:
 
 def _levels(tree: DecisionTree) -> list[int]:
     dims: list[int] = []
-    frontier = [tree]
+    frontier = [tree] if isinstance(tree, DNode) else []
     while frontier:
-        level_dims = {n.rule_id[1] for n in frontier if isinstance(n, DNode)}
-        if not level_dims:
-            break
+        level_dims = {n.rule_id.kind.dim for n in frontier}
         if len(level_dims) > 1:
             raise AssertionError(f"inconsistent split dimensions in one level: {level_dims}")
         dims.append(level_dims.pop())
-        nxt = []
-        for n in frontier:
-            if isinstance(n, DNode):
-                nxt.extend([n.left, n.right])
-        frontier = nxt
+        frontier = [c for n in frontier for c in (n.left, n.right) if isinstance(c, DNode)]
     return dims
 
 

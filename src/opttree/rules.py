@@ -2,7 +2,7 @@
 
 A :class:`Rule` is a kind (:class:`AxisParallel` or :class:`Hyperplane`) plus
 the data points that define its boundary. Rules live in a table, a sequence,
-and everything downstream names a rule by its position there.
+and everything downstream but the k-d solver names a rule by its position.
 
 A rule cuts the ambient space into a positive and a negative region. Which
 region a point falls in is decided by :func:`classify`; points exactly on a
@@ -62,7 +62,8 @@ RuleKind = AxisParallel | Hyperplane
 @dataclass(frozen=True)
 class Rule:
     """A splitting rule plus the data points that define its boundary. It has
-    no id: trees, matrices and the solver name it by its table position."""
+    no id: matrices and the rule-set solver name it by its table position,
+    while a k-d tree carries its pivots' rules themselves."""
 
     kind: RuleKind
     defining_points: tuple[Point, ...] = ()

@@ -38,11 +38,12 @@ recur many times. Each is a cheap key. A scene state is the tuple of its
 fragments' int ids, each (root, fragment) placement computed once per call;
 a chain state is a sub-chain's span (i, j), which makes the matrix-chain
 solver the classic cubic program; a k-d state is one int, its point mask
-with the depth above it, and the kd front end reads a pivot's sides off a
-per-dimension table of point masks built once per call and solves a state
-with one split level left in closed form. Each tries its candidates in the
-order of its specification, ``splits_bsp``, ``splits_mcmp`` and
-``splits_kd`` in ``tests/helpers.py``, so ties go to the same tree.
+with the depth above it; a k-d split is the point-defined axis rule of its
+pivot, its sides read off one sign table, and a state with one split level
+left is solved in closed form. Both mask front ends cost leaves through one
+memo. Each tries its candidates in the order of its specification,
+``splits_bsp``, ``splits_mcmp`` and ``splits_kd`` in ``tests/helpers.py``,
+so ties go to the same tree.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .data import Dataset
-from .rules import _BLOCK, Rule, sign_table
+from .rules import _BLOCK, AxisParallel, Rule, sign_table
 from .rule_systems import MatrixDim, SceneSegment, split_segments
 from .trees import DecisionTree, DLeaf, DNode
 
@@ -259,6 +260,22 @@ def _members(data: Dataset, mask: int) -> Dataset:
     return tuple(compress(data, bin(mask)[:1:-1].encode().translate(_BITS)))
 
 
+class _LeafCosts(dict):
+    """Leaf costs keyed by row mask, each costed on its first lookup; None
+    below ``min_leaf`` rows."""
+
+    def __init__(self, leaf_cost: Callable[[Dataset], Any], data: Dataset, min_leaf: int = 0) -> None:
+        super().__init__()
+        self.leaf_cost = leaf_cost
+        self.data = data
+        self.min_leaf = min_leaf
+
+    def __missing__(self, rows: int) -> Any:
+        value = None if rows.bit_count() < self.min_leaf else self.leaf_cost(_members(self.data, rows))
+        self[rows] = value
+        return value
+
+
 def _optimize(
     root: Any,
     splits: Callable[[Any], list | None],
@@ -432,10 +449,10 @@ class _RuleMasks:
         self.sign_words = _pack(signs[:, [column[p] for p in points]])
         self.pos = _masks(self.sign_words)
         if k >= 2:
-            self.side_words = _side_words(rules, signs, column)
-            self.right, self.left = map(_masks, self.side_words)
+            side_words = _side_words(rules, signs, column)
+            self.right, self.left = map(_masks, side_words)
         else:
-            self.side_words = None
+            side_words = None
             self.left = self.right = [0] * self.size
         # each label's rows packed as [word, label], the table counts are
         # batched from
@@ -445,9 +462,10 @@ class _RuleMasks:
             label_of = np.array([codes.setdefault(s.label, len(codes)) for s in self.data], dtype=np.intp)
             onehot = label_of == np.arange(len(codes))[:, None]
             self.label_rows = np.ascontiguousarray(_pack(onehot).T)
+        self.side_words = None if self.label_rows is None else side_words  # read by batch alone
         self.batched = 0
         self.root = ((1 << self.size) - 1, (1 << len(self.data)) - 1, k, constraints.max_depth)
-        self._costs: dict[int, Any] = {}
+        self._costs = _LeafCosts(objective.leaf_cost, self.data, self.min_leaf)
         self._stumps: dict[tuple[int, int], tuple[tuple[Any, int], int] | None] = {}
         self._pairs: dict[tuple[int, int], tuple[tuple[Any, int], tuple[int, int, int]] | None] = {}
 
@@ -491,7 +509,7 @@ class _RuleMasks:
         elif count:
             solved = self.stump(allowed, rows)
         else:
-            cost = self.cost(rows)
+            cost = self._costs[rows]
             return None if cost is None else (cost, 0)
         return None if solved is None else solved[0]
 
@@ -518,25 +536,13 @@ class _RuleMasks:
             return DNode(leaf(pos), j, stump(rows ^ pos, m))
         return DNode(stump(pos, m), j, leaf(rows ^ pos))
 
-    def cost(self, rows: int) -> Any:
-        """The leaf cost of a row mask, None below ``min_leaf``; memoized."""
-        costs = self._costs
-        if rows in costs:
-            return costs[rows]
-        if rows.bit_count() < self.min_leaf:
-            result = None
-        else:
-            result = self.objective.leaf_cost(_members(self.data, rows))
-        costs[rows] = result
-        return result
-
     def stump(self, allowed: int, rows: int) -> tuple[tuple[Any, int], int] | None:
         """Ranked value and root of the cheapest one-rule tree over ``rows``
         with its root in ``allowed``."""
         key = (allowed, rows)
         if key in self._stumps:
             return self._stumps[key]
-        combine, costs, cost = self.objective.combine, self._costs, self.cost
+        combine, costs = self.objective.combine, self._costs
         positive, last = self.pos, self.size - 1
         best = winner = None
         todo = allowed
@@ -545,12 +551,11 @@ class _RuleMasks:
             todo ^= 1 << top
             i = last - top
             pos = rows & positive[i]
-            # the memo read inline; cost fills a miss, min_leaf included
-            u = costs[pos] if pos in costs else cost(pos)
+            u = costs[pos]
             if u is None:
                 continue
             neg = rows ^ pos
-            v = costs[neg] if neg in costs else cost(neg)
+            v = costs[neg]
             if v is None:
                 continue
             candidate = combine(u, v, i)
@@ -570,7 +575,7 @@ class _RuleMasks:
         key = (allowed, rows)
         if key in self._pairs:
             return self._pairs[key]
-        combine, cost, stump = self.objective.combine, self.cost, self.stump
+        combine, costs, stump = self.objective.combine, self._costs, self.stump
         positive, last = self.pos, self.size - 1
         best = winner = None
         todo = allowed
@@ -586,7 +591,7 @@ class _RuleMasks:
             # a leaf ranking (cost, 0)
             right = allowed & self.right[i]
             if right:
-                u = cost(pos)
+                u = costs[pos]
                 if u is not None:
                     v = stump(right, neg)
                     if v is not None:
@@ -598,7 +603,7 @@ class _RuleMasks:
             if left:
                 u = stump(left, pos)
                 if u is not None:
-                    v = cost(neg)
+                    v = costs[neg]
                     if v is not None:
                         (c, rank), m = u
                         candidate = combine(c, v, i), rank - bit
@@ -915,41 +920,37 @@ def solve_kd(data: Dataset, max_depth: int, objective: Objective | None = None) 
 
     Every branch at depth d splits on dimension d mod D, so all nodes of one
     level share a dimension. Regions split while points remain and the depth
-    budget allows; the branch payload is (pivot point, dimension). The default
-    objective sums squared leaf sizes.
+    budget allows. A split is the point-defined axis rule of a pivot p,
+    ``Rule(AxisParallel(d, p[d]), (p,))``: the branch payload and the
+    objective's combine context. The default objective sums squared leaf
+    sizes.
 
     A state is one int, ``mask | depth << N``: point i is bit i of the mask.
-    The table ``at_most[d][i]``, the points whose coordinate d is at most
-    point i's, and the payloads are built once per call, so a pivot's sides
-    are two mask operations. Pivots are tried in data order and points tied
-    with the pivot go left, as in the ``splits_kd`` specification in
-    ``tests/helpers.py``. Leaf costs are memoized per mask. A state with one
-    split level left is solved in closed form, like :meth:`_RuleMasks.stump`:
-    the cheapest stump over its pivots in data order, the first strict
-    minimum winning, each candidate combined with the payload the recursion
-    would pass.
+    The rules and their positive sides, ``at_most[d][i]`` (read off one
+    :func:`~opttree.rules.sign_table`), are built once per call, so a
+    pivot's sides are two mask operations. Pivots are tried in data order,
+    points tied with the pivot going left, as in the ``splits_kd``
+    specification in ``tests/helpers.py``. Leaf costs are memoized per mask.
+    A state with one split level left is solved in closed form, like
+    :meth:`_RuleMasks.stump`: the cheapest stump over its pivots in data
+    order, the first strict minimum winning, each candidate combined with
+    the rule the recursion would pass.
     """
     obj = objective or LEAF_BALANCE
-    leaf_cost, combine = obj.leaf_cost, obj.combine
+    combine = obj.combine
     seq = tuple(data)
     n = len(seq)
     every = (1 << n) - 1
+    points = [s.point for s in seq]
     # no data leaves the root a leaf state, which reads no dimension
-    ndims = len(seq[0].point) if seq else 0
-    at_most = [
-        [sum(1 << j for j, s in enumerate(seq) if s.point[d] <= p.point[d]) for p in seq]
-        for d in range(ndims)
-    ]
-    payloads = [[(p.point, d) for p in seq] for d in range(ndims)]
+    ndims = len(points[0]) if seq else 0
+    payloads = [[Rule(AxisParallel(d, p[d]), (p,)) for p in points] for d in range(ndims)]
+    positive = _masks(_pack(sign_table([rule.kind for rules in payloads for rule in rules], points)))
+    at_most = [positive[d * n : (d + 1) * n] for d in range(ndims)]
     # the depth whose states have one split level left, solved in closed form
     last = max_depth - 1
-    costs: dict[int, Any] = {}
+    costs = _LeafCosts(obj.leaf_cost, seq)
     stumps: dict[int, int] = {}
-
-    def cost(mask: int) -> Any:
-        if mask not in costs:
-            costs[mask] = leaf_cost(_members(seq, mask))
-        return costs[mask]
 
     def splits(state: int) -> list | None:
         mask, depth = state & every, state >> n
@@ -972,7 +973,7 @@ def solve_kd(data: Dataset, max_depth: int, objective: Objective | None = None) 
     def leaf(state: int) -> Any:
         mask = state & every
         if not mask or state >> n != last:
-            return cost(mask)
+            return costs[mask]
         d = last % ndims
         sides, payload = at_most[d], payloads[d]
         best = winner = None
@@ -983,11 +984,7 @@ def solve_kd(data: Dataset, max_depth: int, objective: Objective | None = None) 
             i = low.bit_length() - 1
             rest = mask ^ low
             left = rest & sides[i]
-            right = rest ^ left
-            # the memo read inline; cost fills a miss
-            u = costs[left] if left in costs else cost(left)
-            v = costs[right] if right in costs else cost(right)
-            candidate = combine(u, v, payload[i])
+            candidate = combine(costs[left], costs[rest ^ left], payload[i])
             if best is None or candidate < best:
                 best, winner = candidate, i
         stumps[mask] = winner

@@ -8,9 +8,11 @@ Grammar (whitespace-separated tokens):
                | "seg" x1 y1 x2 y2
                | "cut"
 
-Leaves store only their payload size. Reals must be finite and print with 9
-significant digits, so serializing a parsed tree reproduces the original text
-byte for byte.
+Leaves store only their payload size. A rule-table index (given the table)
+and a :class:`~opttree.rules.Rule`, such as the point-defined axis rules of
+:func:`~opttree.solver.solve_kd`, print as their rule's kind. Reals must be
+finite and print with 9 significant digits, so serializing a parsed tree
+reproduces the original text byte for byte.
 Parsed trees carry int counts at leaves and, at branches, rule kinds for
 "axis" and "hyp", a :class:`~opttree.rule_systems.SceneSegment` with no
 payload for "seg" and None for "cut".
@@ -46,7 +48,9 @@ def _rule_desc(payload: Any, rules: Sequence[Rule] | None) -> str:
     if isinstance(payload, int):
         if rules is None:
             raise ValueError("serializing an index-labeled tree needs the rule table")
-        payload = rules[payload].kind
+        payload = rules[payload]
+    if isinstance(payload, Rule):
+        payload = payload.kind
     if isinstance(payload, AxisParallel):
         return f"axis {payload.dim} {format_real(payload.threshold)}"
     if isinstance(payload, Hyperplane):
@@ -55,9 +59,6 @@ def _rule_desc(payload: Any, rules: Sequence[Rule] | None) -> str:
     if isinstance(payload, SceneSegment):
         (x1, y1), (x2, y2) = payload.start, payload.end
         return f"seg {format_real(x1)} {format_real(y1)} {format_real(x2)} {format_real(y2)}"
-    if isinstance(payload, tuple) and len(payload) == 2 and isinstance(payload[1], int):
-        point, dim = payload
-        return f"axis {dim} {format_real(point[dim])}"
     if payload is None:
         return "cut"
     raise ValueError(f"cannot describe branch payload {payload!r}")

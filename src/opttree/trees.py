@@ -5,7 +5,7 @@ between two subtrees and a :class:`DLeaf` holds a leaf payload. A shape is a
 tree whose branch payloads are rule-table indices and whose leaves are the
 payload-free :data:`LEAF`; a completed classification tree holds at its
 leaves the samples reaching them. The application solvers use the same types
-with other branch payloads (segments, pivot points, or None). Orderings of
+with other branch payloads (segments, k-d axis rules, or None). Orderings of
 rules and their heap-position placements are in :mod:`opttree.generator`.
 """
 

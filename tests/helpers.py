@@ -8,10 +8,11 @@ generators (:func:`all_tree_shapes`, :func:`all_trees`,
 shapes (:func:`complete_shapes`), the step rule of a heap-position placement
 (:func:`descend`, :func:`spec_step`), the streamed valid orderings of a rule
 table (:func:`enumerate_permutation_trees`), the splits of the partition
-solvers (:func:`splits_kd`, :func:`splits_bsp`, :func:`splits_mcmp`) and
+solvers (:func:`splits_kd`, :func:`splits_bsp`, :func:`splits_mcmp`),
 the first cheapest trees of the k-d and scene-partition recursions
 (:func:`kd_oracle`, :func:`bsp_oracle`, both through
-:func:`first_cheapest`). Generated sequences come out in a fixed
+:func:`first_cheapest`) and the split dimensions of a k-d tree's levels
+(:func:`level_dims`). Generated sequences come out in a fixed
 order (root index ascending, left subtree choices before right). The
 permutation walk, which reads its steps off ancestry side masks, and its
 sample bitmasks are the package's own ``check`` oracle, imported from
@@ -25,7 +26,7 @@ import itertools
 import random
 from collections import deque
 
-from opttree import LEAF, DLeaf, DNode, classify, make_dataset, split_segments
+from opttree import LEAF, AxisParallel, DLeaf, DNode, Rule, classify, make_dataset, split_segments
 from opttree.generator import _members, _positive_mask, _walk, _walk_matrix
 
 
@@ -297,10 +298,12 @@ def all_chain_trees(items):
 
 
 def splits_kd(depth, data):
-    """One candidate per pivot point, split on dimension ``depth mod D``.
+    """One candidate per pivot point: the axis rule of its coordinate on
+    dimension ``depth mod D``, with the pivot as its defining point.
 
-    Points tied with the pivot coordinate go left, matching the global
-    boundary rule; the pivot itself lands on neither side.
+    The other points go to the rule's sides by :func:`classify`, so points
+    tied with the pivot coordinate go left, positive, as the global boundary
+    rule says; the pivot itself lands on neither side.
     """
     seq = tuple(data)
     if not seq:
@@ -308,10 +311,9 @@ def splits_kd(depth, data):
     d = depth % len(seq[0].point)
     out = []
     for i, pivot in enumerate(seq):
-        c = pivot.point[d]
-        left = tuple(s for j, s in enumerate(seq) if j != i and s.point[d] <= c)
-        right = tuple(s for j, s in enumerate(seq) if j != i and s.point[d] > c)
-        out.append((left, pivot, right))
+        rule = Rule(AxisParallel(d, pivot.point[d]), (pivot.point,))
+        left, right = split_dataset(rule, seq[:i] + seq[i + 1 :])
+        out.append((left, rule, right))
     return out
 
 
@@ -351,24 +353,34 @@ def kd_oracle(data, max_depth, objective):
     """(cost, tree) of the first cheapest depth-cycled tree over :func:`splits_kd`.
 
     A region splits while it holds points and is above ``max_depth``; each
-    branch's payload is (pivot point, dimension) and each leaf holds its
-    points in data order.
+    branch's payload is its pivot's axis rule, as :func:`splits_kd` gives it,
+    and each leaf holds its points in data order.
     """
 
     def splits(state):
         items, depth = state
         if not items or depth >= max_depth:
             return None
-        d = depth % len(items[0].point)
-        return [
-            ((left, depth + 1), (pivot.point, d), (right, depth + 1))
-            for left, pivot, right in splits_kd(depth, items)
-        ]
+        return [((left, depth + 1), rule, (right, depth + 1)) for left, rule, right in splits_kd(depth, items)]
 
     def leaf(state):
         return objective.leaf_cost(state[0]), DLeaf(state[0])
 
     return first_cheapest((tuple(data), 0), splits, leaf, objective.combine)
+
+
+def level_dims(tree):
+    """The split dimension of each level of a k-d tree, read off its axis
+    rules, or None when two branches of one level differ."""
+    dims = []
+    frontier = [tree]
+    while any(isinstance(n, DNode) for n in frontier):
+        level = {n.rule_id.kind.dim for n in frontier if isinstance(n, DNode)}
+        if len(level) != 1:
+            return None
+        dims.append(level.pop())
+        frontier = [c for n in frontier if isinstance(n, DNode) for c in (n.left, n.right)]
+    return dims
 
 
 def bsp_oracle(segments):

@@ -53,6 +53,7 @@ from helpers import (
     complete_shapes,
     enumerate_permutation_trees,
     kd_oracle,
+    level_dims,
     level_order,
     spec_tree_from_permutation,
 )
@@ -371,18 +372,6 @@ def test_criterion_9_bsp_beats_random_orders():
     )
 
 
-def level_dims_consistent(tree):
-    frontier = [tree]
-    dims = []
-    while any(isinstance(n, DNode) for n in frontier):
-        level = {n.rule_id[1] for n in frontier if isinstance(n, DNode)}
-        if len(level) != 1:
-            return None
-        dims.append(level.pop())
-        frontier = [c for n in frontier if isinstance(n, DNode) for c in (n.left, n.right)]
-    return dims
-
-
 def test_criterion_10_kd_exhaustive():
     checked = 0
     for i in range(12):
@@ -391,7 +380,7 @@ def test_criterion_10_kd_exhaustive():
         data = make_dataset([(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(n)])
         for max_depth in (1, 2, 3):
             tree = solve_kd(data, max_depth)
-            dims = level_dims_consistent(tree)
+            dims = level_dims(tree)
             assert dims is not None, f"instance {i}: inconsistent level dimensions"
             assert dims == [d % 2 for d in range(len(dims))]
             cost, want = kd_oracle(data, max_depth, LEAF_BALANCE)

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from opttree import (
+    AxisParallel,
     Hyperplane,
     MatrixDim,
     Rule,
@@ -245,8 +246,8 @@ def test_splits_kd_dimensions_cycle():
     by_x = splits_kd(0, data)
     by_y = splits_kd(1, data)
     # pivot (2, 4): dim 0 puts (1,5) left; dim 1 puts (3,3) left
-    _, pivot, _ = by_x[1]
-    assert pivot.point == (2.0, 4.0)
+    assert by_x[1][1] == Rule(AxisParallel(0, 2.0), ((2.0, 4.0),))
+    assert by_y[1][1] == Rule(AxisParallel(1, 4.0), ((2.0, 4.0),))
     assert [s.point for s in by_x[1][0]] == [(1.0, 5.0)]
     assert [s.point for s in by_y[1][0]] == [(3.0, 3.0)]
     assert splits_kd(2, data)[1][0] == by_x[1][0]  # depth 2 wraps back to dim 0
@@ -254,10 +255,10 @@ def test_splits_kd_dimensions_cycle():
 
 def test_splits_kd_single_point_and_ties():
     single = make_dataset([(4, 2)])
-    assert splits_kd(0, single) == [((), single[0], ())]
+    assert splits_kd(0, single) == [((), Rule(AxisParallel(0, 4.0), ((4.0, 2.0),)), ())]
     tied = make_dataset([(1, 1), (1, 2), (2, 3)])
-    left, pivot, right = splits_kd(0, tied)[0]
-    assert pivot.point == (1.0, 1.0)
+    left, rule, right = splits_kd(0, tied)[0]
+    assert rule == Rule(AxisParallel(0, 1.0), ((1.0, 1.0),))
     # the equal-coordinate point joins the left side per the boundary rule
     assert [s.point for s in left] == [(1.0, 2.0)]
     assert [s.point for s in right] == [(2.0, 3.0)]

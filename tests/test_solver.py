@@ -64,6 +64,7 @@ from helpers import (
     complete_shapes,
     enumerate_permutation_trees,
     kd_oracle,
+    level_dims,
     level_order,
     random_instance,
 )
@@ -541,6 +542,7 @@ def test_rule_masks_below_two_rules_skip_ancestry():
     data = make_dataset([(1.0, 2.0), (6.0, 8.0)])
     front = _RuleMasks(rules, data, 1, MISCLASSIFICATION, SolveConstraints())
     assert front.left == front.right == [0] * len(rules)
+    assert front.side_words is None
     # with two rules to place the ancestry is needed, and undefined without
     # defining points, as in ancestry_matrix
     with pytest.raises(ValueError):
@@ -606,24 +608,55 @@ def test_solve_nodes_is_one_call_below_three_rules(k):
                 assert stats.nodes == stats.states == 1
 
 
+def test_rule_masks_keep_packed_sides_only_for_the_batch():
+    # the packed ancestry sides are read by the count-table batch alone, which
+    # runs for an objective with a count form and at most three rules
+    rules = grid_axis_rules()
+    data = random_instance(3, n_min=6, n_max=6)
+    plain = Objective(MISCLASSIFICATION.leaf_cost, MISCLASSIFICATION.combine)
+    batched = _RuleMasks(rules, data, 2, MISCLASSIFICATION, SolveConstraints())
+    assert batched.label_rows is not None
+    assert (batched.right, batched.left) == tuple(map(_masks, batched.side_words))
+    for k, objective in ((3, MISCLASSIFICATION), (4, MISCLASSIFICATION), (5, MISCLASSIFICATION), (2, plain)):
+        front = _RuleMasks(rules, data, k, objective, SolveConstraints())
+        assert (front.side_words is None) == (front.label_rows is None) == (objective is plain or k >= 4)
+        # the int sides stay, read off the packed ones before they go
+        assert (front.left, front.right) == (batched.left, batched.right)
+
+
 def test_solve_costs_each_leaf_row_set_once():
     # every label is distinct, so a leaf's labels name its rows: the per-row
     # mask memo must hand each distinct leaf to leaf_cost once
     rng = random.Random(8)
     data = make_dataset([(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(9)], range(9))
     rules = enumerate_axis_rules(data)
-    for k in (0, 1, 2, 3):
-        for cons in (None, SolveConstraints(min_leaf=2)):
-            costed = []
+    # from k=4 on the Python closed forms cost every leaf
+    cases = [(k, cons) for k in (0, 1, 2, 3) for cons in (None, SolveConstraints(min_leaf=2))]
+    for k, cons in cases + [(4, SolveConstraints(min_leaf=2)), (5, SolveConstraints(min_leaf=2))]:
+        costed = []
 
-            def leaf_cost(leaf):
-                costed.append(tuple(s.label for s in leaf))
-                return misclassification_cost(leaf)
+        def leaf_cost(leaf):
+            costed.append(tuple(s.label for s in leaf))
+            return misclassification_cost(leaf)
 
-            tree = solve(rules, k, data, Objective(leaf_cost, MISCLASSIFICATION.combine), cons)
-            assert tree == solve(rules, k, data, MISCLASSIFICATION, cons)
-            assert costed
-            assert len(costed) == len(set(costed))
+        tree = solve(rules, k, data, Objective(leaf_cost, MISCLASSIFICATION.combine), cons)
+        assert tree == solve(rules, k, data, MISCLASSIFICATION, cons)
+        assert costed
+        assert len(costed) == len(set(costed))
+    # solve_kd shares the memo, the closed form of its last level included;
+    # grid points tie and repeat
+    data = make_dataset([(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(8)], range(8))
+    for max_depth in range(5):
+        costed = []
+
+        def leaf_cost(leaf):
+            costed.append(tuple(s.label for s in leaf))
+            return LEAF_BALANCE.leaf_cost(leaf)
+
+        tree = solve_kd(data, max_depth, Objective(leaf_cost, LEAF_BALANCE.combine))
+        assert tree == solve_kd(data, max_depth)
+        assert costed
+        assert len(costed) == len(set(costed))
 
 
 def _distinct_points(seed, n):
@@ -859,25 +892,10 @@ def test_solve_mcmp_matches_cubic_dp():
 KD_SEVEN = [(30, 40), (5, 25), (10, 12), (70, 70), (50, 30), (35, 45), (60, 10)]
 
 
-def _level_dims(tree):
-    dims = []
-    frontier = [tree]
-    while any(isinstance(n, DNode) for n in frontier):
-        level = {n.rule_id[1] for n in frontier if isinstance(n, DNode)}
-        assert len(level) == 1, "split dimensions differ within one level"
-        dims.append(level.pop())
-        nxt = []
-        for n in frontier:
-            if isinstance(n, DNode):
-                nxt.extend([n.left, n.right])
-        frontier = nxt
-    return dims
-
-
 def test_solve_kd_seven_point_layout():
     data = make_dataset(KD_SEVEN)
     tree = solve_kd(data, 3)
-    assert _level_dims(tree) == [0, 1, 0]
+    assert level_dims(tree) == [0, 1, 0]
     assert depth(tree) == 3
 
 
@@ -901,9 +919,13 @@ def test_solve_kd_matches_exhaustive(seed):
         assert tree_cost(tree, LEAF_BALANCE) == cost
 
 
-# combine reads the (pivot point, dimension) payload, so a closed form that
-# passes another pivot's payload, or another level's dimension, scores differently
-PIVOT_SENSITIVE = Objective(LEAF_BALANCE.leaf_cost, lambda a, b, ctx: a + b + ctx[0][ctx[1]] + 2 * ctx[1])
+# combine reads the rule's defining point and dimension, so a closed form that
+# passes another pivot's rule, even one of equal threshold, or another level's
+# dimension scores differently: on the 4 x 4 grid below, x + 4 y names a point
+PIVOT_SENSITIVE = Objective(
+    LEAF_BALANCE.leaf_cost,
+    lambda a, b, ctx: a + b + ctx.defining_points[0][0] + 4 * ctx.defining_points[0][1] + 2 * ctx.kind.dim,
+)
 
 
 def test_solve_kd_equals_tuple_state_reference():

@@ -8,6 +8,7 @@ from opttree import (
     DNode,
     Hyperplane,
     MatrixDim,
+    Rule,
     SceneSegment,
     enumerate_axis_rules,
     make_dataset,
@@ -39,7 +40,7 @@ def test_serialize_rule_descriptions():
     assert serialize(seg) == "(node seg 0 1 2 3 (leaf 0) (leaf 0))"
     cut = DNode(leaf, None, leaf)
     assert serialize(cut) == "(node cut (leaf 0) (leaf 0))"
-    pivot = DNode(leaf, ((4.0, 7.0), 1), leaf)
+    pivot = DNode(leaf, Rule(AxisParallel(1, 7.0), ((4.0, 7.0),)), leaf)
     assert serialize(pivot) == "(node axis 1 7 (leaf 0) (leaf 0))"
 
 
@@ -106,3 +107,20 @@ def test_solver_outputs_round_trip():
     ]:
         text = serialize(tree, table)
         assert serialize(parse(text)) == text
+
+
+def _preorder(tree):
+    if isinstance(tree, DLeaf):
+        return []
+    return [tree.rule_id] + _preorder(tree.left) + _preorder(tree.right)
+
+
+def test_kd_rules_round_trip_as_their_kinds():
+    # grid points tie on both coordinates, and one point repeats: each k-d
+    # branch is a point-defined axis rule, and its text parses to its kind
+    data = make_dataset([(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (1, 3), (3, 3), (2, 3), (2, 2)])
+    for max_depth in range(5):
+        tree = solve_kd(data, max_depth)
+        payloads = _preorder(tree)
+        assert all(isinstance(rule, Rule) and rule.defining_points[0] in [s.point for s in data] for rule in payloads)
+        assert _preorder(parse(serialize(tree))) == [rule.kind for rule in payloads]
